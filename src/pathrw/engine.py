@@ -4,9 +4,10 @@ Executes single contractions, normalizes under a strategy, decides path
 equality with an explicit replayable derivation witness, and lifts
 derivations into path terms one level up.
 
-Equality verdicts come from the reduced-word oracle; the witness is built
-deterministically by normalizing both sides under the groupoid-complete rule
-set while recording steps. When the requested rule set lacks the extension
+Normalization records the contractions of the one walker,
+``rules.contractions``. Equality verdicts come from the reduced-word oracle;
+the witness is built by the same walk, normalizing both sides under the
+groupoid-complete rule set. When the requested rule set lacks the extension
 rules, each extension contraction is expanded in place into its derivable
 sequence of seven-rule forward/reverse steps, so the witness always replays
 against the requested rules. A bounded bidirectional search over the
@@ -43,7 +44,7 @@ from .rules import (
     RuleSchema,
     RuleSet,
     build_template,
-    first_redex,
+    contractions,
     match_pattern,
     match_redexes,
 )
@@ -126,19 +127,8 @@ def normalize(
     t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = "leftmost-innermost"
 ) -> tuple[PathTerm, Derivation]:
     """Contract the first redex under ``strategy`` until none remains."""
-    lv = level(t)
-    steps: list[RewriteStep] = []
-    cur = t
-    while True:
-        red = first_redex(cur, rs, strategy)
-        if red is None:
-            break
-        schema, pos, binding = red
-        new_sub = build_template(schema.rhs, binding, ctx)
-        after = replace_at(cur, pos, new_sub)
-        steps.append(RewriteStep(schema.display_name, pos, FORWARD, cur, after, lv))
-        cur = after
-    return cur, Derivation(t, tuple(steps), lv)
+    d = _record(t, rs, ctx, strategy, rs)
+    return d.end, d
 
 
 def mu_measure(t: PathTerm) -> tuple[int, int]:
@@ -251,24 +241,21 @@ def canonical_derivation(t: PathTerm, rs: RuleSet, ctx: Context) -> Derivation:
     rule that fires, the contraction is replaced in place by its derivable
     seven-rule step sequence.
     """
-    available = {schema.name for schema in rs.schemas}
+    return _record(t, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)
+
+
+def _record(
+    t: PathTerm, walk_rs: RuleSet, ctx: Context, strategy: str, replay_rs: RuleSet
+) -> Derivation:
+    """Record the walker's contractions under ``walk_rs`` as steps replayable against ``replay_rs``."""
+    available = {schema.name for schema in replay_rs.schemas}
     lv = level(t)
     steps: list[RewriteStep] = []
-    cur = t
-    while True:
-        red = first_redex(cur, GROUPOID_COMPLETE)
-        if red is None:
-            break
-        schema, pos, binding = red
+    for schema, pos, before, after in contractions(t, walk_rs, ctx, strategy):
         if schema.extension and schema.name not in available:
-            sim = _simulate_extension(cur, schema, pos, ctx)
-            steps.extend(sim)
-            cur = sim[-1].after
+            steps.extend(_simulate_extension(before, schema, pos, ctx))
         else:
-            new_sub = build_template(schema.rhs, binding, ctx)
-            after = replace_at(cur, pos, new_sub)
-            steps.append(RewriteStep(schema.display_name, pos, FORWARD, cur, after, lv))
-            cur = after
+            steps.append(RewriteStep(schema.display_name, pos, FORWARD, before, after, lv))
     return Derivation(t, tuple(steps), lv)
 
 

@@ -7,13 +7,19 @@ and a printable natural-deduction derivation for each rule.
 The optional "groupoid-complete" set adds three derivable rules (each is
 equationally reachable from the seven, witnessed in the test suite) so that
 normal forms become canonical; the seven alone are not confluent.
+
+``contractions`` is the one rewrite walker. It keeps the path to the current
+node on an explicit stack and never rescans what it has shown normal:
+innermost order walks post-order and, after a contraction, re-walks only the
+nodes the right-hand side built; outermost order walks pre-order and
+rechecks only the ancestors of the contracted position. A step costs O(depth)
+to rebuild the spine, plus one match per node visited or built.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, replace
-from typing import TypeAlias, Union
+from dataclasses import dataclass, field, replace
+from typing import Iterator, TypeAlias, Union
 
 from .errors import UnknownRule
 from .terms import (
@@ -26,6 +32,7 @@ from .terms import (
     endpoints,
     level,
     path_children,
+    with_child,
 )
 
 
@@ -192,24 +199,41 @@ class RuleSet:
 
     name: str
     schemas: tuple[RuleSchema, ...]
+    # Derived once: schemas by name (the first of a name wins), and the
+    # schemas that can match at a root of each term class (None: any other
+    # class), in rule-set order.
+    _by_name: dict = field(init=False, repr=False, compare=False)
+    _by_head: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_name", {s.name: s for s in reversed(self.schemas)})
+        by_head = {
+            head: tuple(s for s in self.schemas if _pattern_head(s.lhs) in (head, None))
+            for head in (Sym, Trans, Refl, None)
+        }
+        object.__setattr__(self, "_by_head", by_head)
 
     def find(self, rule_name: str, at_level: int) -> RuleSchema:
         """Resolve a rule name, bare or level-suffixed, at the given level."""
-        base, suffix = _split_rule_name(rule_name)
-        if suffix is not None and suffix != at_level:
-            raise UnknownRule(f"rule '{rule_name}' is pinned to level {suffix}, not {at_level}")
-        for schema in self.schemas:
-            if schema.name == base:
-                return instantiate_at_level(schema, at_level)
-        raise UnknownRule(f"no rule named '{rule_name}' in rule set '{self.name}'")
+        base = rule_name.rstrip("0123456789")
+        if not (base.isascii() and base.isalpha() and base.islower()):
+            raise UnknownRule(f"malformed rule name '{rule_name}'")
+        suffix = rule_name[len(base) :]
+        if suffix and int(suffix) != at_level:
+            raise UnknownRule(f"rule '{rule_name}' is pinned to level {int(suffix)}, not {at_level}")
+        schema = self._by_name.get(base)
+        if schema is None:
+            raise UnknownRule(f"no rule named '{rule_name}' in rule set '{self.name}'")
+        return instantiate_at_level(schema, at_level)
 
-
-
-def _split_rule_name(rule_name: str) -> tuple[str, int | None]:
-    m = re.fullmatch(r"([a-z]+)(\d+)?", rule_name)
-    if m is None:
-        raise UnknownRule(f"malformed rule name '{rule_name}'")
-    return m.group(1), int(m.group(2)) if m.group(2) else None
+    def first_match(self, node: PathTerm) -> tuple[RuleSchema, Binding] | None:
+        """The first schema, in rule-set order, whose pattern matches at ``node``."""
+        by_head = self._by_head
+        for schema in by_head.get(type(node), by_head[None]):
+            binding = match_pattern(schema.lhs, node)
+            if binding is not None:
+                return schema, binding
+        return None
 
 
 PAPER7 = RuleSet("paper7", (SR, SS, TR, TSR, TLR, TRR, TT))
@@ -225,30 +249,48 @@ def rule_set(name: str) -> RuleSet:
         raise UnknownRule(f"no rule set named '{name}'") from None
 
 
-# Grouping cache keyed by rule-set identity; holding the rule set itself
-# keeps ids stable. Deep-hashing the rule set per lookup would dominate
-# normalization time.
-_HEAD_CACHE: dict[int, tuple[RuleSet, dict]] = {}
+# A walk keeps the path from the root to the current node as frames
+# [node, template, children started]; ``template`` is the right-hand-side
+# part that built the node in the last contraction, or None.
 
 
-def _schemas_by_head(rs: RuleSet) -> dict:
-    """Rule-set schemas keyed by root term class, rule-set order preserved."""
-    entry = _HEAD_CACHE.get(id(rs))
-    if entry is not None and entry[0] is rs:
-        return entry[1]
-    grouped: dict = {}
-    for head in (Sym, Trans, Refl, None):
-        grouped[head] = tuple(
-            schema for schema in rs.schemas if _pattern_head(schema.lhs) in (head, None)
-        )
-    _HEAD_CACHE[id(rs)] = (rs, grouped)
-    return grouped
+def _subtemplate(template: Template | None, i: int) -> Template | None:
+    match template:
+        case PSym(body):
+            return body
+        case PTrans(left, right):
+            return right if i else left
+    return None
 
 
-def _candidates(rs: RuleSet, node: PathTerm) -> tuple[RuleSchema, ...]:
-    grouped = _schemas_by_head(rs)
-    candidates = grouped.get(type(node))
-    return candidates if candidates is not None else grouped[None]
+def _position(path: list) -> Position:
+    return tuple([frame[2] - 1 for frame in path[:-1]])
+
+
+def _visits(path: list, innermost: bool) -> Iterator[list]:
+    """Walk the subtree at the top of ``path``, yielding its frames in order.
+
+    Innermost order yields a frame after its children (post-order), outermost
+    order before them (pre-order). A consumer that replaces the top frame
+    with a new one has that subtree walked afresh; a node built from a
+    metavariable of an innermost contraction is already normal and skipped.
+    """
+    while path:
+        frame = path[-1]
+        node, template, i = frame
+        if type(template) is PVar:
+            path.pop()
+            continue
+        children = path_children(node)
+        if i == (len(children) if innermost else 0):
+            yield frame
+            if path[-1] is not frame:
+                continue
+        if i < len(children):
+            frame[2] = i + 1
+            path.append([children[i], _subtemplate(template, i), 0])
+        else:
+            path.pop()
 
 
 def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
@@ -259,54 +301,50 @@ def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
     Schemas apply at the term's own level; names carry the level suffix.
     """
     lv = level(t)
+    by_head = rs._by_head
     found: list[tuple[str, Position]] = []
-
-    def go(node: PathTerm, pos: Position) -> None:
-        for i, child in enumerate(path_children(node)):
-            go(child, pos + (i,))
-        for schema in _candidates(rs, node):
+    path = [[t, None, 0]]
+    for frame in _visits(path, innermost=True):
+        node = frame[0]
+        for schema in by_head.get(type(node), by_head[None]):
             if match_pattern(schema.lhs, node) is not None:
-                found.append((instantiate_at_level(schema, lv).display_name, pos))
-
-    go(t, ())
+                found.append((instantiate_at_level(schema, lv).display_name, _position(path)))
     return found
 
 
-def first_redex(
-    t: PathTerm, rs: RuleSet, strategy: str = "leftmost-innermost"
-) -> tuple[RuleSchema, Position, Binding] | None:
-    """First matching (schema, position, binding) under the strategy, or None.
+def contractions(
+    t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = "leftmost-innermost"
+) -> Iterator[tuple[RuleSchema, Position, PathTerm, PathTerm]]:
+    """Contract redexes of ``t`` in ``strategy`` order until none remains.
 
-    The schema comes back instantiated at the term's level.
+    Yields (schema, position, before, after) per contraction, the schema
+    instantiated at the term's level. Whether a node is a redex depends only
+    on its subtree, so a node the walk has shown normal stays normal until a
+    contraction inside its subtree.
     """
     innermost = strategy == "leftmost-innermost"
     if not innermost and strategy != "leftmost-outermost":
         raise ValueError(f"unknown strategy '{strategy}'")
-
-    def here(node: PathTerm) -> tuple[RuleSchema, Position, Binding] | None:
-        for schema in _candidates(rs, node):
-            binding = match_pattern(schema.lhs, node)
-            if binding is not None:
-                return schema, (), binding
-        return None
-
-    def go(node: PathTerm) -> tuple[RuleSchema, Position, Binding] | None:
-        if not innermost:
-            found = here(node)
-            if found is not None:
-                return found
-        for i, child in enumerate(path_children(node)):
-            found = go(child)
-            if found is not None:
-                schema, pos, binding = found
-                return schema, (i,) + pos, binding
-        return here(node) if innermost else None
-
-    found = go(t)
-    if found is None:
-        return None
-    schema, pos, binding = found
-    return instantiate_at_level(schema, level(t)), pos, binding
+    lv = level(t)
+    path = [[t, None, 0]]
+    for frame in _visits(path, innermost):
+        found = rs.first_match(frame[0])
+        while found is not None:
+            schema, binding = found
+            before = path[0][0]
+            pos = _position(path)
+            new = build_template(schema.rhs, binding, ctx)
+            path[-1] = [new, schema.rhs if innermost else None, 0]
+            for parent in reversed(path[:-1]):
+                parent[0] = new = with_child(parent[0], parent[2] - 1, new)
+            yield instantiate_at_level(schema, lv), pos, before, new
+            found = None
+            if not innermost:
+                for k in range(len(path) - 1):
+                    found = rs.first_match(path[k][0])
+                    if found is not None:
+                        del path[k + 1 :]
+                        break
 
 
 _EXPLANATIONS = {

@@ -31,6 +31,13 @@ def _reject_step_atoms(t: PathTerm) -> None:
         stack.extend(path_children(node))
 
 
+def _require(entry: dict[str, Any], key: str, where: str) -> Any:
+    try:
+        return entry[key]
+    except KeyError:
+        raise PathRwError(f"{where} has no '{key}'") from None
+
+
 def context_to_doc(ctx: Context) -> dict[str, Any]:
     return {
         "types": list(ctx.base_types),
@@ -52,12 +59,17 @@ def context_from_doc(doc: dict[str, Any]) -> Context:
     from .terms import AtomDecl
 
     ctx = Context(
-        base_types=tuple(doc["types"]),
-        elements=dict(doc["elements"]),
+        base_types=tuple(_require(doc, "types", "context")),
+        elements=dict(_require(doc, "elements", "context")),
         lambda_elements={name: parse_lambda_expr(text) for name, text in doc.get("lambdas", {}).items()},
         atoms={
-            name: AtomDecl(entry["source"], entry["target"], entry["type"], entry.get("tag", "declared"))
-            for name, entry in doc["atoms"].items()
+            name: AtomDecl(
+                _require(entry, "source", f"atom '{name}'"),
+                _require(entry, "target", f"atom '{name}'"),
+                _require(entry, "type", f"atom '{name}'"),
+                entry.get("tag", "declared"),
+            )
+            for name, entry in _require(doc, "atoms", "context").items()
         },
     )
     ctx.check()
@@ -94,27 +106,27 @@ def derivation_to_doc(d: Derivation, ctx: Context, rules_name: str) -> dict[str,
 def derivation_from_doc(doc: dict[str, Any]) -> tuple[Derivation, Context, str]:
     if doc.get("format") != FORMAT_NAME:
         raise PathRwError(f"not a {FORMAT_NAME} document")
-    ctx = context_from_doc(doc["context"])
-    lv = doc["level"]
-    start = parse_path_expr(doc["start"], ctx)
+    ctx = context_from_doc(_require(doc, "context", "document"))
+    lv = _require(doc, "level", "document")
+    start = parse_path_expr(_require(doc, "start", "document"), ctx)
     steps = tuple(
         RewriteStep(
-            rule=entry["rule"],
-            position=tuple(entry["position"]),
-            direction=entry["direction"],
-            before=parse_path_expr(entry["before"], ctx),
-            after=parse_path_expr(entry["after"], ctx),
+            rule=_require(entry, "rule", f"step {i}"),
+            position=tuple(_require(entry, "position", f"step {i}")),
+            direction=_require(entry, "direction", f"step {i}"),
+            before=parse_path_expr(_require(entry, "before", f"step {i}"), ctx),
+            after=parse_path_expr(_require(entry, "after", f"step {i}"), ctx),
             level=lv,
         )
-        for entry in doc["steps"]
+        for i, entry in enumerate(_require(doc, "steps", "document"))
     )
-    return Derivation(start, steps, lv), ctx, doc["rules"]
+    return Derivation(start, steps, lv), ctx, _require(doc, "rules", "document")
 
 
 def replay_document(doc: dict[str, Any]) -> bool:
     """Rebuild everything from the document alone and replay the derivation."""
     derivation, ctx, rules_name = derivation_from_doc(doc)
-    end = parse_path_expr(doc["end"], ctx)
+    end = parse_path_expr(_require(doc, "end", "document"), ctx)
     if derivation.end != end:
         return False
     return replay_derivation(derivation, rule_set(rules_name), ctx)

@@ -152,16 +152,14 @@ PathTerm: TypeAlias = Union[Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom]
 
 
 def level(t: PathTerm) -> int:
-    """Tower level of a term (1 for paths between elements)."""
+    """Tower level of a term (1 for paths between elements), read off its leftmost leaf."""
+    while isinstance(t, (Sym, Trans)):
+        t = t.body if isinstance(t, Sym) else t.left
     match t:
         case Atom() | Xi() | Mu() | Nu():
             return 1
         case Refl(obj):
             return obj.level + 1
-        case Sym(body):
-            return level(body)
-        case Trans(left, _):
-            return level(left)
         case StepAtom(step):
             return step.level + 1
     raise TypeError(f"not a path term: {t!r}")
@@ -199,24 +197,37 @@ def subterm_at(t: PathTerm, pos: Position) -> PathTerm:
     return t
 
 
+def with_child(t: PathTerm, i: int, child: PathTerm) -> PathTerm:
+    """``t`` with its ``i``-th path child replaced by ``child``."""
+    match t:
+        case Trans():
+            if i == 0:
+                return Trans(child, t.right)
+            if i == 1:
+                return Trans(t.left, child)
+        case Sym() if i == 0:
+            return Sym(child)
+        case Xi(var, _) if i == 0:
+            return Xi(var, child)
+        case Mu(func, _) if i == 0:
+            return Mu(func, child)
+        case Nu(_, arg) if i == 0:
+            return Nu(child, arg)
+    raise PathRwError(f"no child {i} of {type(t).__name__}")
+
+
 def replace_at(t: PathTerm, pos: Position, new: PathTerm) -> PathTerm:
-    if not pos:
-        return new
-    i, rest = pos[0], pos[1:]
-    match t, i:
-        case (Sym(body), 0):
-            return Sym(replace_at(body, rest, new))
-        case (Trans(left, right), 0):
-            return Trans(replace_at(left, rest, new), right)
-        case (Trans(left, right), 1):
-            return Trans(left, replace_at(right, rest, new))
-        case (Xi(var, body), 0):
-            return Xi(var, replace_at(body, rest, new))
-        case (Mu(func, body), 0):
-            return Mu(func, replace_at(body, rest, new))
-        case (Nu(body, arg), 0):
-            return Nu(replace_at(body, rest, new), arg)
-    raise PathRwError(f"no subterm at position {fmt_position(pos)}")
+    """``t`` with the subterm at ``pos`` replaced: the spine above it is rebuilt."""
+    spine = []
+    for i in pos:
+        children = path_children(t)
+        if not 0 <= i < len(children):
+            raise PathRwError(f"no subterm at position {fmt_position(pos)}")
+        spine.append(t)
+        t = children[i]
+    for node, i in zip(reversed(spine), reversed(pos)):
+        new = with_child(node, i, new)
+    return new
 
 
 def postorder_positions(t: PathTerm) -> Iterator[Position]:
@@ -225,14 +236,6 @@ def postorder_positions(t: PathTerm) -> Iterator[Position]:
         for pos in postorder_positions(child):
             yield (i,) + pos
     yield ()
-
-
-def preorder_positions(t: PathTerm) -> Iterator[Position]:
-    """All positions, parents before children (outermost first)."""
-    yield ()
-    for i, child in enumerate(path_children(t)):
-        for pos in preorder_positions(child):
-            yield (i,) + pos
 
 
 def _resolve_lambda(obj: Object, ctx: Context, pos: Position) -> LambdaTerm:

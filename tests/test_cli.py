@@ -6,6 +6,7 @@ import pytest
 
 from pathrw.cli import main
 from pathrw.engine import normalize
+from pathrw.errors import PathRwError
 from pathrw.rules import PAPER7
 from pathrw.script import parse_script
 from pathrw.serialize import (
@@ -103,6 +104,16 @@ def test_document_tampering_detected(script_file, capsys):
     doc = doc_from_json(capsys.readouterr().out)
     doc["steps"][0]["position"] = [0, 0]
     assert not replay_document(doc)
+
+
+def test_document_missing_keys_are_input_errors(script_file, capsys):
+    with pytest.raises(PathRwError, match="document has no 'context'"):
+        replay_document({"format": "pathrw-derivation"})
+    main(["equal", script_file, "p", "q", "--json"])
+    doc = doc_from_json(capsys.readouterr().out)
+    del doc["steps"][1]["after"]
+    with pytest.raises(PathRwError, match="step 1 has no 'after'"):
+        replay_document(doc)
 
 
 def test_document_with_lambda_context_replays(tmp_path, capsys):

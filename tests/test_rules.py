@@ -11,6 +11,7 @@ from pathrw.oracle import enumerate_terms
 from pathrw.rules import (
     GROUPOID_COMPLETE,
     PAPER7,
+    RuleSet,
     explain_rule,
     instantiate_at_level,
     match_redexes,
@@ -101,6 +102,17 @@ def test_find_rejects_wrong_level_suffix():
         PAPER7.find("tt2", 1)
 
 
+def test_find_error_messages():
+    with pytest.raises(UnknownRule, match="'tt02' is pinned to level 2, not 1"):
+        PAPER7.find("tt02", 1)
+    for name in ("", "Tt", "t-t", "2", "t2t", "tt\n"):
+        with pytest.raises(UnknownRule, match="malformed rule name"):
+            PAPER7.find(name, 1)
+    with pytest.raises(UnknownRule, match="no rule named 'st2' in rule set 'paper7'"):
+        PAPER7.find("st2", 2)
+    assert PAPER7.find("tt02", 2).display_name == "tt2"
+
+
 def test_rule_sets():
     assert [s.name for s in PAPER7.schemas] == ["sr", "ss", "tr", "tsr", "tlr", "trr", "tt"]
     assert {s.name for s in GROUPOID_COMPLETE.schemas} == {
@@ -109,6 +121,9 @@ def test_rule_sets():
     assert all(not s.extension for s in PAPER7.schemas)
     assert [s.name for s in GROUPOID_COMPLETE.schemas if s.extension] == ["st", "trc", "tsrc"]
     assert rule_set("paper7") is PAPER7
+    copy = RuleSet("paper7", PAPER7.schemas)
+    assert copy == PAPER7 and hash(copy) == hash(PAPER7) and repr(copy) == repr(PAPER7)
+    assert "_by_head" not in repr(PAPER7)
     with pytest.raises(UnknownRule):
         rule_set("nope")
 
