@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .engine import Derivation, Equal, NotEqual, decide_rw_equal, normalize
-from .errors import PathRwError, ScriptError, UnknownRule, fmt_position
+from .errors import PathRwError, fmt_position
 from .groupoid import LAWS, run_laws
 from .oracle import check_confluence, word
 from .rules import explain_rule, rule_set
@@ -30,13 +30,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, UnknownRule) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PathRwError as exc:
+    except (OSError, PathRwError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -45,7 +45,6 @@ from .rules import (
     RuleSet,
     build_template,
     contractions,
-    match_pattern,
     match_redexes,
 )
 
@@ -114,7 +113,7 @@ def contract_once(
     lv = level(t)
     schema = rs.find(rule, lv)
     sub = subterm_at(t, pos)
-    binding = match_pattern(schema.lhs, sub)
+    binding = schema.match(sub)
     if binding is None:
         raise NoRedex(f"rule '{rule}' does not match at position {pos}")
     new_sub = build_template(schema.rhs, binding, ctx)
@@ -353,7 +352,7 @@ def _search_equal(
     def neighbours(u: PathTerm):
         for rule, pos in match_redexes(rs, u):
             schema = rs.find(rule, lv)
-            binding = match_pattern(schema.lhs, subterm_at(u, pos))
+            binding = schema.match(subterm_at(u, pos))
             after = replace_at(u, pos, build_template(schema.rhs, binding, ctx))
             yield after, RewriteStep(schema.display_name, pos, FORWARD, u, after, lv)
         for after, step in _expansions(u, lv, ctx, pool, size_cap):

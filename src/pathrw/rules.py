@@ -2,7 +2,9 @@
 
 The seven redundancy-removal rules over rho/sigma/tau, pattern matching
 against subterms, instantiation of the same schemas at every tower level,
-and a printable natural-deduction derivation for each rule.
+and a printable natural-deduction derivation for each rule. Each schema
+compiles its left pattern once into a matcher closure (``RuleSchema.match``)
+that recurses only as deep as the pattern; rule sets cache per-level copies.
 
 The optional "groupoid-complete" set adds three derivable rules (each is
 equationally reachable from the seven, witnessed in the test suite) so that
@@ -19,7 +21,7 @@ to rebuild the spine, plus one match per node visited or built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, TypeAlias, Union
+from typing import Callable, Iterator, TypeAlias, Union
 
 from .errors import UnknownRule
 from .terms import (
@@ -81,39 +83,6 @@ Template: TypeAlias = Union[PVar, PRefl, PSym, PTrans, RReflAtSource, RReflAtTar
 Binding: TypeAlias = "dict[str, object]"
 
 
-def match_pattern(pattern: Pattern, t: PathTerm, binding: Binding | None = None) -> Binding | None:
-    """Match ``pattern`` against ``t``; returns the binding or None."""
-    if binding is None:
-        binding = {}
-    match pattern:
-        case PVar(name):
-            seen = binding.get(name)
-            if seen is None:
-                binding[name] = t
-                return binding
-            return binding if seen == t else None
-        case PRefl(obj_var):
-            if not isinstance(t, Refl):
-                return None
-            seen = binding.get(obj_var)
-            if seen is None:
-                binding[obj_var] = t.obj
-                return binding
-            return binding if seen == t.obj else None
-        case PSym(body):
-            if not isinstance(t, Sym):
-                return None
-            return match_pattern(body, t.body, binding)
-        case PTrans(left, right):
-            if not isinstance(t, Trans):
-                return None
-            inner = match_pattern(left, t.left, binding)
-            if inner is None:
-                return None
-            return match_pattern(right, t.right, inner)
-    raise TypeError(f"not a pattern: {pattern!r}")
-
-
 def build_template(template: Template, binding: Binding, ctx: Context) -> PathTerm:
     """Instantiate a right-hand-side template under a binding."""
     match template:
@@ -139,7 +108,8 @@ class RuleSchema:
     """One rewrite rule: a left pattern, a right template, and a level tag.
 
     The pattern is level-uniform; the level tag names the instantiation and
-    suffixes the rule name from level 2 up.
+    suffixes the rule name from level 2 up. ``match`` is the left pattern
+    compiled once: it maps a term to the binding, or None.
     """
 
     name: str
@@ -147,10 +117,49 @@ class RuleSchema:
     rhs: Template
     level: int = 1
     extension: bool = False
+    match: Callable[[PathTerm], Binding | None] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        test = _compile(self.lhs, set())
+
+        def match(t: PathTerm) -> Binding | None:
+            binding: Binding = {}
+            return binding if test(t, binding) else None
+
+        object.__setattr__(self, "match", match)
+
+    def __reduce__(self):  # the matcher is a closure: pickle the fields, recompile on load
+        return RuleSchema, (self.name, self.lhs, self.rhs, self.level, self.extension)
 
     @property
     def display_name(self) -> str:
         return self.name if self.level == 1 else f"{self.name}{self.level}"
+
+
+def _compile(pattern: Pattern, bound: set[str]) -> Callable[[PathTerm, Binding], bool]:
+    """A test that ``pattern`` matches a term, filling in the binding.
+
+    Tests run left to right and stop at the first failure, so the first
+    occurrence of a metavariable binds it and a later one, already in
+    ``bound`` when compiled, compares with ``==``. Node tests are exact-type.
+    """
+    match pattern:
+        case PSym(body):
+            inner = _compile(body, bound)
+            return lambda t, b: type(t) is Sym and inner(t.body, b)
+        case PTrans(left, right):
+            first = _compile(left, bound)
+            second = _compile(right, bound)
+            return lambda t, b: type(t) is Trans and first(t.left, b) and second(t.right, b)
+        case PRefl(obj_var):
+            obj = _compile(PVar(obj_var), bound)
+            return lambda t, b: type(t) is Refl and obj(t.obj, b)
+        case PVar(name) if name in bound:
+            return lambda t, b: b[name] == t
+        case PVar(name):
+            bound.add(name)
+            return lambda t, b: b.setdefault(name, t) is t  # unbound here: binds t
+    raise TypeError(f"not a pattern: {pattern!r}")
 
 
 def instantiate_at_level(schema: RuleSchema, n: int) -> RuleSchema:
@@ -199,19 +208,29 @@ class RuleSet:
 
     name: str
     schemas: tuple[RuleSchema, ...]
-    # Derived once: schemas by name (the first of a name wins), and the
-    # schemas that can match at a root of each term class (None: any other
-    # class), in rule-set order.
+    # Derived: the index in ``schemas`` of each name (the first of a name wins);
+    # per level, on first use, the schemas instantiated at it and, by root term
+    # class (None: any other class), those that can match there, in order.
     _by_name: dict = field(init=False, repr=False, compare=False)
-    _by_head: dict = field(init=False, repr=False, compare=False)
+    _levels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_name", {s.name: s for s in reversed(self.schemas)})
-        by_head = {
-            head: tuple(s for s in self.schemas if _pattern_head(s.lhs) in (head, None))
-            for head in (Sym, Trans, Refl, None)
-        }
-        object.__setattr__(self, "_by_head", by_head)
+        by_name: dict[str, int] = {}
+        for i, schema in enumerate(self.schemas):
+            by_name.setdefault(schema.name, i)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_levels", {})
+
+    def _at_level(self, lv: int) -> tuple[tuple[RuleSchema, ...], dict]:
+        cached = self._levels.get(lv)
+        if cached is None:
+            schemas = tuple(instantiate_at_level(s, lv) for s in self.schemas)
+            by_head = {
+                head: tuple(s for s in schemas if _pattern_head(s.lhs) in (head, None))
+                for head in (Sym, Trans, Refl, None)
+            }
+            cached = self._levels[lv] = schemas, by_head
+        return cached
 
     def find(self, rule_name: str, at_level: int) -> RuleSchema:
         """Resolve a rule name, bare or level-suffixed, at the given level."""
@@ -221,16 +240,16 @@ class RuleSet:
         suffix = rule_name[len(base) :]
         if suffix and int(suffix) != at_level:
             raise UnknownRule(f"rule '{rule_name}' is pinned to level {int(suffix)}, not {at_level}")
-        schema = self._by_name.get(base)
-        if schema is None:
+        i = self._by_name.get(base)
+        if i is None:
             raise UnknownRule(f"no rule named '{rule_name}' in rule set '{self.name}'")
-        return instantiate_at_level(schema, at_level)
+        return self._at_level(at_level)[0][i]
 
-    def first_match(self, node: PathTerm) -> tuple[RuleSchema, Binding] | None:
-        """The first schema, in rule-set order, whose pattern matches at ``node``."""
-        by_head = self._by_head
+    def first_match(self, node: PathTerm, lv: int) -> tuple[RuleSchema, Binding] | None:
+        """The first schema at level ``lv``, in rule-set order, that matches at ``node``."""
+        by_head = self._at_level(lv)[1]
         for schema in by_head.get(type(node), by_head[None]):
-            binding = match_pattern(schema.lhs, node)
+            binding = schema.match(node)
             if binding is not None:
                 return schema, binding
         return None
@@ -300,15 +319,14 @@ def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
     keep the rule set's order. An empty list means ``t`` is a normal form.
     Schemas apply at the term's own level; names carry the level suffix.
     """
-    lv = level(t)
-    by_head = rs._by_head
+    by_head = rs._at_level(level(t))[1]
     found: list[tuple[str, Position]] = []
     path = [[t, None, 0]]
     for frame in _visits(path, innermost=True):
         node = frame[0]
         for schema in by_head.get(type(node), by_head[None]):
-            if match_pattern(schema.lhs, node) is not None:
-                found.append((instantiate_at_level(schema, lv).display_name, _position(path)))
+            if schema.match(node) is not None:
+                found.append((schema.display_name, _position(path)))
     return found
 
 
@@ -328,7 +346,7 @@ def contractions(
     lv = level(t)
     path = [[t, None, 0]]
     for frame in _visits(path, innermost):
-        found = rs.first_match(frame[0])
+        found = rs.first_match(frame[0], lv)
         while found is not None:
             schema, binding = found
             before = path[0][0]
@@ -337,11 +355,11 @@ def contractions(
             path[-1] = [new, schema.rhs if innermost else None, 0]
             for parent in reversed(path[:-1]):
                 parent[0] = new = with_child(parent[0], parent[2] - 1, new)
-            yield instantiate_at_level(schema, lv), pos, before, new
+            yield schema, pos, before, new
             found = None
             if not innermost:
                 for k in range(len(path) - 1):
-                    found = rs.first_match(path[k][0])
+                    found = rs.first_match(path[k][0], lv)
                     if found is not None:
                         del path[k + 1 :]
                         break

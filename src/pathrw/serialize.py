@@ -31,11 +31,20 @@ def _reject_step_atoms(t: PathTerm) -> None:
         stack.extend(path_children(node))
 
 
-def _require(entry: dict[str, Any], key: str, where: str) -> Any:
+_KINDS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _require(entry: Any, key: str, where: str, kind: type) -> Any:
+    """``entry[key]``, which must be a ``kind``; a PathRwError naming the field otherwise."""
+    if not isinstance(entry, dict):
+        raise PathRwError(f"{where} must be an object, not {type(entry).__name__}")
     try:
-        return entry[key]
+        value = entry[key]
     except KeyError:
         raise PathRwError(f"{where} has no '{key}'") from None
+    if not isinstance(value, kind):
+        raise PathRwError(f"{where} '{key}' must be {_KINDS[kind]}, not {type(value).__name__}")
+    return value
 
 
 def context_to_doc(ctx: Context) -> dict[str, Any]:
@@ -58,18 +67,21 @@ def context_to_doc(ctx: Context) -> dict[str, Any]:
 def context_from_doc(doc: dict[str, Any]) -> Context:
     from .terms import AtomDecl
 
+    lambdas = _require(doc, "lambdas", "context", dict) if "lambdas" in doc else {}
     ctx = Context(
-        base_types=tuple(_require(doc, "types", "context")),
-        elements=dict(_require(doc, "elements", "context")),
-        lambda_elements={name: parse_lambda_expr(text) for name, text in doc.get("lambdas", {}).items()},
+        base_types=tuple(_require(doc, "types", "context", list)),
+        elements=dict(_require(doc, "elements", "context", dict)),
+        lambda_elements={
+            name: parse_lambda_expr(_require(lambdas, name, "lambdas", str)) for name in lambdas
+        },
         atoms={
             name: AtomDecl(
-                _require(entry, "source", f"atom '{name}'"),
-                _require(entry, "target", f"atom '{name}'"),
-                _require(entry, "type", f"atom '{name}'"),
+                _require(entry, "source", f"atom '{name}'", str),
+                _require(entry, "target", f"atom '{name}'", str),
+                _require(entry, "type", f"atom '{name}'", str),
                 entry.get("tag", "declared"),
             )
-            for name, entry in _require(doc, "atoms", "context").items()
+            for name, entry in _require(doc, "atoms", "context", dict).items()
         },
     )
     ctx.check()
@@ -103,30 +115,37 @@ def derivation_to_doc(d: Derivation, ctx: Context, rules_name: str) -> dict[str,
     }
 
 
+def _position(entry: dict[str, Any], where: str) -> tuple[int, ...]:
+    position = _require(entry, "position", where, list)
+    if not all(type(i) is int and i >= 0 for i in position):
+        raise PathRwError(f"{where} 'position' must be a list of child indices")
+    return tuple(position)
+
+
 def derivation_from_doc(doc: dict[str, Any]) -> tuple[Derivation, Context, str]:
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise PathRwError(f"not a {FORMAT_NAME} document")
-    ctx = context_from_doc(_require(doc, "context", "document"))
-    lv = _require(doc, "level", "document")
-    start = parse_path_expr(_require(doc, "start", "document"), ctx)
+    ctx = context_from_doc(_require(doc, "context", "document", dict))
+    lv = _require(doc, "level", "document", int)
+    start = parse_path_expr(_require(doc, "start", "document", str), ctx)
     steps = tuple(
         RewriteStep(
-            rule=_require(entry, "rule", f"step {i}"),
-            position=tuple(_require(entry, "position", f"step {i}")),
-            direction=_require(entry, "direction", f"step {i}"),
-            before=parse_path_expr(_require(entry, "before", f"step {i}"), ctx),
-            after=parse_path_expr(_require(entry, "after", f"step {i}"), ctx),
+            rule=_require(entry, "rule", f"step {i}", str),
+            position=_position(entry, f"step {i}"),
+            direction=_require(entry, "direction", f"step {i}", str),
+            before=parse_path_expr(_require(entry, "before", f"step {i}", str), ctx),
+            after=parse_path_expr(_require(entry, "after", f"step {i}", str), ctx),
             level=lv,
         )
-        for i, entry in enumerate(_require(doc, "steps", "document"))
+        for i, entry in enumerate(_require(doc, "steps", "document", list))
     )
-    return Derivation(start, steps, lv), ctx, _require(doc, "rules", "document")
+    return Derivation(start, steps, lv), ctx, _require(doc, "rules", "document", str)
 
 
 def replay_document(doc: dict[str, Any]) -> bool:
     """Rebuild everything from the document alone and replay the derivation."""
     derivation, ctx, rules_name = derivation_from_doc(doc)
-    end = parse_path_expr(_require(doc, "end", "document"), ctx)
+    end = parse_path_expr(_require(doc, "end", "document", str), ctx)
     if derivation.end != end:
         return False
     return replay_derivation(derivation, rule_set(rules_name), ctx)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import re
+
 import pytest
 
 from pathrw.cli import main
@@ -50,17 +53,19 @@ def test_normalize_level_assertion(script_file, capsys):
 
 def test_normalize_unknown_path(script_file, capsys):
     assert main(["normalize", script_file, "zz"]) == 2
+    assert capsys.readouterr().err == "error: script defines no path named 'zz'\n"
 
 
 def test_missing_file_is_input_error(capsys):
     assert main(["normalize", "/nonexistent/x.pth", "p"]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_parse_error_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.pth"
     bad.write_text("path p := tau(", encoding="utf-8")
     assert main(["normalize", str(bad), "p"]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: 1:")
 
 
 def test_equal_exit_codes(script_file, capsys):
@@ -111,6 +116,20 @@ def test_document_missing_keys_are_input_errors(script_file, capsys):
         replay_document({"format": "pathrw-derivation"})
     main(["equal", script_file, "p", "q", "--json"])
     doc = doc_from_json(capsys.readouterr().out)
+    wrong_types = [
+        (lambda d: d.update(start=5), "document 'start' must be a string, not int"),
+        (lambda d: d.update(context=[]), "document 'context' must be an object, not list"),
+        (lambda d: d["steps"][0].update(position=5), "step 0 'position' must be a list, not int"),
+        (lambda d: d["steps"][0].update(position=[-1]), "step 0 'position' must be a list of child indices"),
+        (lambda d: d["steps"][0].update(rule=5), "step 0 'rule' must be a string, not int"),
+        (lambda d: d["steps"].__setitem__(0, 5), "step 0 must be an object, not int"),
+        (lambda d: d.update(level="1"), "document 'level' must be an integer, not str"),
+    ]
+    for mutate, message in wrong_types:
+        bad = copy.deepcopy(doc)
+        mutate(bad)
+        with pytest.raises(PathRwError, match=re.escape(message)):
+            replay_document(bad)
     del doc["steps"][1]["after"]
     with pytest.raises(PathRwError, match="step 1 has no 'after'"):
         replay_document(doc)
@@ -157,6 +176,7 @@ def test_explain_command(capsys):
     out = capsys.readouterr().out
     assert "tau(tau(t, r), s)" in out
     assert main(["explain", "nope"]) == 2
+    assert capsys.readouterr().err == "error: no derivation recorded for rule 'nope'\n"
 
 
 def test_oracle_command(script_file, capsys):

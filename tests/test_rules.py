@@ -3,21 +3,30 @@ endpoint soundness, measure decrease, and the rendered derivations."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from pathrw.engine import contract_once, mu_measure
+from pathrw.engine import contract_once, mu_measure, normalize
 from pathrw.errors import UnknownRule
 from pathrw.oracle import enumerate_terms
 from pathrw.rules import (
     GROUPOID_COMPLETE,
     PAPER7,
+    TT,
+    PRefl,
+    PSym,
+    PTrans,
+    PVar,
+    RuleSchema,
     RuleSet,
+    contractions,
     explain_rule,
     instantiate_at_level,
     match_redexes,
     rule_set,
 )
-from pathrw.terms import Atom, Object, Refl, Sym, Trans, endpoints, postorder_positions
+from pathrw.terms import Atom, Object, Refl, StepAtom, Sym, Trans, endpoints, postorder_positions
 
 
 def el(name):
@@ -103,6 +112,8 @@ def test_find_rejects_wrong_level_suffix():
 
 
 def test_find_error_messages():
+    for lv in (1, 2, 3):
+        PAPER7.find("tt", lv)  # fill the per-level cache first
     with pytest.raises(UnknownRule, match="'tt02' is pinned to level 2, not 1"):
         PAPER7.find("tt02", 1)
     for name in ("", "Tt", "t-t", "2", "t2t", "tt\n"):
@@ -111,6 +122,50 @@ def test_find_error_messages():
     with pytest.raises(UnknownRule, match="no rule named 'st2' in rule set 'paper7'"):
         PAPER7.find("st2", 2)
     assert PAPER7.find("tt02", 2).display_name == "tt2"
+    with pytest.raises(ValueError, match="levels start at 1"):
+        PAPER7.find("tt", 0)
+
+
+def test_find_returns_one_cached_instance_per_level():
+    assert PAPER7.find("tt", 2) is PAPER7.find("tt2", 2)
+    assert PAPER7.find("tt", 1) is TT
+    assert PAPER7.find("tt", 3) == instantiate_at_level(TT, 3)
+
+
+def test_derived_fields_leave_identity_unchanged():
+    for schema in GROUPOID_COMPLETE.schemas:
+        fields = (schema.name, schema.lhs, schema.rhs, schema.level, schema.extension)
+        copy = RuleSchema(*fields)
+        assert copy.match is not schema.match
+        assert copy == schema and hash(copy) == hash(schema) == hash(fields)
+        assert repr(copy) == repr(schema) == (
+            f"RuleSchema(name={schema.name!r}, lhs={schema.lhs!r}, rhs={schema.rhs!r}, "
+            f"level=1, extension={schema.extension!r})"
+        )
+    fresh = RuleSet("paper7", PAPER7.schemas)
+    for lv in (1, 2, 4):
+        PAPER7.find("sr", lv)
+    assert fresh == PAPER7 and hash(fresh) == hash(PAPER7) == hash(("paper7", PAPER7.schemas))
+    assert repr(fresh) == repr(PAPER7) == f"RuleSet(name='paper7', schemas={PAPER7.schemas!r})"
+    loaded = pickle.loads(pickle.dumps(GROUPOID_COMPLETE))
+    assert loaded == GROUPOID_COMPLETE
+    assert loaded.find("tt", 2).match(Trans(Trans(Atom("r"), Atom("s")), Atom("u")))
+
+
+def test_schemas_sharing_a_name_keep_their_own_rhs(ctx_r):
+    """Per-level instances follow the schema's index, not its name."""
+    unwrap = RuleSchema("x", PSym(PSym(PVar("r"))), PVar("r"))
+    rewrap = RuleSchema("x", PTrans(PVar("r"), PRefl("y")), PSym(PSym(PVar("r"))))
+    rs = RuleSet("twins", (unwrap, rewrap))
+    _, d = normalize(Trans(Atom("r"), Refl(el("b"))), PAPER7, ctx_r)
+    leaves = [(Atom("r"), Refl(el("b"))), (StepAtom(d.steps[0]), Refl(Object(1, Atom("r"))))]
+    for lv, (leaf, refl) in enumerate(leaves, start=1):
+        fired = list(contractions(Trans(leaf, refl), rs, ctx_r))
+        assert [(s.lhs, s.rhs, s.level) for s, *_ in fired] == [
+            (rewrap.lhs, rewrap.rhs, lv),
+            (unwrap.lhs, unwrap.rhs, lv),
+        ]
+        assert [after for *_, after in fired] == [Sym(Sym(leaf)), leaf]
 
 
 def test_rule_sets():

@@ -1,8 +1,10 @@
-"""The incremental rewrite walker against a restart-from-root reference.
+"""The incremental rewrite walker and the compiled matchers against references.
 
-The reference finds each redex by scanning the whole term from the root
-again, in strategy order, exactly as the normalizer did before it walked
-the term once. Every recorded step must agree with it.
+The walker reference finds each redex by scanning the whole term from the
+root again, in strategy order, exactly as the normalizer did before it
+walked the term once, matching with the pattern interpreter below. Every
+recorded step must agree with it, and every compiled matcher must bind
+exactly what the interpreter binds.
 """
 
 from __future__ import annotations
@@ -11,16 +13,37 @@ import gc
 
 import pytest
 
-from pathrw.engine import FORWARD, _simulate_extension, canonical_derivation, normalize
+from pathrw.engine import (
+    FORWARD,
+    _simulate_extension,
+    canonical_derivation,
+    derivation_to_path,
+    normalize,
+)
 from pathrw.oracle import enumerate_terms
 from pathrw.rules import (
     GROUPOID_COMPLETE,
     PAPER7,
+    PRefl,
+    PSym,
+    PTrans,
+    PVar,
     build_template,
     instantiate_at_level,
-    match_pattern,
 )
-from pathrw.terms import Atom, AtomDecl, Context, Object, Refl, Sym, Trans, level, path_children, replace_at
+from pathrw.terms import (
+    Atom,
+    AtomDecl,
+    Context,
+    Object,
+    Refl,
+    StepAtom,
+    Sym,
+    Trans,
+    level,
+    path_children,
+    replace_at,
+)
 
 TRIANGLE = Context(
     ("A",),
@@ -30,6 +53,39 @@ TRIANGLE = Context(
 )
 TERMS = list(enumerate_terms(TRIANGLE, 8))
 STRATEGIES = ("leftmost-innermost", "leftmost-outermost")
+
+
+def match_pattern(pattern, t, binding=None):
+    """Match ``pattern`` against ``t`` by walking both; the binding or None."""
+    if binding is None:
+        binding = {}
+    match pattern:
+        case PVar(name):
+            seen = binding.get(name)
+            if seen is None:
+                binding[name] = t
+                return binding
+            return binding if seen == t else None
+        case PRefl(obj_var):
+            if not isinstance(t, Refl):
+                return None
+            seen = binding.get(obj_var)
+            if seen is None:
+                binding[obj_var] = t.obj
+                return binding
+            return binding if seen == t.obj else None
+        case PSym(body):
+            if not isinstance(t, Sym):
+                return None
+            return match_pattern(body, t.body, binding)
+        case PTrans(left, right):
+            if not isinstance(t, Trans):
+                return None
+            inner = match_pattern(left, t.left, binding)
+            if inner is None:
+                return None
+            return match_pattern(right, t.right, inner)
+    raise TypeError(f"not a pattern: {pattern!r}")
 
 
 def reference_trace(t, rs, ctx, strategy, replay_rs):
@@ -124,3 +180,103 @@ def test_long_chain_normalizes_without_recursion(ctx_r, strategy):
     assert nf == Atom("r")
     assert len(d.steps) == 2000
     assert {step.rule for step in d.steps} == {"trr"}
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(path_children(node))
+
+
+def _substitute(t, atoms, objects):
+    """``t`` rebuilt node by node, its atoms and reflexivity objects mapped."""
+    match t:
+        case Atom(name):
+            return atoms[name]
+        case Refl(Object(_, name)):
+            return Refl(objects[name])
+        case Sym(body):
+            return Sym(_substitute(body, atoms, objects))
+        case Trans(left, right):
+            return Trans(_substitute(left, atoms, objects), _substitute(right, atoms, objects))
+    raise AssertionError(t)
+
+
+def _agree(terms, lv=1):
+    """Every schema's compiled matcher binds what the interpreter binds."""
+    hits = dict.fromkeys((s.name for s in GROUPOID_COMPLETE.schemas), 0)
+    for schema in GROUPOID_COMPLETE.schemas:
+        compiled = GROUPOID_COMPLETE.find(schema.name, lv)
+        assert compiled.lhs == schema.lhs and compiled.level == lv
+        for t in terms:
+            expected = match_pattern(schema.lhs, t)
+            assert compiled.match(t) == expected, (schema.name, t)
+            hits[schema.name] += expected is not None
+    return hits
+
+
+def test_matchers_agree_with_interpreter_on_sweep_subterms():
+    subterms = {node for t in TERMS for node in _subterms(t)}
+    hits = _agree(subterms)
+    assert all(hits.values()), hits
+
+
+SAME = ({name: Atom(name) for name in "rsu"}, {name: Object(0, name) for name in "abc"})
+ROTATED = (
+    {"r": Atom("s"), "s": Atom("u"), "u": Atom("r")},
+    {"a": Object(0, "b"), "b": Object(0, "c"), "c": Object(0, "a")},
+)
+SMALL = [t for t in TERMS if len(list(_subterms(t))) <= 5]
+
+
+def _level_2_leaves():
+    """Step atoms and level-2 objects taken from recorded contractions."""
+    steps = []
+    for t in TERMS:
+        steps += normalize(t, PAPER7, TRIANGLE)[1].steps
+        if len(steps) >= 3:
+            break
+    atoms = dict(zip("rsu", map(StepAtom, steps)))
+    objects = {name: Object(1, step.before) for name, step in zip("abc", steps)}
+    return atoms, objects
+
+
+def test_matchers_agree_with_interpreter_on_level_2_terms():
+    atoms, objects = _level_2_leaves()
+    lifted = [_substitute(t, atoms, objects) for t in SMALL]
+    for t in TERMS[::50]:
+        d = normalize(t, GROUPOID_COMPLETE, TRIANGLE)[1]
+        if d.steps:
+            p = derivation_to_path(d)
+            lifted += [Trans(p, Sym(p)), Sym(Sym(p)), Sym(Trans(p, p)), Trans(p, Trans(Sym(p), p))]
+            lifted += [Trans(Sym(p), Trans(p, p))]
+    terms = [node for t in lifted for node in _subterms(t)]
+    assert {level(t) for t in terms} == {2}
+    hits = _agree(terms, lv=2)
+    assert all(hits.values()), hits
+
+
+def test_nonlinear_matchers_compare_with_equality():
+    """tr/tsr (and trc/tsrc) need their two r's equal, not identical or alike."""
+    tr, tsr = PAPER7.find("tr", 1), PAPER7.find("tsr", 1)
+    tail = Atom("s")
+    candidates = []
+    for t in SMALL:
+        twin = _substitute(t, *SAME)
+        other = _substitute(t, *ROTATED)
+        assert twin == t and twin is not t and other != t
+        assert tr.match(Trans(t, Sym(twin))) == {"r": t}
+        assert tsr.match(Trans(Sym(t), twin)) == {"r": t}
+        assert tr.match(Trans(t, Sym(other))) is None
+        assert tsr.match(Trans(Sym(t), other)) is None
+        for r in (twin, other):
+            candidates += [
+                Trans(t, Sym(r)),
+                Trans(Sym(t), r),
+                Trans(t, Trans(Sym(r), tail)),
+                Trans(Sym(t), Trans(r, tail)),
+            ]
+    hits = _agree(candidates)
+    assert all(hits[name] for name in ("tr", "tsr", "trc", "tsrc")), hits
