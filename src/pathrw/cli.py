@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -26,8 +27,7 @@ EXIT_INPUT = 2
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, PathRwError) as exc:
@@ -35,7 +35,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; ``parse_args`` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="pathrw",
         description="Rewrite, normalize, and compare computational paths.",

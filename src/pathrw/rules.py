@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, TypeAlias, Union
 
-from .errors import UnknownRule
+from .errors import PathRwError, UnknownRule
 from .terms import (
     Context,
     PathTerm,
@@ -208,16 +208,18 @@ class RuleSet:
 
     name: str
     schemas: tuple[RuleSchema, ...]
-    # Derived: the index in ``schemas`` of each name (the first of a name wins);
-    # per level, on first use, the schemas instantiated at it and, by root term
-    # class (None: any other class), those that can match there, in order.
+    # Derived: the index in ``schemas`` of each name; per level, on first use,
+    # the schemas instantiated at it and, by root term class (None: any other
+    # class), those that can match there, in order.
     _by_name: dict = field(init=False, repr=False, compare=False)
     _levels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # A witness records each step's rule by name, so a name picks one schema.
         by_name: dict[str, int] = {}
         for i, schema in enumerate(self.schemas):
-            by_name.setdefault(schema.name, i)
+            if by_name.setdefault(schema.name, i) != i:
+                raise PathRwError(f"rule set '{self.name}' has two schemas named '{schema.name}'")
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_levels", {})
 

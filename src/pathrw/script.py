@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     DslSyntaxError,
@@ -38,7 +39,6 @@ from .terms import (
     Trans,
     Xi,
     endpoints,
-    level,
     path_obj,
 )
 from . import errors as _errors
@@ -53,43 +53,46 @@ _KEYWORD_ALIASES = {
     "υ": "nu",  # upsilon and nu both name the right-application former
 }
 
+# Each match is one token: optional whitespace, then exactly one group. A
+# character that starts no token is caught by the last group.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<assign>:=)
+    \s*(?:
+      (?P<assign>:=)
     | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
     | (?P<greek>[τσρξμνυ])
     | (?P<lambda>[\\λ])
     | (?P<punct>[():,=.\[\]])
+    | (?P<stray>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # "name", "punct", "assign", "lambda"
+class Token(NamedTuple):
+    kind: str  # "name", "punct", "assign", "lambda"; "end" closes a _TokenStream
     text: str
     line: int
     col: int
 
 
+_new_token = tuple.__new__  # builds a Token without the Python frame of Token.__new__
+
+
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise DslSyntaxError(f"unexpected character {text[i]!r}", line_no, i + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            if kind == "greek":
-                kind, value = "name", _KEYWORD_ALIASES[value]
-            elif kind == "lambda":
-                value = "\\"
-            tokens.append(Token(kind, value, line_no, i + 1))
-        i = m.end()
+        value = m[kind]
+        col = m.start(kind) + 1
+        if kind == "greek":
+            kind, value = "name", _KEYWORD_ALIASES[value]
+        elif kind == "lambda":
+            value = "\\"
+        elif kind == "stray":
+            raise DslSyntaxError(f"unexpected character {value!r}", line_no, col)
+        tokens.append(_new_token(Token, (kind, value, line_no, col)))
     return tokens
 
 
@@ -141,13 +144,8 @@ class _ScriptParser:
 
     def _fresh(self, token: Token) -> str:
         name = token.text
-        taken = (
-            set(self.context.base_types)
-            | self.context.elements.keys()
-            | self.context.atoms.keys()
-            | self.paths.keys()
-        )
-        if name in taken:
+        ctx = self.context
+        if name in ctx.elements or name in ctx.atoms or name in ctx.base_types or name in self.paths:
             raise DslSyntaxError(f"name '{name}' is already declared", token.line, token.col)
         return name
 
@@ -160,9 +158,9 @@ class _ScriptParser:
 
     def _decl_elem(self, ts: _TokenStream) -> None:
         name_tokens = []
-        while not ts.peek_is("punct", ":"):
+        while not ts.peek_is(":"):
             name_tokens.append(ts.expect_name("element name"))
-        ts.expect_punct(":")
+        ts.expect(":")
         type_token = ts.expect_name("type name")
         ts.end()
         if type_token.text not in self.context.base_types:
@@ -180,7 +178,7 @@ class _ScriptParser:
                 name_token.line,
                 name_token.col,
             )
-        ts.expect("assign", ":=")
+        ts.expect(":=", ":=")
         value = self._lambda_expr(ts)
         ts.end()
         self.context.lambda_elements[name_token.text] = value
@@ -188,9 +186,9 @@ class _ScriptParser:
     def _decl_step(self, ts: _TokenStream) -> None:
         name_token = ts.expect_name("step name")
         name = self._fresh(name_token)
-        ts.expect_punct(":")
+        ts.expect(":")
         src = ts.expect_name("source element")
-        ts.expect_punct("=")
+        ts.expect("=")
         tgt = ts.expect_name("target element")
         tag = "declared"
         if not ts.at_end():
@@ -223,7 +221,7 @@ class _ScriptParser:
     def _decl_path(self, ts: _TokenStream) -> None:
         name_token = ts.expect_name("path name")
         name = self._fresh(name_token)
-        ts.expect("assign", ":=")
+        ts.expect(":=", ":=")
         term, _ = self._path_expr(ts)
         ts.end()
         self.paths[name] = term
@@ -253,55 +251,54 @@ class _ScriptParser:
         return term, endpoints(term, self.context)
 
     def _former(self, head: Token, ts: _TokenStream) -> tuple[PathTerm, tuple[Object, Object]]:
-        ts.expect_punct("(")
+        ts.expect("(")
         ctx = self.context
         if head.text == "tau":
             left, (lsrc, ltgt) = self._path_expr(ts)
-            ts.expect_punct(",")
+            ts.expect(",")
             right, (rsrc, rtgt) = self._path_expr(ts)
-            ts.expect_punct(")")
+            ts.expect(")")
             if ltgt != rsrc:
                 raise TypeMismatch(
                     "cannot chain: left path ends where the right one does not start",
                     head.line,
                     head.col,
                 )
-            if level(left) != level(right):
-                raise TypeMismatch("cannot chain paths of different levels", head.line, head.col)
             return Trans(left, right), (lsrc, rtgt)
         if head.text == "sigma":
             body, (src, tgt) = self._path_expr(ts)
-            ts.expect_punct(")")
+            ts.expect(")")
             return Sym(body), (tgt, src)
         if head.text == "rho":
-            if ts.peek_is_name() and ts.peek_text() in ctx.elements:
-                token = ts.expect_name("element")
-                ts.expect_punct(")")
+            token = ts.peek()
+            if token.kind == "name" and token.text in ctx.elements:
+                ts.skip()
+                ts.expect(")")
                 obj = Object(0, token.text)
                 return Refl(obj), (obj, obj)
             body, _ = self._path_expr(ts)
-            ts.expect_punct(")")
+            ts.expect(")")
             obj = path_obj(body)
             return Refl(obj), (obj, obj)
         if head.text == "xi":
             var = ts.expect_name("bound variable")
-            ts.expect_punct(",")
+            ts.expect(",")
             body, _ = self._path_expr(ts)
-            ts.expect_punct(")")
+            ts.expect(")")
             term = Xi(var.text, body)
             return term, self._typed_endpoints(term, head)
         if head.text == "mu":
             func = self._lambda_element(ts)
-            ts.expect_punct(",")
+            ts.expect(",")
             body, _ = self._path_expr(ts)
-            ts.expect_punct(")")
+            ts.expect(")")
             term = Mu(func, body)
             return term, self._typed_endpoints(term, head)
         # nu
         body, _ = self._path_expr(ts)
-        ts.expect_punct(",")
+        ts.expect(",")
         arg = self._lambda_element(ts)
-        ts.expect_punct(")")
+        ts.expect(")")
         term = Nu(body, arg)
         return term, self._typed_endpoints(term, head)
 
@@ -322,80 +319,67 @@ class _ScriptParser:
             raise TypeMismatch(str(exc), head.line, head.col) from None
 
     def _lambda_expr(self, ts: _TokenStream) -> LambdaTerm:
-        if ts.peek_is("lambda", "\\"):
-            ts.take()
+        if ts.peek_is("\\"):
+            ts.skip()
             var = ts.expect_name("bound variable")
-            ts.expect_punct(".")
+            ts.expect(".")
             return Abs(var.text, self._lambda_expr(ts))
         term = self._lambda_atom(ts)
-        while ts.peek_is_name() or ts.peek_is("punct", "(") or ts.peek_is("lambda", "\\"):
-            if ts.peek_is("lambda", "\\"):
+        while ts.peek_is_name() or ts.peek_is("(") or ts.peek_is("\\"):
+            if ts.peek_is("\\"):
                 return App(term, self._lambda_expr(ts))
             term = App(term, self._lambda_atom(ts))
         return term
 
     def _lambda_atom(self, ts: _TokenStream) -> LambdaTerm:
-        if ts.peek_is("punct", "("):
-            ts.take()
+        if ts.peek_is("("):
+            ts.skip()
             inner = self._lambda_expr(ts)
-            ts.expect_punct(")")
+            ts.expect(")")
             return inner
         token = ts.expect_name("lambda term")
         return Var(token.text)
 
 
 class _TokenStream:
+    """A line's tokens, closed by an "end" token at the column past the last one.
+
+    Punctuation and ``:=`` are matched by text alone: no other kind of token
+    spells them.
+    """
+
     def __init__(self, tokens: list[Token], line: int):
+        eol = tokens[-1].col + len(tokens[-1].text) if tokens else 1
+        tokens.append(Token("end", "", line, eol))
         self.tokens = tokens
         self.index = 0
-        self.line = line
+
+    def peek(self) -> Token:
+        return self.tokens[self.index]
 
     def at_end(self) -> bool:
-        return self.index >= len(self.tokens)
+        return self.tokens[self.index].kind == "end"
 
-    def _eol_col(self) -> int:
-        return self.tokens[-1].col + len(self.tokens[-1].text) if self.tokens else 1
-
-    def peek(self) -> Token | None:
-        return None if self.at_end() else self.tokens[self.index]
-
-    def peek_is(self, kind: str, text: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == kind and token.text == text
+    def peek_is(self, text: str) -> bool:
+        return self.tokens[self.index].text == text
 
     def peek_is_name(self) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == "name"
+        return self.tokens[self.index].kind == "name"
 
-    def peek_text(self) -> str | None:
-        token = self.peek()
-        return None if token is None else token.text
-
-    def take(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise DslSyntaxError("unexpected end of line", self.line, self._eol_col())
+    def skip(self) -> None:
         self.index += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> Token:
-        token = self.peek()
-        if token is None:
-            raise DslSyntaxError(f"expected {what}", self.line, self._eol_col())
-        if token.kind != kind:
-            raise DslSyntaxError(f"expected {what}, got {token.text!r}", token.line, token.col)
-        self.index += 1
-        return token
 
     def expect_name(self, what: str) -> Token:
-        return self.expect("name", what)
+        token = self.tokens[self.index]
+        if token.kind != "name":
+            raise _expected(what, token)
+        self.index += 1
+        return token
 
-    def expect_punct(self, text: str) -> Token:
-        token = self.peek()
-        if token is None:
-            raise DslSyntaxError(f"expected '{text}'", self.line, self._eol_col())
-        if token.kind != "punct" or token.text != text:
-            raise DslSyntaxError(f"expected '{text}', got {token.text!r}", token.line, token.col)
+    def expect(self, text: str, what: str | None = None) -> Token:
+        token = self.tokens[self.index]
+        if token.text != text:
+            raise _expected(what or f"'{text}'", token)
         self.index += 1
         return token
 
@@ -406,9 +390,15 @@ class _TokenStream:
         return names
 
     def end(self) -> None:
-        token = self.peek()
-        if token is not None:
+        token = self.tokens[self.index]
+        if token.kind != "end":
             raise DslSyntaxError(f"unexpected trailing {token.text!r}", token.line, token.col)
+
+
+def _expected(what: str, token: Token) -> DslSyntaxError:
+    if token.kind == "end":
+        return DslSyntaxError(f"expected {what}", token.line, token.col)
+    return DslSyntaxError(f"expected {what}, got {token.text!r}", token.line, token.col)
 
 
 def parse_path_expr(text: str, ctx: Context, paths: dict[str, PathTerm] | None = None, line: int = 1) -> PathTerm:

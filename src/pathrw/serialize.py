@@ -68,9 +68,13 @@ def context_from_doc(doc: dict[str, Any]) -> Context:
     from .terms import AtomDecl
 
     lambdas = _require(doc, "lambdas", "context", dict) if "lambdas" in doc else {}
+    types = _require(doc, "types", "context", list)
+    if not all(type(name) is str for name in types):
+        raise PathRwError("context 'types' must be a list of strings")
+    elements = _require(doc, "elements", "context", dict)
     ctx = Context(
-        base_types=tuple(_require(doc, "types", "context", list)),
-        elements=dict(_require(doc, "elements", "context", dict)),
+        base_types=tuple(types),
+        elements={name: _require(elements, name, "elements", str) for name in elements},
         lambda_elements={
             name: parse_lambda_expr(_require(lambdas, name, "lambdas", str)) for name in lambdas
         },
@@ -79,7 +83,7 @@ def context_from_doc(doc: dict[str, Any]) -> Context:
                 _require(entry, "source", f"atom '{name}'", str),
                 _require(entry, "target", f"atom '{name}'", str),
                 _require(entry, "type", f"atom '{name}'", str),
-                entry.get("tag", "declared"),
+                _require(entry, "tag", f"atom '{name}'", str) if "tag" in entry else "declared",
             )
             for name, entry in _require(doc, "atoms", "context", dict).items()
         },

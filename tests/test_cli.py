@@ -124,6 +124,9 @@ def test_document_missing_keys_are_input_errors(script_file, capsys):
         (lambda d: d["steps"][0].update(rule=5), "step 0 'rule' must be a string, not int"),
         (lambda d: d["steps"].__setitem__(0, 5), "step 0 must be an object, not int"),
         (lambda d: d.update(level="1"), "document 'level' must be an integer, not str"),
+        (lambda d: d["context"].update(types=[["A"]]), "context 'types' must be a list of strings"),
+        (lambda d: d["context"]["elements"].update(a=["A"]), "elements 'a' must be a string, not list"),
+        (lambda d: d["context"]["atoms"]["r"].update(tag=["x"]), "atom 'r' 'tag' must be a string, not list"),
     ]
     for mutate, message in wrong_types:
         bad = copy.deepcopy(doc)
@@ -159,6 +162,28 @@ def test_laws_seed_env_override(script_file, capsys, monkeypatch):
     monkeypatch.setenv("PATHRW_SEED", "99")
     assert main(["laws", script_file, "--samples", "5", "--seed", "3"]) == 0
     assert "seed 99" in capsys.readouterr().out
+
+
+def test_consecutive_calls_leak_no_options(script_file, capsys, monkeypatch):
+    """One parser serves every call in a process; no call's options reach the next."""
+    from pathrw import cli
+
+    assert cli._parser() is cli._parser()
+    monkeypatch.delenv("PATHRW_SEED", raising=False)
+    assert main(["normalize", script_file, "w", "--json"]) == 0
+    assert doc_from_json(capsys.readouterr().out)["start"] == "sigma(rho(a))"
+    assert main(["normalize", script_file, "w"]) == 0
+    assert capsys.readouterr().out.startswith("start:  sigma(rho(a))\n")
+    assert main(["laws", script_file, "--level", "2", "--samples", "5", "--seed", "3"]) == 0
+    assert "laws: level 2, seed 3," in capsys.readouterr().out
+    assert main(["laws", script_file, "--samples", "5"]) == 0
+    assert "laws: level 1, seed 0," in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", script_file, "w", "--strategy", "sideways"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sideways'" in capsys.readouterr().err
+    assert main(["normalize", script_file, "w"]) == 0
+    assert capsys.readouterr().out.endswith("normal: rho(a)  [1 steps]\n")
 
 
 def test_confluence_reports_peaks_but_exits_zero(script_file, capsys):

@@ -7,8 +7,8 @@ import pickle
 
 import pytest
 
-from pathrw.engine import contract_once, mu_measure, normalize
-from pathrw.errors import UnknownRule
+from pathrw.engine import contract_once, mu_measure, normalize, replay_derivation
+from pathrw.errors import PathRwError, UnknownRule
 from pathrw.oracle import enumerate_terms
 from pathrw.rules import (
     GROUPOID_COMPLETE,
@@ -152,11 +152,17 @@ def test_derived_fields_leave_identity_unchanged():
     assert loaded.find("tt", 2).match(Trans(Trans(Atom("r"), Atom("s")), Atom("u")))
 
 
-def test_schemas_sharing_a_name_keep_their_own_rhs(ctx_r):
-    """Per-level instances follow the schema's index, not its name."""
+def test_schemas_sharing_a_name_are_rejected(ctx_r):
+    """A witness names each step's rule, so one name must pick one schema."""
     unwrap = RuleSchema("x", PSym(PSym(PVar("r"))), PVar("r"))
     rewrap = RuleSchema("x", PTrans(PVar("r"), PRefl("y")), PSym(PSym(PVar("r"))))
-    rs = RuleSet("twins", (unwrap, rewrap))
+    with pytest.raises(PathRwError, match="rule set 'twins' has two schemas named 'x'"):
+        RuleSet("twins", (unwrap, rewrap))
+    with pytest.raises(PathRwError, match="rule set 'more' has two schemas named 'sr'"):
+        RuleSet("more", PAPER7.schemas + (PAPER7.schemas[0],))
+    # Under distinct names, each level's instances keep their own schema's rhs.
+    rewrap = RuleSchema("y", rewrap.lhs, rewrap.rhs)
+    rs = RuleSet("pair", (unwrap, rewrap))
     _, d = normalize(Trans(Atom("r"), Refl(el("b"))), PAPER7, ctx_r)
     leaves = [(Atom("r"), Refl(el("b"))), (StepAtom(d.steps[0]), Refl(Object(1, Atom("r"))))]
     for lv, (leaf, refl) in enumerate(leaves, start=1):
@@ -166,6 +172,9 @@ def test_schemas_sharing_a_name_keep_their_own_rhs(ctx_r):
             (unwrap.lhs, unwrap.rhs, lv),
         ]
         assert [after for *_, after in fired] == [Sym(Sym(leaf)), leaf]
+    _, d = normalize(Trans(Atom("r"), Refl(el("b"))), rs, ctx_r)
+    assert [step.rule for step in d.steps] == ["y", "x"]
+    assert replay_derivation(d, rs, ctx_r)
 
 
 def test_rule_sets():

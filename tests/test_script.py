@@ -1,15 +1,25 @@
-"""Script front-end: parsing, located errors, aliases, and round trips."""
+"""Script front-end: parsing, located errors, aliases, and round trips.
+
+The tokenizer scans each line once. The per-position loop it replaced is
+kept below as the reference: every line must give the same tokens, and
+every stray character the same error at the same column.
+"""
 
 from __future__ import annotations
+
+import random
+import re
 
 import pytest
 
 from pathrw.errors import DslSyntaxError, TypeMismatch, UndeclaredName
 from pathrw.lam import Abs, App, Var
 from pathrw.oracle import enumerate_terms
-from pathrw.script import parse_lambda_expr, parse_path_expr, parse_script
+from pathrw.script import _tokenize_line, parse_lambda_expr, parse_path_expr, parse_script
 from pathrw.terms import (
     Atom,
+    AtomDecl,
+    Context,
     Mu,
     Object,
     Refl,
@@ -24,6 +34,69 @@ from pathrw.terms import (
 
 def el(name):
     return Object(0, name)
+
+
+REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<assign>:=)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<greek>[τσρξμνυ])
+    | (?P<lambda>[\\λ])
+    | (?P<punct>[():,=.\[\]])
+    """,
+    re.VERBOSE,
+)
+ALIASES = {"τ": "tau", "σ": "sigma", "ρ": "rho", "ξ": "xi", "μ": "mu", "ν": "nu", "υ": "nu"}
+
+
+def reference_tokens(text, line_no):
+    """(kind, text, line, col) per token, matching one token at a time from each position."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        m = REFERENCE_TOKEN_RE.match(text, i)
+        if m is None:
+            raise DslSyntaxError(f"unexpected character {text[i]!r}", line_no, i + 1)
+        kind = m.lastgroup
+        if kind != "ws":
+            value = m.group()
+            if kind == "greek":
+                kind, value = "name", ALIASES[value]
+            elif kind == "lambda":
+                value = "\\"
+            tokens.append((kind, value, line_no, i + 1))
+        i = m.end()
+    return tokens
+
+
+def outcome(tokenize, text, line_no=1):
+    try:
+        return [tuple(token) for token in tokenize(text, line_no)]
+    except DslSyntaxError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+def assert_tokens_agree(lines):
+    for line_no, text in enumerate(lines, start=1):
+        expected = outcome(reference_tokens, text, line_no)
+        assert outcome(_tokenize_line, text, line_no) == expected, text
+
+
+TRIANGLE = Context(
+    ("A",),
+    {"a": "A", "b": "A", "c": "A"},
+    {},
+    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")},
+)
+TRIANGLE_DECLS = "type A\nelem a b c : A\nstep r : a = b\nstep s : b = c\nstep u : a = c\n"
+# Each step of TRIANGLE and its inverse, with their endpoints.
+LINKS = [
+    link
+    for name, decl in TRIANGLE.atoms.items()
+    for link in ((Atom(name), (decl.source, decl.target)), (Sym(Atom(name)), (decl.target, decl.source)))
+]
+LAMBDA_DECLS = "type F\nelem m n : F\nlam m := \\x. x\nlam n := \\y. y\nstep al : m = n alpha\n"
 
 
 BASIC = """\
@@ -197,3 +270,88 @@ path p := tau(xi(v, al), sigma(xi(v, al)))
     )
     t = script.paths["p"]
     assert parse_path_expr(format_term(t), script.context) == t
+
+
+def test_tau_of_different_levels_cannot_chain():
+    with pytest.raises(TypeMismatch) as exc:
+        parse_script(
+            "type A\nelem a b : A\nstep r : a = b\npath p := sigma(r)\npath q := tau(rho(p), r)"
+        )
+    assert str(exc.value).startswith("5:11: cannot chain")
+
+
+def test_tokens_agree_with_reference_on_generated_scripts():
+    """Scripts shaped like the benchmark's: chains of steps dressed in redundancy."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        lines = (TRIANGLE_DECLS + LAMBDA_DECLS).splitlines()
+        for j in range(12):
+            x = rng.choice("abc")
+            pieces = []
+            for _ in range(1 + j % 4):
+                link, y = rng.choice([(t, y) for t, (src, y) in LINKS if src == x])
+                dressed = [Sym(Sym(link)), Trans(Refl(el(x)), link), Trans(link, Sym(Refl(el(y))))]
+                pieces.append(rng.choice([link, *dressed]))
+                x = y
+            term = pieces[0]
+            for piece in pieces[1:]:
+                term = Trans(term, piece)
+            lines.append(f"path p{j} := {format_term(term)}")
+        lines += ["path f0 := tau(al, sigma(al))", "path f1 := rho(m)"]
+        assert_tokens_agree(lines)
+        assert len(parse_script("\n".join(lines)).paths) == 14
+
+
+def test_tokens_agree_with_reference_on_triangle_sweep():
+    assert_tokens_agree([format_term(t) for t in enumerate_terms(TRIANGLE, 8)])
+
+
+def test_tokens_agree_with_reference_on_spacing_and_aliases():
+    assert_tokens_agree(
+        [
+            "path p := τ(ρ(a), σ(σ(r)))",
+            "path q:=ξ(v,al)",
+            "path w := μ(m, al)  ",
+            "  path z := ν(al, n)",
+            "path y := υ(al,n)",
+            "\tpath\tp\t:=\ttau( r ,\tsigma (r) )\t",
+            "lam m := λx. x x",
+            "lam m := \\x.\\y. (x y)",
+            "lam  m:=λx.λy.x",
+            "step al : m = n [alpha]",
+            "elem a' b_2 _c : A",
+            "",
+            "   ",
+            "\t",
+            ":= : = :==",
+        ]
+    )
+
+
+@pytest.mark.parametrize("stray", ["@", "!", "#", "é", "ω", "1", "-"])
+def test_stray_characters_give_the_reference_error(stray):
+    lines = [
+        f"path p := tau(r, {stray}r)",
+        f"{stray}path p := r",
+        f"path p := r {stray}",
+        f"path p\t:=  σ(r){stray}",
+        f"lam m := \\x. x {stray}y",
+    ]
+    assert_tokens_agree(lines)
+    for text in lines:
+        assert isinstance(outcome(_tokenize_line, text), tuple), text
+
+
+def test_end_of_line_errors_keep_their_columns():
+    """An error at the end of a line points just past its last token, as read."""
+    cases = [
+        ("type", "4:1: expected type name"),  # the stream after the keyword is empty
+        ("path p := sigma(r", "4:18: expected ')'"),
+        ("path p := σ(r", "4:14: expected ')'"),
+        ("path p := σ", "4:16: expected '('"),  # past "sigma", as σ reads
+        ("path p :=", "4:10: expected path expression"),
+        ("lam a := λx", "4:12: expected '.'"),
+    ]
+    for line, message in cases:
+        with pytest.raises(DslSyntaxError, match=f"^{re.escape(message)}$"):
+            parse_script("type A\nelem a b : A\nstep r : a = b\n" + line)
