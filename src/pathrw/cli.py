@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .engine import Derivation, Equal, NotEqual, decide_rw_equal, normalize
+from .engine import Derivation, Equal, decide_rw_equal, normalize
 from .errors import PathRwError, fmt_position
 from .groupoid import LAWS, run_laws
 from .oracle import check_confluence, word
@@ -62,7 +62,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("p")
     p.add_argument("q")
     p.add_argument("--rules", default="paper7", choices=("paper7", "groupoid-complete"))
-    p.add_argument("--bound", type=int, default=20)
     p.add_argument("--json", action="store_true", help="emit a derivation document")
     p.set_defaults(handler=_cmd_equal)
 
@@ -136,19 +135,16 @@ def _cmd_equal(args) -> int:
     p = _named_path(script, args.p)
     q = _named_path(script, args.q)
     rs = rule_set(args.rules)
-    verdict = decide_rw_equal(p, q, rs, script.context, bound=args.bound)
-    if isinstance(verdict, Equal):
-        if args.json:
-            print(doc_to_json(derivation_to_doc(verdict.witness, script.context, rs.name)))
-        else:
-            print(f"equal: {format_term(p)} == {format_term(q)}")
-            _print_trace(verdict.witness)
-        return EXIT_OK
-    if isinstance(verdict, NotEqual):
+    verdict = decide_rw_equal(p, q, rs, script.context)
+    if not isinstance(verdict, Equal):
         print(f"not equal: {verdict.reason}")
         return EXIT_VERIFICATION
-    print("unknown: search exhausted without a witness")
-    return EXIT_VERIFICATION
+    if args.json:
+        print(doc_to_json(derivation_to_doc(verdict.witness, script.context, rs.name)))
+    else:
+        print(f"equal: {format_term(p)} == {format_term(q)}")
+        _print_trace(verdict.witness)
+    return EXIT_OK
 
 
 def _cmd_laws(args) -> int:

@@ -8,17 +8,14 @@ Normalization records the contractions of the one walker,
 ``rules.contractions``. Equality verdicts come from the reduced-word oracle;
 the witness is built by the same walk, normalizing both sides under the
 groupoid-complete rule set. When the requested rule set lacks the extension
-rules, each extension contraction is expanded in place into its derivable
-sequence of seven-rule forward/reverse steps, so the witness always replays
-against the requested rules. A bounded bidirectional search over the
-contraction graph is kept for oracle-free operation; only that mode can
-answer Unknown.
+rules, each extension contraction is expanded in place by instantiating the
+seven-rule witness its schema carries, so the witness always replays against
+the requested rules.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ChainMismatch, LevelMismatch, NoRedex, PathRwError
@@ -32,24 +29,21 @@ from .terms import (
     Sym,
     Trans,
     endpoints,
+    format_term,
     level,
     path_children,
-    postorder_positions,
     replace_at,
-    size,
     subterm_at,
 )
 from .rules import (
+    FORWARD,
     GROUPOID_COMPLETE,
+    REVERSE,
     RuleSchema,
     RuleSet,
     build_template,
     contractions,
-    match_redexes,
 )
-
-FORWARD = "forward"
-REVERSE = "reverse"
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,11 +93,6 @@ class Equal:
 @dataclass(frozen=True, slots=True)
 class NotEqual:
     reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class Unknown:
-    explored: int = 0
 
 
 def contract_once(
@@ -196,19 +185,11 @@ def replay_derivation(d: Derivation, rs: RuleSet, ctx: Context) -> bool:
     return True
 
 
-def decide_rw_equal(
-    s: PathTerm,
-    t: PathTerm,
-    rs: RuleSet,
-    ctx: Context,
-    bound: int = 20,
-    use_oracle: bool = True,
-) -> Equal | NotEqual | Unknown:
+def decide_rw_equal(s: PathTerm, t: PathTerm, rs: RuleSet, ctx: Context) -> Equal | NotEqual:
     """Decide whether two same-level terms are connected by contractions.
 
-    With the oracle enabled (the default) the verdict is exact and an Equal
-    result always carries a replayable witness over ``rs``; ``bound`` then
-    only limits the oracle-free fallback search, which may answer Unknown.
+    The verdict comes from the reduced-word oracle and is exact; an Equal
+    result carries a witness that replays over ``rs``.
     """
     from .oracle import word
 
@@ -220,16 +201,17 @@ def decide_rw_equal(
         return NotEqual("endpoint mismatch")
     if s == t:
         return Equal(Derivation(s, (), level(s)))
-    if not use_oracle:
-        return _search_equal(s, t, rs, ctx, bound)
     if word(s, ctx) != word(t, ctx):
         return NotEqual("reduced words differ")
     ds = canonical_derivation(s, rs, ctx)
     dt = canonical_derivation(t, rs, ctx)
     if ds.end != dt.end:
-        # Canonical forms disagreeing would mean the extended rule set failed
-        # to confluence on this input; report honestly rather than guess.
-        return Unknown()
+        # Terms with one reduced word share a canonical form; anything else is
+        # a fault in the groupoid-complete rules, not in the input.
+        raise RuntimeError(
+            f"internal error: equal reduced words but canonical forms "
+            f"{format_term(ds.end)} and {format_term(dt.end)}"
+        )
     return Equal(concat_derivations(ds, invert_derivation(dt)))
 
 
@@ -237,8 +219,8 @@ def canonical_derivation(t: PathTerm, rs: RuleSet, ctx: Context) -> Derivation:
     """Derivation from ``t`` to its canonical form, replayable against ``rs``.
 
     Normalizes under the groupoid-complete set; when ``rs`` lacks an extension
-    rule that fires, the contraction is replaced in place by its derivable
-    seven-rule step sequence.
+    rule that fires, the contraction is replaced in place by the seven-rule
+    witness its schema carries.
     """
     return _record(t, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)
 
@@ -251,187 +233,18 @@ def _record(
     lv = level(t)
     steps: list[RewriteStep] = []
     for schema, pos, before, after in contractions(t, walk_rs, ctx, strategy):
-        if schema.extension and schema.name not in available:
-            steps.extend(_simulate_extension(before, schema, pos, ctx))
+        if schema.witness and schema.name not in available:
+            steps.extend(_expand(schema, pos, before, ctx, lv))
         else:
             steps.append(RewriteStep(schema.display_name, pos, FORWARD, before, after, lv))
     return Derivation(t, tuple(steps), lv)
 
 
-def _suffixed(name: str, lv: int) -> str:
-    return name if lv == 1 else f"{name}{lv}"
-
-
-def _simulate_extension(
-    cur: PathTerm, schema: RuleSchema, pos: Position, ctx: Context
-) -> list[RewriteStep]:
-    """Expand one extension contraction into seven-rule forward/reverse steps."""
-    lv = level(cur)
-    steps: list[RewriteStep] = []
-
-    def emit(rule: str, at: Position, direction: str, after: PathTerm) -> PathTerm:
-        nonlocal cur
-        steps.append(RewriteStep(_suffixed(rule, lv), at, direction, cur, after, lv))
+def _expand(schema: RuleSchema, pos: Position, cur: PathTerm, ctx: Context, lv: int):
+    """The steps of ``schema``'s seven-rule witness, at the redex at ``pos`` in ``cur``."""
+    binding = schema.match(subterm_at(cur, pos))
+    for rule, rel, direction, template in schema.witness:
+        after = replace_at(cur, pos, build_template(template, binding, ctx))
+        name = rule if lv == 1 else f"{rule}{lv}"
+        yield RewriteStep(name, pos + rel, direction, cur, after, lv)
         cur = after
-        return cur
-
-    sub = subterm_at(cur, pos)
-    if schema.name == "st":
-        # sigma(tau(r, s))  ~>  tau(sigma(s), sigma(r))
-        r, s = sub.body.left, sub.body.right
-        x = endpoints(r, ctx)[0]
-        y = endpoints(s, ctx)[0]
-        z = endpoints(s, ctx)[1]
-        emit("tlr", pos, REVERSE, replace_at(cur, pos, Trans(Refl(z), sub)))
-        emit("tsr", pos + (0,), REVERSE, replace_at(cur, pos + (0,), Trans(Sym(s), s)))
-        emit("tt", pos, FORWARD, replace_at(cur, pos, Trans(Sym(s), Trans(s, sub))))
-        emit(
-            "tlr",
-            pos + (1,),
-            REVERSE,
-            replace_at(cur, pos + (1,), Trans(Refl(y), Trans(s, sub))),
-        )
-        emit("tsr", pos + (1, 0), REVERSE, replace_at(cur, pos + (1, 0), Trans(Sym(r), r)))
-        emit(
-            "tt",
-            pos + (1,),
-            FORWARD,
-            replace_at(cur, pos + (1,), Trans(Sym(r), Trans(r, Trans(s, sub)))),
-        )
-        emit(
-            "tt",
-            pos + (1, 1),
-            REVERSE,
-            replace_at(cur, pos + (1, 1), Trans(Trans(r, s), sub)),
-        )
-        emit("tr", pos + (1, 1), FORWARD, replace_at(cur, pos + (1, 1), Refl(x)))
-        emit("trr", pos + (1,), FORWARD, replace_at(cur, pos + (1,), Sym(r)))
-        return steps
-    if schema.name == "trc":
-        # tau(r, tau(sigma(r), t))  ~>  t
-        r = sub.left
-        t2 = sub.right.right
-        x = endpoints(r, ctx)[0]
-        emit("tt", pos, REVERSE, replace_at(cur, pos, Trans(Trans(r, Sym(r)), t2)))
-        emit("tr", pos + (0,), FORWARD, replace_at(cur, pos + (0,), Refl(x)))
-        emit("tlr", pos, FORWARD, replace_at(cur, pos, t2))
-        return steps
-    if schema.name == "tsrc":
-        # tau(sigma(r), tau(r, t))  ~>  t
-        r = sub.right.left
-        t2 = sub.right.right
-        y = endpoints(r, ctx)[1]
-        emit("tt", pos, REVERSE, replace_at(cur, pos, Trans(Trans(Sym(r), r), t2)))
-        emit("tsr", pos + (0,), FORWARD, replace_at(cur, pos + (0,), Refl(y)))
-        emit("tlr", pos, FORWARD, replace_at(cur, pos, t2))
-        return steps
-    raise PathRwError(f"no simulation for extension rule '{schema.name}'")
-
-
-def _search_equal(
-    s: PathTerm, t: PathTerm, rs: RuleSet, ctx: Context, bound: int
-) -> Equal | Unknown:
-    """Bounded bidirectional search over contractions and finite expansions.
-
-    Best effort: sound but incomplete. Expansion candidates for inverse
-    cancellation pairs are drawn from the subterms of the two endpoints, and
-    intermediate terms are capped at size(s) + size(t) + bound.
-    """
-    lv = level(s)
-    size_cap = size(s) + size(t) + bound
-    pool = _subterm_pool(s) | _subterm_pool(t)
-
-    # parents: term -> (previous term, step taking previous to term)
-    sides = (
-        {s: None},
-        {t: None},
-    )
-    frontiers = (deque([s]), deque([t]))
-    explored = 0
-
-    def neighbours(u: PathTerm):
-        for rule, pos in match_redexes(rs, u):
-            schema = rs.find(rule, lv)
-            binding = schema.match(subterm_at(u, pos))
-            after = replace_at(u, pos, build_template(schema.rhs, binding, ctx))
-            yield after, RewriteStep(schema.display_name, pos, FORWARD, u, after, lv)
-        for after, step in _expansions(u, lv, ctx, pool, size_cap):
-            yield after, step
-
-    def witness(meeting: PathTerm) -> Derivation:
-        left: list[RewriteStep] = []
-        node = meeting
-        while sides[0][node] is not None:
-            prev, step = sides[0][node]
-            left.append(step)
-            node = prev
-        left.reverse()
-        right: list[RewriteStep] = []
-        node = meeting
-        while sides[1][node] is not None:
-            prev, step = sides[1][node]
-            right.append(step)
-            node = prev
-        flipped = tuple(step.flipped() for step in right)
-        return Derivation(s, tuple(left) + flipped, lv)
-
-    for _depth in range(bound):
-        for side in (0, 1):
-            frontier = frontiers[side]
-            next_frontier: deque[PathTerm] = deque()
-            while frontier:
-                u = frontier.popleft()
-                for v, step in neighbours(u):
-                    if v in sides[side]:
-                        continue
-                    sides[side][v] = (u, step)
-                    explored += 1
-                    if v in sides[1 - side]:
-                        return Equal(witness(v))
-                    next_frontier.append(v)
-            frontiers = (frontiers[0], next_frontier) if side else (next_frontier, frontiers[1])
-    return Unknown(explored)
-
-
-def _subterm_pool(t: PathTerm) -> set[PathTerm]:
-    pool = {t}
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        for child in path_children(node):
-            if child not in pool:
-                pool.add(child)
-                stack.append(child)
-    return pool
-
-
-def _expansions(u: PathTerm, lv: int, ctx: Context, pool: set[PathTerm], size_cap: int):
-    """Reverse contractions of bounded size: each yielded step is reverse."""
-
-    def rev(rule: str, pos: Position, after: PathTerm):
-        return after, RewriteStep(_suffixed(rule, lv), pos, REVERSE, u, after, lv)
-
-    base_size = size(u)
-    for pos in postorder_positions(u):
-        sub = subterm_at(u, pos)
-        if base_size + 2 <= size_cap:
-            yield rev("ss", pos, replace_at(u, pos, Sym(Sym(sub))))
-            src, tgt = endpoints(sub, ctx)
-            yield rev("tlr", pos, replace_at(u, pos, Trans(Refl(src), sub)))
-            yield rev("trr", pos, replace_at(u, pos, Trans(sub, Refl(tgt))))
-        if isinstance(sub, Refl):
-            if base_size + 1 <= size_cap:
-                yield rev("sr", pos, replace_at(u, pos, Sym(Refl(sub.obj))))
-            for w in pool:
-                extra = 2 * size(w) + 1
-                if base_size - 1 + extra > size_cap:
-                    continue
-                wsrc, wtgt = endpoints(w, ctx)
-                if wsrc == sub.obj:
-                    yield rev("tr", pos, replace_at(u, pos, Trans(w, Sym(w))))
-                if wtgt == sub.obj:
-                    yield rev("tsr", pos, replace_at(u, pos, Trans(Sym(w), w)))
-        if isinstance(sub, Trans) and isinstance(sub.right, Trans):
-            yield rev(
-                "tt", pos, replace_at(u, pos, Trans(Trans(sub.left, sub.right.left), sub.right.right))
-            )

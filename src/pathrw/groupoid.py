@@ -229,51 +229,30 @@ def _random_path(ctx: Context, rng: random.Random, depth: int) -> PathTerm:
     return _random_path_from(src, ctx, rng, depth)
 
 
-def _random_path_from(src: Object, ctx: Context, rng: random.Random, depth: int) -> PathTerm:
-    outgoing = [name for name, decl in ctx.atoms.items() if Object(0, decl.source) == src]
-    incoming = [name for name, decl in ctx.atoms.items() if Object(0, decl.target) == src]
+def _random_path_from(
+    end: Object, ctx: Context, rng: random.Random, depth: int, forward: bool = True
+) -> PathTerm:
+    """A random level-1 term starting at ``end``, or ending there if not ``forward``."""
+    ahead = [n for n, d in ctx.atoms.items() if Object(0, d.source if forward else d.target) == end]
+    behind = [n for n, d in ctx.atoms.items() if Object(0, d.target if forward else d.source) == end]
     choices = ["refl"]
-    if outgoing:
+    if ahead:
         choices.append("atom")
     if depth > 0:
         choices.extend(["trans", "trans"])
-        if incoming or depth > 1:
+        if behind or depth > 1:
             choices.append("sym")
     kind = rng.choice(choices)
     if kind == "atom":
-        return Atom(rng.choice(outgoing))
+        return Atom(rng.choice(ahead))
     if kind == "sym":
-        if incoming and (depth <= 1 or rng.random() < 0.5):
-            return Sym(Atom(rng.choice(incoming)))
-        return Sym(_random_path_to(src, ctx, rng, depth - 1))
+        if behind and (depth <= 1 or rng.random() < 0.5):
+            return Sym(Atom(rng.choice(behind)))
+        return Sym(_random_path_from(end, ctx, rng, depth - 1, not forward))
     if kind == "trans":
-        left = _random_path_from(src, ctx, rng, depth - 1)
-        _, mid = endpoints(left, ctx)
-        right = _random_path_from(mid, ctx, rng, depth - 1)
-        return Trans(left, right)
-    return Refl(src)
-
-
-def _random_path_to(tgt: Object, ctx: Context, rng: random.Random, depth: int) -> PathTerm:
-    incoming = [name for name, decl in ctx.atoms.items() if Object(0, decl.target) == tgt]
-    outgoing = [name for name, decl in ctx.atoms.items() if Object(0, decl.source) == tgt]
-    choices = ["refl"]
-    if incoming:
-        choices.append("atom")
-    if depth > 0:
-        choices.extend(["trans", "trans"])
-        if outgoing or depth > 1:
-            choices.append("sym")
-    kind = rng.choice(choices)
-    if kind == "atom":
-        return Atom(rng.choice(incoming))
-    if kind == "sym":
-        if outgoing and (depth <= 1 or rng.random() < 0.5):
-            return Sym(Atom(rng.choice(outgoing)))
-        return Sym(_random_path_from(tgt, ctx, rng, depth - 1))
-    if kind == "trans":
-        right = _random_path_to(tgt, ctx, rng, depth - 1)
-        mid, _ = endpoints(right, ctx)
-        left = _random_path_to(mid, ctx, rng, depth - 1)
-        return Trans(left, right)
-    return Refl(tgt)
+        # Drawn from ``end`` outwards: the left half first going forward, the right one backward.
+        near = _random_path_from(end, ctx, rng, depth - 1, forward)
+        mid = endpoints(near, ctx)[1 if forward else 0]
+        far = _random_path_from(mid, ctx, rng, depth - 1, forward)
+        return Trans(near, far) if forward else Trans(far, near)
+    return Refl(end)

@@ -6,9 +6,11 @@ and a printable natural-deduction derivation for each rule. Each schema
 compiles its left pattern once into a matcher closure (``RuleSchema.match``)
 that recurses only as deep as the pattern; rule sets cache per-level copies.
 
-The optional "groupoid-complete" set adds three derivable rules (each is
-equationally reachable from the seven, witnessed in the test suite) so that
-normal forms become canonical; the seven alone are not confluent.
+The optional "groupoid-complete" set adds three derivable rules so that
+normal forms become canonical; the seven alone are not confluent. Each of
+the three carries its derivation as data: a witness, the fixed sequence of
+seven-rule forward and reverse steps that takes its left-hand side to its
+right-hand side, each step given by the template of the whole redex after it.
 
 ``contractions`` is the one rewrite walker. It keeps the path to the current
 node on an explicit stack and never rescans what it has shown normal:
@@ -82,6 +84,9 @@ Template: TypeAlias = Union[PVar, PRefl, PSym, PTrans, RReflAtSource, RReflAtTar
 
 Binding: TypeAlias = "dict[str, object]"
 
+FORWARD = "forward"
+REVERSE = "reverse"
+
 
 def build_template(template: Template, binding: Binding, ctx: Context) -> PathTerm:
     """Instantiate a right-hand-side template under a binding."""
@@ -109,14 +114,17 @@ class RuleSchema:
 
     The pattern is level-uniform; the level tag names the instantiation and
     suffixes the rule name from level 2 up. ``match`` is the left pattern
-    compiled once: it maps a term to the binding, or None.
+    compiled once: it maps a term to the binding, or None. A derivable rule's
+    ``witness`` holds its seven-rule steps as (rule, position relative to the
+    redex, direction, template of the whole redex after the step); it is
+    empty for the seven rules.
     """
 
     name: str
     lhs: Pattern
     rhs: Template
     level: int = 1
-    extension: bool = False
+    witness: tuple[tuple[str, Position, str, Template], ...] = ()
     match: Callable[[PathTerm], Binding | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -129,7 +137,11 @@ class RuleSchema:
         object.__setattr__(self, "match", match)
 
     def __reduce__(self):  # the matcher is a closure: pickle the fields, recompile on load
-        return RuleSchema, (self.name, self.lhs, self.rhs, self.level, self.extension)
+        return RuleSchema, (self.name, self.lhs, self.rhs, self.level, self.witness)
+
+    @property
+    def extension(self) -> bool:
+        return bool(self.witness)
 
     @property
     def display_name(self) -> str:
@@ -196,10 +208,45 @@ TLR = RuleSchema("tlr", PTrans(_X, _R), _R)
 TT = RuleSchema("tt", PTrans(PTrans(_T, _R), _S), PTrans(_T, PTrans(_R, _S)))
 
 # Derivable extensions: inverse distribution over composition and the two
-# chain cancellations. Not independent rules; each has a seven-rule witness.
-ST = RuleSchema("st", PSym(PTrans(_R, _S)), PTrans(PSym(_S), PSym(_R)), extension=True)
-TRC = RuleSchema("trc", PTrans(_R, PTrans(PSym(_R), _T)), _T, extension=True)
-TSRC = RuleSchema("tsrc", PTrans(PSym(_R), PTrans(_R, _T)), _T, extension=True)
+# chain cancellations. Not independent rules; each carries its seven-rule
+# witness.
+_ST_LHS = PSym(PTrans(_R, _S))
+ST = RuleSchema(
+    "st",
+    _ST_LHS,
+    PTrans(PSym(_S), PSym(_R)),
+    witness=(
+        ("tlr", (), REVERSE, PTrans(RReflAtTarget("s"), _ST_LHS)),
+        ("tsr", (0,), REVERSE, PTrans(PTrans(PSym(_S), _S), _ST_LHS)),
+        ("tt", (), FORWARD, PTrans(PSym(_S), PTrans(_S, _ST_LHS))),
+        ("tlr", (1,), REVERSE, PTrans(PSym(_S), PTrans(RReflAtSource("s"), PTrans(_S, _ST_LHS)))),
+        ("tsr", (1, 0), REVERSE, PTrans(PSym(_S), PTrans(PTrans(PSym(_R), _R), PTrans(_S, _ST_LHS)))),
+        ("tt", (1,), FORWARD, PTrans(PSym(_S), PTrans(PSym(_R), PTrans(_R, PTrans(_S, _ST_LHS))))),
+        ("tt", (1, 1), REVERSE, PTrans(PSym(_S), PTrans(PSym(_R), PTrans(PTrans(_R, _S), _ST_LHS)))),
+        ("tr", (1, 1), FORWARD, PTrans(PSym(_S), PTrans(PSym(_R), RReflAtSource("r")))),
+        ("trr", (1,), FORWARD, PTrans(PSym(_S), PSym(_R))),
+    ),
+)
+TRC = RuleSchema(
+    "trc",
+    PTrans(_R, PTrans(PSym(_R), _T)),
+    _T,
+    witness=(
+        ("tt", (), REVERSE, PTrans(PTrans(_R, PSym(_R)), _T)),
+        ("tr", (0,), FORWARD, PTrans(RReflAtSource("r"), _T)),
+        ("tlr", (), FORWARD, _T),
+    ),
+)
+TSRC = RuleSchema(
+    "tsrc",
+    PTrans(PSym(_R), PTrans(_R, _T)),
+    _T,
+    witness=(
+        ("tt", (), REVERSE, PTrans(PTrans(PSym(_R), _R), _T)),
+        ("tsr", (0,), FORWARD, PTrans(RReflAtTarget("r"), _T)),
+        ("tlr", (), FORWARD, _T),
+    ),
+)
 
 
 @dataclass(frozen=True, slots=True)

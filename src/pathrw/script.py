@@ -71,7 +71,7 @@ _TOKEN_RE = re.compile(
 
 
 class Token(NamedTuple):
-    kind: str  # "name", "punct", "assign", "lambda"; "end" closes a _TokenStream
+    kind: str  # "name", "punct", "assign", "lambda"; "end" closes every line
     text: str
     line: int
     col: int
@@ -81,6 +81,7 @@ _new_token = tuple.__new__  # builds a Token without the Python frame of Token._
 
 
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
+    """The line's tokens, closed by an "end" token at the column just past its last character."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -93,6 +94,7 @@ def _tokenize_line(text: str, line_no: int) -> list[Token]:
         elif kind == "stray":
             raise DslSyntaxError(f"unexpected character {value!r}", line_no, col)
         tokens.append(_new_token(Token, (kind, value, line_no, col)))
+    tokens.append(Token("end", "", line_no, len(text.rstrip()) + 1))
     return tokens
 
 
@@ -140,7 +142,7 @@ class _ScriptParser:
                 head.line,
                 head.col,
             )
-        handler(_TokenStream(tokens[1:], head.line))
+        handler(_TokenStream(tokens[1:]))
 
     def _fresh(self, token: Token) -> str:
         name = token.text
@@ -342,15 +344,13 @@ class _ScriptParser:
 
 
 class _TokenStream:
-    """A line's tokens, closed by an "end" token at the column past the last one.
+    """A line's tokens, up to and including its "end" token.
 
     Punctuation and ``:=`` are matched by text alone: no other kind of token
     spells them.
     """
 
-    def __init__(self, tokens: list[Token], line: int):
-        eol = tokens[-1].col + len(tokens[-1].text) if tokens else 1
-        tokens.append(Token("end", "", line, eol))
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
 
@@ -406,7 +406,7 @@ def parse_path_expr(text: str, ctx: Context, paths: dict[str, PathTerm] | None =
     parser = _ScriptParser()
     parser.context = ctx
     parser.paths = dict(paths or {})
-    ts = _TokenStream(_tokenize_line(text, line), line)
+    ts = _TokenStream(_tokenize_line(text, line))
     term, _ = parser._path_expr(ts)
     ts.end()
     return term
@@ -415,7 +415,7 @@ def parse_path_expr(text: str, ctx: Context, paths: dict[str, PathTerm] | None =
 def parse_lambda_expr(text: str, line: int = 1) -> LambdaTerm:
     """Parse a single lambda expression."""
     parser = _ScriptParser()
-    ts = _TokenStream(_tokenize_line(text, line), line)
+    ts = _TokenStream(_tokenize_line(text, line))
     term = parser._lambda_expr(ts)
     ts.end()
     return term

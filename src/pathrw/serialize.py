@@ -8,8 +8,9 @@ from declarations (any term the front-end can produce).
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .engine import Derivation, RewriteStep, replay_derivation
 from .errors import PathRwError
@@ -127,29 +128,39 @@ def _position(entry: dict[str, Any], where: str) -> tuple[int, ...]:
 
 
 def derivation_from_doc(doc: dict[str, Any]) -> tuple[Derivation, Context, str]:
+    return _read_doc(doc)[:3]
+
+
+def _read_doc(doc: dict[str, Any]) -> tuple[Derivation, Context, str, Callable[[str], PathTerm]]:
+    """The document's derivation, context and rule set name, and its term parser.
+
+    The parser parses each distinct string once: in a chained document each
+    step's ``after`` is the next step's ``before``.
+    """
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise PathRwError(f"not a {FORMAT_NAME} document")
     ctx = context_from_doc(_require(doc, "context", "document", dict))
+    parse = functools.cache(lambda text: parse_path_expr(text, ctx))
     lv = _require(doc, "level", "document", int)
-    start = parse_path_expr(_require(doc, "start", "document", str), ctx)
+    start = parse(_require(doc, "start", "document", str))
     steps = tuple(
         RewriteStep(
             rule=_require(entry, "rule", f"step {i}", str),
             position=_position(entry, f"step {i}"),
             direction=_require(entry, "direction", f"step {i}", str),
-            before=parse_path_expr(_require(entry, "before", f"step {i}", str), ctx),
-            after=parse_path_expr(_require(entry, "after", f"step {i}", str), ctx),
+            before=parse(_require(entry, "before", f"step {i}", str)),
+            after=parse(_require(entry, "after", f"step {i}", str)),
             level=lv,
         )
         for i, entry in enumerate(_require(doc, "steps", "document", list))
     )
-    return Derivation(start, steps, lv), ctx, _require(doc, "rules", "document", str)
+    return Derivation(start, steps, lv), ctx, _require(doc, "rules", "document", str), parse
 
 
 def replay_document(doc: dict[str, Any]) -> bool:
     """Rebuild everything from the document alone and replay the derivation."""
-    derivation, ctx, rules_name = derivation_from_doc(doc)
-    end = parse_path_expr(_require(doc, "end", "document", str), ctx)
+    derivation, ctx, rules_name, parse = _read_doc(doc)
+    end = parse(_require(doc, "end", "document", str))
     if derivation.end != end:
         return False
     return replay_derivation(derivation, rule_set(rules_name), ctx)

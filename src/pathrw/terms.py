@@ -9,7 +9,7 @@ rewrite steps. Everything is immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, TypeAlias, Union
+from typing import TYPE_CHECKING, TypeAlias, Union
 
 from .errors import (
     ContextError,
@@ -228,14 +228,6 @@ def replace_at(t: PathTerm, pos: Position, new: PathTerm) -> PathTerm:
     for node, i in zip(reversed(spine), reversed(pos)):
         new = with_child(node, i, new)
     return new
-
-
-def postorder_positions(t: PathTerm) -> Iterator[Position]:
-    """All positions, children before parents, left to right (innermost first)."""
-    for i, child in enumerate(path_children(t)):
-        for pos in postorder_positions(child):
-            yield (i,) + pos
-    yield ()
 
 
 def _resolve_lambda(obj: Object, ctx: Context, pos: Position) -> LambdaTerm:

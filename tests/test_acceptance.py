@@ -132,7 +132,7 @@ def test_criterion_3_oracle_agreement():
     terms = list(enumerate_terms(CTX_RS, 6))
     disagreements = 0
     for s, t in itertools.product(terms, repeat=2):
-        verdict = decide_rw_equal(s, t, PAPER7, CTX_RS, bound=20)
+        verdict = decide_rw_equal(s, t, PAPER7, CTX_RS)
         expected = oracle_equal(s, t, CTX_RS)
         if isinstance(verdict, Equal):
             if not expected:
@@ -215,7 +215,7 @@ def test_criterion_7_confluence():
     ]
     seven = {"sr", "ss", "tr", "tsr", "tlr", "trr", "tt"}
     for lhs, rhs in extension_sides:
-        verdict = decide_rw_equal(lhs, rhs, PAPER7, CTX_RS, bound=20)
+        verdict = decide_rw_equal(lhs, rhs, PAPER7, CTX_RS)
         assert isinstance(verdict, Equal), format_term(lhs)
         assert replay_derivation(verdict.witness, PAPER7, CTX_RS)
         assert {step.rule for step in verdict.witness.steps} <= seven

@@ -74,6 +74,10 @@ def test_equal_exit_codes(script_file, capsys):
     assert "equal" in out and "tt" in out
     assert main(["equal", script_file, "p", "w"]) == 1
     assert "not equal" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["equal", script_file, "p", "q", "--bound", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 5" in capsys.readouterr().err
 
 
 def test_equal_emits_replayable_document(script_file, capsys):

@@ -272,7 +272,7 @@ def _extension_instances(ctx):
 
 def test_extension_rules_have_seven_rule_witnesses(ctx_rs):
     for lhs, rhs in _extension_instances(ctx_rs):
-        verdict = decide_rw_equal(lhs, rhs, PAPER7, ctx_rs, bound=20)
+        verdict = decide_rw_equal(lhs, rhs, PAPER7, ctx_rs)
         assert isinstance(verdict, Equal), (lhs, rhs)
         assert replay_derivation(verdict.witness, PAPER7, ctx_rs)
         assert all(

@@ -1,5 +1,6 @@
 """Rule schemas: golden contractions, matching order, level instantiation,
-endpoint soundness, measure decrease, and the rendered derivations."""
+endpoint soundness, measure decrease, the extension rules' seven-rule
+witnesses, and the rendered derivations."""
 
 from __future__ import annotations
 
@@ -7,7 +8,14 @@ import pickle
 
 import pytest
 
-from pathrw.engine import contract_once, mu_measure, normalize, replay_derivation
+from pathrw.engine import (
+    Derivation,
+    _expand,
+    contract_once,
+    mu_measure,
+    normalize,
+    replay_derivation,
+)
 from pathrw.errors import PathRwError, UnknownRule
 from pathrw.oracle import enumerate_terms
 from pathrw.rules import (
@@ -20,17 +28,36 @@ from pathrw.rules import (
     PVar,
     RuleSchema,
     RuleSet,
+    build_template,
     contractions,
     explain_rule,
     instantiate_at_level,
     match_redexes,
     rule_set,
 )
-from pathrw.terms import Atom, Object, Refl, StepAtom, Sym, Trans, endpoints, postorder_positions
+from pathrw.terms import (
+    Atom,
+    Object,
+    Refl,
+    StepAtom,
+    Sym,
+    Trans,
+    endpoints,
+    path_children,
+    replace_at,
+)
 
 
 def el(name):
     return Object(0, name)
+
+
+def postorder_positions(t):
+    """All positions, children before parents, left to right (innermost first)."""
+    for i, child in enumerate(path_children(t)):
+        for pos in postorder_positions(child):
+            yield (i,) + pos
+    yield ()
 
 
 GOLDEN = [
@@ -134,13 +161,13 @@ def test_find_returns_one_cached_instance_per_level():
 
 def test_derived_fields_leave_identity_unchanged():
     for schema in GROUPOID_COMPLETE.schemas:
-        fields = (schema.name, schema.lhs, schema.rhs, schema.level, schema.extension)
+        fields = (schema.name, schema.lhs, schema.rhs, schema.level, schema.witness)
         copy = RuleSchema(*fields)
         assert copy.match is not schema.match
         assert copy == schema and hash(copy) == hash(schema) == hash(fields)
         assert repr(copy) == repr(schema) == (
             f"RuleSchema(name={schema.name!r}, lhs={schema.lhs!r}, rhs={schema.rhs!r}, "
-            f"level=1, extension={schema.extension!r})"
+            f"level=1, witness={schema.witness!r})"
         )
     fresh = RuleSet("paper7", PAPER7.schemas)
     for lv in (1, 2, 4):
@@ -175,6 +202,41 @@ def test_schemas_sharing_a_name_are_rejected(ctx_r):
     _, d = normalize(Trans(Atom("r"), Refl(el("b"))), rs, ctx_r)
     assert [step.rule for step in d.steps] == ["y", "x"]
     assert replay_derivation(d, rs, ctx_r)
+
+
+def _extension_redexes(ctx):
+    """(level, schema, binding) per extension rule at levels 1 and 2, bound to composite terms."""
+    x = Sym(Sym(Trans(Atom("r"), Refl(el("b")))))
+    _, p = contract_once(x, "ss", (), PAPER7, ctx)
+    _, q = contract_once(p.after, "trr", (), PAPER7, ctx)
+    for lv, (r, s) in ((1, (Atom("r"), Atom("s"))), (2, (StepAtom(p), StepAtom(q)))):
+        rs = Trans(r, s)
+        bindings = {
+            "st": {"r": rs, "s": Sym(s)},
+            "trc": {"r": rs, "t": Sym(Sym(r))},
+            "tsrc": {"r": rs, "t": Sym(rs)},
+        }
+        for schema in GROUPOID_COMPLETE.schemas:
+            if schema.extension:
+                yield lv, GROUPOID_COMPLETE.find(schema.name, lv), bindings[schema.name]
+
+
+def test_extension_witnesses_replay_under_the_seven_rules(ctx_rs):
+    seen = []
+    for lv, schema, binding in _extension_redexes(ctx_rs):
+        seven = {instantiate_at_level(s, lv).display_name for s in PAPER7.schemas}
+        redex = build_template(schema.lhs, binding, ctx_rs)
+        assert schema.match(redex) == binding
+        contractum = build_template(schema.rhs, binding, ctx_rs)
+        _, tgt = endpoints(redex, ctx_rs)
+        for term, pos in ((redex, ()), (Sym(Trans(redex, Refl(tgt))), (0, 0))):
+            d = Derivation(term, tuple(_expand(schema, pos, term, ctx_rs, lv)), lv)
+            assert len(d.steps) == len(schema.witness)
+            assert {step.rule for step in d.steps} <= seven
+            assert replay_derivation(d, PAPER7, ctx_rs)
+            assert d.end == replace_at(term, pos, contractum)
+        seen.append((schema.name, lv))
+    assert seen == [(name, lv) for lv in (1, 2) for name in ("st", "trc", "tsrc")]
 
 
 def test_rule_sets():

@@ -51,9 +51,12 @@ ALIASES = {"τ": "tau", "σ": "sigma", "ρ": "rho", "ξ": "xi", "μ": "mu", "ν"
 
 
 def reference_tokens(text, line_no):
-    """(kind, text, line, col) per token, matching one token at a time from each position."""
+    """(kind, text, line, col) per token, matching one token at a time from each position.
+
+    The list closes with an "end" token just past the last token's raw text.
+    """
     tokens = []
-    i = 0
+    i = last = 0
     while i < len(text):
         m = REFERENCE_TOKEN_RE.match(text, i)
         if m is None:
@@ -66,8 +69,9 @@ def reference_tokens(text, line_no):
             elif kind == "lambda":
                 value = "\\"
             tokens.append((kind, value, line_no, i + 1))
+            last = m.end()
         i = m.end()
-    return tokens
+    return tokens + [("end", "", line_no, last + 1)]
 
 
 def outcome(tokenize, text, line_no=1):
@@ -343,12 +347,12 @@ def test_stray_characters_give_the_reference_error(stray):
 
 
 def test_end_of_line_errors_keep_their_columns():
-    """An error at the end of a line points just past its last token, as read."""
+    """An error at the end of a line points just past its last character."""
     cases = [
-        ("type", "4:1: expected type name"),  # the stream after the keyword is empty
+        ("type", "4:5: expected type name"),
         ("path p := sigma(r", "4:18: expected ')'"),
         ("path p := σ(r", "4:14: expected ')'"),
-        ("path p := σ", "4:16: expected '('"),  # past "sigma", as σ reads
+        ("path p := σ", "4:12: expected '('"),
         ("path p :=", "4:10: expected path expression"),
         ("lam a := λx", "4:12: expected '.'"),
     ]

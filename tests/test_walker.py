@@ -2,9 +2,11 @@
 
 The walker reference finds each redex by scanning the whole term from the
 root again, in strategy order, exactly as the normalizer did before it
-walked the term once, matching with the pattern interpreter below. Every
-recorded step must agree with it, and every compiled matcher must bind
-exactly what the interpreter binds.
+walked the term once, matching with the pattern interpreter below. It
+expands an extension contraction with the hand-written seven-rule step
+sequences below, where the engine instantiates the witness its schema
+carries. Every recorded step must agree with it, and every compiled matcher
+must bind exactly what the interpreter binds.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import pytest
 
 from pathrw.engine import (
     FORWARD,
-    _simulate_extension,
+    REVERSE,
+    RewriteStep,
     canonical_derivation,
     derivation_to_path,
     normalize,
@@ -40,9 +43,11 @@ from pathrw.terms import (
     StepAtom,
     Sym,
     Trans,
+    endpoints,
     level,
     path_children,
     replace_at,
+    subterm_at,
 )
 
 TRIANGLE = Context(
@@ -86,6 +91,74 @@ def match_pattern(pattern, t, binding=None):
                 return None
             return match_pattern(right, t.right, inner)
     raise TypeError(f"not a pattern: {pattern!r}")
+
+
+def _suffixed(name, lv):
+    return name if lv == 1 else f"{name}{lv}"
+
+
+def _simulate_extension(cur, schema, pos, ctx):
+    """Expand one extension contraction into seven-rule forward/reverse steps."""
+    lv = level(cur)
+    steps = []
+
+    def emit(rule, at, direction, after):
+        nonlocal cur
+        steps.append(RewriteStep(_suffixed(rule, lv), at, direction, cur, after, lv))
+        cur = after
+        return cur
+
+    sub = subterm_at(cur, pos)
+    if schema.name == "st":
+        # sigma(tau(r, s))  ~>  tau(sigma(s), sigma(r))
+        r, s = sub.body.left, sub.body.right
+        x = endpoints(r, ctx)[0]
+        y = endpoints(s, ctx)[0]
+        z = endpoints(s, ctx)[1]
+        emit("tlr", pos, REVERSE, replace_at(cur, pos, Trans(Refl(z), sub)))
+        emit("tsr", pos + (0,), REVERSE, replace_at(cur, pos + (0,), Trans(Sym(s), s)))
+        emit("tt", pos, FORWARD, replace_at(cur, pos, Trans(Sym(s), Trans(s, sub))))
+        emit(
+            "tlr",
+            pos + (1,),
+            REVERSE,
+            replace_at(cur, pos + (1,), Trans(Refl(y), Trans(s, sub))),
+        )
+        emit("tsr", pos + (1, 0), REVERSE, replace_at(cur, pos + (1, 0), Trans(Sym(r), r)))
+        emit(
+            "tt",
+            pos + (1,),
+            FORWARD,
+            replace_at(cur, pos + (1,), Trans(Sym(r), Trans(r, Trans(s, sub)))),
+        )
+        emit(
+            "tt",
+            pos + (1, 1),
+            REVERSE,
+            replace_at(cur, pos + (1, 1), Trans(Trans(r, s), sub)),
+        )
+        emit("tr", pos + (1, 1), FORWARD, replace_at(cur, pos + (1, 1), Refl(x)))
+        emit("trr", pos + (1,), FORWARD, replace_at(cur, pos + (1,), Sym(r)))
+        return steps
+    if schema.name == "trc":
+        # tau(r, tau(sigma(r), t))  ~>  t
+        r = sub.left
+        t2 = sub.right.right
+        x = endpoints(r, ctx)[0]
+        emit("tt", pos, REVERSE, replace_at(cur, pos, Trans(Trans(r, Sym(r)), t2)))
+        emit("tr", pos + (0,), FORWARD, replace_at(cur, pos + (0,), Refl(x)))
+        emit("tlr", pos, FORWARD, replace_at(cur, pos, t2))
+        return steps
+    if schema.name == "tsrc":
+        # tau(sigma(r), tau(r, t))  ~>  t
+        r = sub.right.left
+        t2 = sub.right.right
+        y = endpoints(r, ctx)[1]
+        emit("tt", pos, REVERSE, replace_at(cur, pos, Trans(Trans(Sym(r), r), t2)))
+        emit("tsr", pos + (0,), FORWARD, replace_at(cur, pos + (0,), Refl(y)))
+        emit("tlr", pos, FORWARD, replace_at(cur, pos, t2))
+        return steps
+    raise AssertionError(f"no simulation for extension rule '{schema.name}'")
 
 
 def reference_trace(t, rs, ctx, strategy, replay_rs):
