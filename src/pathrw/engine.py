@@ -99,22 +99,29 @@ def contract_once(
     t: PathTerm, rule: str, pos: Position, rs: RuleSet, ctx: Context
 ) -> tuple[PathTerm, RewriteStep]:
     """Apply ``rule`` at ``pos`` in ``t``; returns the contractum and the step."""
-    lv = level(t)
-    schema = rs.find(rule, lv)
-    sub = subterm_at(t, pos)
-    binding = schema.match(sub)
+    schema, after = _contract(t, rule, pos, rs, ctx)
+    return after, RewriteStep(schema.display_name, pos, FORWARD, t, after, schema.level)
+
+
+def _contract(
+    t: PathTerm, rule: str, pos: Position, rs: RuleSet, ctx: Context
+) -> tuple[RuleSchema, PathTerm]:
+    """The schema ``rule`` names at ``t``'s level, and its contractum at ``pos`` in ``t``."""
+    schema = rs.find(rule, level(t))
+    binding = schema.match(subterm_at(t, pos))
     if binding is None:
         raise NoRedex(f"rule '{rule}' does not match at position {pos}")
-    new_sub = build_template(schema.rhs, binding, ctx)
-    after = replace_at(t, pos, new_sub)
-    step = RewriteStep(schema.display_name, pos, FORWARD, t, after, lv)
-    return after, step
+    return schema, replace_at(t, pos, build_template(schema.rhs, binding, ctx))
 
 
 def normalize(
     t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = "leftmost-innermost"
 ) -> tuple[PathTerm, Derivation]:
-    """Contract the first redex under ``strategy`` until none remains."""
+    """Contract the first redex under ``strategy`` until none remains.
+
+    ``t`` must be well formed: ``endpoints`` checks it once, on entry.
+    """
+    endpoints(t, ctx)
     d = _record(t, rs, ctx, strategy, rs)
     return d.end, d
 
@@ -176,7 +183,7 @@ def replay_derivation(d: Derivation, rs: RuleSet, ctx: Context) -> bool:
         redex_side = step.before if step.direction == FORWARD else step.after
         produced = step.after if step.direction == FORWARD else step.before
         try:
-            out, _ = contract_once(redex_side, step.rule, step.position, rs, ctx)
+            _, out = _contract(redex_side, step.rule, step.position, rs, ctx)
         except PathRwError:
             return False
         if out != produced:
@@ -220,8 +227,10 @@ def canonical_derivation(t: PathTerm, rs: RuleSet, ctx: Context) -> Derivation:
 
     Normalizes under the groupoid-complete set; when ``rs`` lacks an extension
     rule that fires, the contraction is replaced in place by the seven-rule
-    witness its schema carries.
+    witness its schema carries. ``t`` must be well formed: ``endpoints`` checks
+    it once, on entry.
     """
+    endpoints(t, ctx)
     return _record(t, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import PathRwError
-from .rules import RuleSet, match_redexes
+from .rules import RuleSet, contractions, match_redexes
 from .terms import (
     Atom,
     Context,
@@ -84,33 +84,27 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
     Refl is empty, Sym reverses and flips orientations, Trans concatenates
     with cancellation; atoms, formers, and recorded steps are single letters.
     """
-    match t:
-        case Refl(obj):
-            return ReducedWord(obj, ())
-        case Atom(name):
-            src, tgt = endpoints(t, ctx)
-            letter = Letter(("atom", name), 1, src, tgt)
-            return ReducedWord(src, (letter,))
-        case Sym(body):
-            return _reverse(word(body, ctx))
-        case Trans(left, right):
-            return _concat(word(left, ctx), word(right, ctx))
-        case Xi(var, body):
-            key = ("xi", var, read_back(word(body, ctx)))
-            src, tgt = endpoints(t, ctx)
-            return ReducedWord(src, (Letter(key, 1, src, tgt),))
-        case Mu(func, body):
-            key = ("mu", func, read_back(word(body, ctx)))
-            src, tgt = endpoints(t, ctx)
-            return ReducedWord(src, (Letter(key, 1, src, tgt),))
-        case Nu(body, arg):
-            key = ("nu", arg, read_back(word(body, ctx)))
-            src, tgt = endpoints(t, ctx)
-            return ReducedWord(src, (Letter(key, 1, src, tgt),))
-        case StepAtom(step):
-            src, tgt = endpoints(t, ctx)
-            return ReducedWord(src, (Letter(("step", step), 1, src, tgt),))
-    raise TypeError(f"not a path term: {t!r}")
+    tp = type(t)
+    if tp is Trans:
+        return _concat(word(t.left, ctx), word(t.right, ctx))
+    if tp is Sym:
+        return _reverse(word(t.body, ctx))
+    if tp is Refl:
+        return ReducedWord(t.obj, ())
+    if tp is Atom:
+        key: object = ("atom", t.name)
+    elif tp is StepAtom:
+        key = ("step", t.step)
+    elif tp is Xi:
+        key = ("xi", t.var, read_back(word(t.body, ctx)))
+    elif tp is Mu:
+        key = ("mu", t.func, read_back(word(t.body, ctx)))
+    elif tp is Nu:
+        key = ("nu", t.arg, read_back(word(t.body, ctx)))
+    else:
+        raise TypeError(f"not a path term: {t!r}")
+    src, tgt = endpoints(t, ctx)
+    return ReducedWord(src, (Letter(key, 1, src, tgt),))
 
 
 def read_back(w: ReducedWord) -> PathTerm:
@@ -125,19 +119,22 @@ def read_back(w: ReducedWord) -> PathTerm:
 
 
 def _letter_term(letter: Letter) -> PathTerm:
-    match letter.gen:
-        case ("atom", str(name)):
-            base: PathTerm = Atom(name)
-        case ("xi", str(var), body):
-            base = Xi(var, body)
-        case ("mu", str(func), body):
-            base = Mu(func, body)
-        case ("nu", str(arg), body):
-            base = Nu(body, arg)
-        case ("step", step):
-            base = StepAtom(step)
-        case _:
-            raise PathRwError(f"unreadable generator key: {letter.gen!r}")
+    gen = letter.gen
+    shape = None
+    if isinstance(gen, tuple) and len(gen) in (2, 3) and (gen[0] == "step" or isinstance(gen[1], str)):
+        shape = gen[0], len(gen)
+    if shape == ("atom", 2):
+        base: PathTerm = Atom(gen[1])
+    elif shape == ("xi", 3):
+        base = Xi(gen[1], gen[2])
+    elif shape == ("mu", 3):
+        base = Mu(gen[1], gen[2])
+    elif shape == ("nu", 3):
+        base = Nu(gen[2], gen[1])
+    elif shape == ("step", 2):
+        base = StepAtom(gen[1])
+    else:
+        raise PathRwError(f"unreadable generator key: {letter.gen!r}")
     return base if letter.orient == 1 else Sym(base)
 
 
@@ -231,14 +228,18 @@ def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
     For every enumerated term, contract each redex once, normalize all the
     contracta, and report every pair that lands on different normal forms.
     """
-    from .engine import contract_once, normalize
+    from .engine import contract_once
 
     nf_cache: dict[PathTerm, PathTerm] = {}
 
     def nf(t: PathTerm) -> PathTerm:
+        # Enumerated terms and their contracta are well formed, so this walks
+        # without normalize's entry check and without recording steps.
         cached = nf_cache.get(t)
         if cached is None:
-            cached = normalize(t, rs, ctx)[0]
+            cached = t
+            for _, _, _, cached in contractions(t, rs, ctx):
+                pass
             nf_cache[t] = cached
         return cached
 

@@ -17,7 +17,9 @@ node on an explicit stack and never rescans what it has shown normal:
 innermost order walks post-order and, after a contraction, re-walks only the
 nodes the right-hand side built; outermost order walks pre-order and
 rechecks only the ancestors of the contracted position. A step costs O(depth)
-to rebuild the spine, plus one match per node visited or built.
+to rebuild the spine, plus one match per node visited or built; matchers,
+templates and the term primitives they call dispatch on exact type, so a
+node costs a few ``type(t) is C`` tests, not class-pattern ``match`` cases.
 """
 
 from __future__ import annotations
@@ -90,21 +92,20 @@ REVERSE = "reverse"
 
 def build_template(template: Template, binding: Binding, ctx: Context) -> PathTerm:
     """Instantiate a right-hand-side template under a binding."""
-    match template:
-        case PVar(name):
-            return binding[name]
-        case PRefl(obj_var):
-            return Refl(binding[obj_var])
-        case PSym(body):
-            return Sym(build_template(body, binding, ctx))
-        case PTrans(left, right):
-            return Trans(build_template(left, binding, ctx), build_template(right, binding, ctx))
-        case RReflAtSource(var):
-            src, _ = endpoints(binding[var], ctx)
-            return Refl(src)
-        case RReflAtTarget(var):
-            _, tgt = endpoints(binding[var], ctx)
-            return Refl(tgt)
+    tp = type(template)
+    if tp is PVar:
+        return binding[template.name]
+    if tp is PTrans:
+        left = build_template(template.left, binding, ctx)
+        return Trans(left, build_template(template.right, binding, ctx))
+    if tp is PSym:
+        return Sym(build_template(template.body, binding, ctx))
+    if tp is PRefl:
+        return Refl(binding[template.obj_var])
+    if tp is RReflAtSource:
+        return Refl(endpoints(binding[template.var], ctx)[0])
+    if tp is RReflAtTarget:
+        return Refl(endpoints(binding[template.var], ctx)[1])
     raise TypeError(f"not a template: {template!r}")
 
 
@@ -257,9 +258,11 @@ class RuleSet:
     schemas: tuple[RuleSchema, ...]
     # Derived: the index in ``schemas`` of each name; per level, on first use,
     # the schemas instantiated at it and, by root term class (None: any other
-    # class), those that can match there, in order.
+    # class), those that can match there, in order; and the schema ``find``
+    # resolved for each (rule name, level) it has succeeded on.
     _by_name: dict = field(init=False, repr=False, compare=False)
     _levels: dict = field(init=False, repr=False, compare=False)
+    _found: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A witness records each step's rule by name, so a name picks one schema.
@@ -269,6 +272,7 @@ class RuleSet:
                 raise PathRwError(f"rule set '{self.name}' has two schemas named '{schema.name}'")
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_levels", {})
+        object.__setattr__(self, "_found", {})
 
     def _at_level(self, lv: int) -> tuple[tuple[RuleSchema, ...], dict]:
         cached = self._levels.get(lv)
@@ -283,6 +287,9 @@ class RuleSet:
 
     def find(self, rule_name: str, at_level: int) -> RuleSchema:
         """Resolve a rule name, bare or level-suffixed, at the given level."""
+        schema = self._found.get((rule_name, at_level))
+        if schema is not None:
+            return schema
         base = rule_name.rstrip("0123456789")
         if not (base.isascii() and base.isalpha() and base.islower()):
             raise UnknownRule(f"malformed rule name '{rule_name}'")
@@ -292,7 +299,8 @@ class RuleSet:
         i = self._by_name.get(base)
         if i is None:
             raise UnknownRule(f"no rule named '{rule_name}' in rule set '{self.name}'")
-        return self._at_level(at_level)[0][i]
+        schema = self._found[rule_name, at_level] = self._at_level(at_level)[0][i]
+        return schema
 
     def first_match(self, node: PathTerm, lv: int) -> tuple[RuleSchema, Binding] | None:
         """The first schema at level ``lv``, in rule-set order, that matches at ``node``."""
@@ -323,11 +331,11 @@ def rule_set(name: str) -> RuleSet:
 
 
 def _subtemplate(template: Template | None, i: int) -> Template | None:
-    match template:
-        case PSym(body):
-            return body
-        case PTrans(left, right):
-            return right if i else left
+    tp = type(template)
+    if tp is PTrans:
+        return template.right if i else template.left
+    if tp is PSym:
+        return template.body
     return None
 
 

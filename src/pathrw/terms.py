@@ -4,6 +4,11 @@ Level-1 terms are paths between declared elements, built from declared step
 atoms, reflexivity, symmetry, transitivity, and the lambda congruence formers.
 A level-(n+1) term is a path between level-n terms; its atoms are recorded
 rewrite steps. Everything is immutable.
+
+The term classes are final: nothing subclasses them. So the traversals on the
+rewrite, replay and oracle paths dispatch on exact type (``type(t) is Trans``),
+which costs a fraction of a class-pattern ``match`` case; cold code such as
+``format_term`` and ``validate`` keeps ``match``.
 """
 
 from __future__ import annotations
@@ -153,15 +158,16 @@ PathTerm: TypeAlias = Union[Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom]
 
 def level(t: PathTerm) -> int:
     """Tower level of a term (1 for paths between elements), read off its leftmost leaf."""
-    while isinstance(t, (Sym, Trans)):
-        t = t.body if isinstance(t, Sym) else t.left
-    match t:
-        case Atom() | Xi() | Mu() | Nu():
-            return 1
-        case Refl(obj):
-            return obj.level + 1
-        case StepAtom(step):
-            return step.level + 1
+    tp = type(t)
+    while tp is Trans or tp is Sym:
+        t = t.left if tp is Trans else t.body
+        tp = type(t)
+    if tp is Atom or tp is Xi or tp is Mu or tp is Nu:
+        return 1
+    if tp is Refl:
+        return t.obj.level + 1
+    if tp is StepAtom:
+        return t.step.level + 1
     raise TypeError(f"not a path term: {t!r}")
 
 
@@ -179,13 +185,12 @@ def size(t: PathTerm) -> int:
 
 def path_children(t: PathTerm) -> tuple[PathTerm, ...]:
     """Immediate rewritable children. Atoms, Refl, and recorded steps are leaves."""
-    match t:
-        case Sym(body) | Xi(_, body) | Mu(_, body) | Nu(body, _):
-            return (body,)
-        case Trans(left, right):
-            return (left, right)
-        case _:
-            return ()
+    tp = type(t)
+    if tp is Trans:
+        return (t.left, t.right)
+    if tp is Sym or tp is Xi or tp is Mu or tp is Nu:
+        return (t.body,)
+    return ()
 
 
 def subterm_at(t: PathTerm, pos: Position) -> PathTerm:
@@ -199,21 +204,22 @@ def subterm_at(t: PathTerm, pos: Position) -> PathTerm:
 
 def with_child(t: PathTerm, i: int, child: PathTerm) -> PathTerm:
     """``t`` with its ``i``-th path child replaced by ``child``."""
-    match t:
-        case Trans():
-            if i == 0:
-                return Trans(child, t.right)
-            if i == 1:
-                return Trans(t.left, child)
-        case Sym() if i == 0:
+    tp = type(t)
+    if tp is Trans:
+        if i == 0:
+            return Trans(child, t.right)
+        if i == 1:
+            return Trans(t.left, child)
+    elif i == 0:
+        if tp is Sym:
             return Sym(child)
-        case Xi(var, _) if i == 0:
-            return Xi(var, child)
-        case Mu(func, _) if i == 0:
-            return Mu(func, child)
-        case Nu(_, arg) if i == 0:
-            return Nu(child, arg)
-    raise PathRwError(f"no child {i} of {type(t).__name__}")
+        if tp is Xi:
+            return Xi(t.var, child)
+        if tp is Mu:
+            return Mu(t.func, child)
+        if tp is Nu:
+            return Nu(child, t.arg)
+    raise PathRwError(f"no child {i} of {tp.__name__}")
 
 
 def replace_at(t: PathTerm, pos: Position, new: PathTerm) -> PathTerm:
@@ -254,47 +260,68 @@ def endpoints(t: PathTerm, ctx: Context, _pos: Position = ()) -> tuple[Object, O
 
     Sym swaps, Trans chains, Refl duplicates; congruence formers build the
     corresponding lambda terms; a recorded step contributes its before/after
-    terms one level down.
+    terms one level down. Sym and Trans nodes fold on an explicit stack, so
+    long chains do not recurse; a congruence former recurses into its body.
     """
-    match t:
-        case Atom(name):
-            decl = ctx.atoms.get(name)
+    frames: list = []  # per Sym/Trans above t: [node, child index, left child's ends]
+    while True:
+        tp = type(t)
+        if tp is Trans or tp is Sym:
+            frames.append([t, 0, None])
+            t = t.left if tp is Trans else t.body
+            continue
+        if tp is Atom:
+            decl = ctx.atoms.get(t.name)
             if decl is None:
-                raise UnknownAtom(name, _pos)
-            return Object(0, decl.source), Object(0, decl.target)
-        case Refl(obj):
+                raise UnknownAtom(t.name, _here(_pos, frames))
+            ends = Object(0, decl.source), Object(0, decl.target)
+        elif tp is Refl:
+            obj = t.obj
             if obj.level == 0 and isinstance(obj.payload, str) and obj.payload not in ctx.elements:
-                raise UnknownElement(obj.payload, _pos)
-            return obj, obj
-        case Sym(body):
-            src, tgt = endpoints(body, ctx, _pos + (0,))
-            return tgt, src
-        case Trans(left, right):
-            lsrc, ltgt = endpoints(left, ctx, _pos + (0,))
-            rsrc, rtgt = endpoints(right, ctx, _pos + (1,))
-            if ltgt != rsrc:
-                raise EndpointMismatch(_pos, ltgt, rsrc)
-            return lsrc, rtgt
-        case Xi(var, body):
-            src, tgt = endpoints(body, ctx, _pos + (0,))
-            m = _resolve_lambda(src, ctx, _pos)
-            m2 = _resolve_lambda(tgt, ctx, _pos)
-            return Object(0, Abs(var, m)), Object(0, Abs(var, m2))
-        case Mu(func, body):
-            f = _applied_lambda(func, ctx, _pos)
-            src, tgt = endpoints(body, ctx, _pos + (0,))
-            m = _resolve_lambda(src, ctx, _pos)
-            m2 = _resolve_lambda(tgt, ctx, _pos)
-            return Object(0, App(f, m)), Object(0, App(f, m2))
-        case Nu(body, arg):
-            f = _applied_lambda(arg, ctx, _pos)
-            src, tgt = endpoints(body, ctx, _pos + (0,))
-            m = _resolve_lambda(src, ctx, _pos)
-            m2 = _resolve_lambda(tgt, ctx, _pos)
-            return Object(0, App(m, f)), Object(0, App(m2, f))
-        case StepAtom(step):
-            return Object(step.level, step.before), Object(step.level, step.after)
-    raise TypeError(f"not a path term: {t!r}")
+                raise UnknownElement(obj.payload, _here(_pos, frames))
+            ends = obj, obj
+        elif tp is StepAtom:
+            step = t.step
+            ends = Object(step.level, step.before), Object(step.level, step.after)
+        elif tp is Xi or tp is Mu or tp is Nu:
+            ends = _former_endpoints(t, tp, ctx, _here(_pos, frames))
+        else:
+            raise TypeError(f"not a path term: {t!r}")
+        # Fold the finished subtree into its ancestors, up to the first one
+        # whose right child is still to walk.
+        while frames:
+            frame = frames[-1]
+            node = frame[0]
+            if type(node) is Sym:
+                ends = ends[1], ends[0]
+            elif frame[1] == 0:
+                frame[1], frame[2] = 1, ends
+                t = node.right
+                break
+            else:
+                (lsrc, ltgt), (rsrc, rtgt) = frame[2], ends
+                if ltgt != rsrc:
+                    raise EndpointMismatch(_here(_pos, frames[:-1]), ltgt, rsrc)
+                ends = lsrc, rtgt
+            frames.pop()
+        else:
+            return ends
+
+
+def _here(pos: Position, frames: list) -> Position:
+    return pos + tuple([frame[1] for frame in frames])
+
+
+def _former_endpoints(t: Xi | Mu | Nu, tp: type, ctx: Context, pos: Position) -> tuple[Object, Object]:
+    f = None if tp is Xi else _applied_lambda(t.func if tp is Mu else t.arg, ctx, pos)
+    src, tgt = endpoints(t.body, ctx, pos + (0,))
+    m = _resolve_lambda(src, ctx, pos)
+    m2 = _resolve_lambda(tgt, ctx, pos)
+    if tp is Xi:
+        return Object(0, Abs(t.var, m)), Object(0, Abs(t.var, m2))
+    if tp is Mu:
+        return Object(0, App(f, m)), Object(0, App(f, m2))
+    return Object(0, App(m, f)), Object(0, App(m2, f))
 
 
 @dataclass(frozen=True, slots=True)

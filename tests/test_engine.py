@@ -25,7 +25,7 @@ from pathrw.engine import (
     normalize,
     replay_derivation,
 )
-from pathrw.errors import ChainMismatch, LevelMismatch, NoRedex, PathRwError
+from pathrw.errors import ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError
 from pathrw.oracle import enumerate_terms, oracle_equal
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, match_redexes
 from pathrw.terms import (
@@ -97,10 +97,41 @@ def test_normalize_strategies_agree_on_normal_form(ctx_rs):
         assert inner == outer
 
 
-def test_normalize_outermost_picks_root_first(ctx_rs):
+def test_normalize_outermost_picks_root_first(ctx_fan):
     t = Trans(Trans(Atom("r"), Sym(Atom("r"))), Sym(Sym(Atom("s"))))
-    _, d = normalize(t, PAPER7, ctx_rs, "leftmost-outermost")
+    _, d = normalize(t, PAPER7, ctx_fan, "leftmost-outermost")
     assert d.steps[0].rule == "tt" and d.steps[0].position == ()
+
+
+@pytest.mark.parametrize("rs", [PAPER7, GROUPOID_COMPLETE], ids=lambda rs: rs.name)
+def test_normalize_rejects_ill_formed_input_where_it_breaks(ctx_r, rs):
+    """tau(tau(r, r), ...) does not chain at position 0; it used to normalize to tau(r, r)."""
+    t = Trans(Trans(Atom("r"), Atom("r")), Sym(Refl(el("a"))))
+    for strategy in ("leftmost-innermost", "leftmost-outermost"):
+        with pytest.raises(EndpointMismatch) as exc:
+            normalize(t, rs, ctx_r, strategy)
+        assert exc.value.position == (0,)
+
+
+def test_canonical_derivation_rejects_ill_formed_level_2_input(ctx_r):
+    """sigma(tau(p, p)) breaks at position 0; the error used to come from a template, at the root."""
+    _, step = contract_once(Trans(Atom("r"), Refl(el("b"))), "trr", (), PAPER7, ctx_r)
+    p = StepAtom(step)
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        with pytest.raises(EndpointMismatch) as exc:
+            canonical_derivation(Sym(Trans(p, p)), rs, ctx_r)
+        assert exc.value.position == (0,)
+
+
+def test_input_is_checked_once_per_call_not_per_step(ctx_r, monkeypatch):
+    t = Atom("r")
+    for _ in range(30):
+        t = Trans(Sym(Sym(t)), Refl(el("b")))
+    checked = []
+    monkeypatch.setattr(engine, "endpoints", lambda u, ctx: checked.append(u) or (el("a"), el("b")))
+    assert len(normalize(t, PAPER7, ctx_r)[1].steps) == 60
+    assert len(canonical_derivation(t, PAPER7, ctx_r).steps) == 60
+    assert checked == [t, t]
 
 
 # --- non-confluence of the seven rules (witnessed) ---------------------------

@@ -1,0 +1,397 @@
+"""The term kernel's exact-type dispatch against its class-pattern references.
+
+The references below are the kernel as it was written with structural
+``match`` cases, each ``case`` an ``isinstance`` test. The kernel now tests
+exact type, and ``endpoints`` folds Sym and Trans on an explicit stack. On
+every term set here both must return equal results, and raise the same error
+type with the same text and position.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from pathrw.errors import (
+    EndpointMismatch,
+    PathRwError,
+    UnknownAtom,
+    UnknownElement,
+    UnknownRule,
+    UnresolvedLambda,
+)
+from pathrw.groupoid import _lift_from, _random_term_at_level
+from pathrw.lam import Abs, App, Var
+from pathrw.oracle import Letter, ReducedWord, _concat, _reverse, enumerate_terms, read_back, word
+from pathrw.rules import (
+    GROUPOID_COMPLETE,
+    PAPER7,
+    PRefl,
+    PSym,
+    PTrans,
+    PVar,
+    RReflAtSource,
+    RReflAtTarget,
+    build_template,
+    instantiate_at_level,
+)
+from pathrw.terms import (
+    Atom,
+    AtomDecl,
+    Context,
+    Mu,
+    Nu,
+    Object,
+    Refl,
+    StepAtom,
+    Sym,
+    Trans,
+    Xi,
+    endpoints,
+    level,
+    path_children,
+    with_child,
+)
+
+from conftest import raw_trees
+
+TRIANGLE = Context(
+    ("A",),
+    {"a": "A", "b": "A", "c": "A"},
+    {},
+    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")},
+)
+LAM = Context(
+    ("F",),
+    {"m": "F", "n": "F", "k": "F", "z": "F"},
+    {"m": Abs("x", Var("x")), "n": Abs("y", Var("y")), "k": Var("w")},
+    {"al": AtomDecl("m", "n", "F", "alpha"), "be": AtomDecl("n", "k", "F")},
+)
+
+
+# --- references: the class-pattern kernel --------------------------------------
+
+
+def ref_level(t):
+    while isinstance(t, (Sym, Trans)):
+        t = t.body if isinstance(t, Sym) else t.left
+    match t:
+        case Atom() | Xi() | Mu() | Nu():
+            return 1
+        case Refl(obj):
+            return obj.level + 1
+        case StepAtom(step):
+            return step.level + 1
+    raise TypeError(f"not a path term: {t!r}")
+
+
+def ref_path_children(t):
+    match t:
+        case Sym(body) | Xi(_, body) | Mu(_, body) | Nu(body, _):
+            return (body,)
+        case Trans(left, right):
+            return (left, right)
+        case _:
+            return ()
+
+
+def ref_with_child(t, i, child):
+    match t:
+        case Trans():
+            if i == 0:
+                return Trans(child, t.right)
+            if i == 1:
+                return Trans(t.left, child)
+        case Sym() if i == 0:
+            return Sym(child)
+        case Xi(var, _) if i == 0:
+            return Xi(var, child)
+        case Mu(func, _) if i == 0:
+            return Mu(func, child)
+        case Nu(_, arg) if i == 0:
+            return Nu(child, arg)
+    raise PathRwError(f"no child {i} of {type(t).__name__}")
+
+
+def _resolve(obj, ctx, pos):
+    if obj.level != 0:
+        raise UnresolvedLambda("congruence former over a non-element object", pos)
+    if isinstance(obj.payload, str):
+        value = ctx.lambda_elements.get(obj.payload)
+        if value is None:
+            raise UnresolvedLambda(f"element '{obj.payload}' has no lambda value", pos)
+        return value
+    return obj.payload
+
+
+def _applied(name, ctx, pos):
+    value = ctx.lambda_elements.get(name)
+    if value is None:
+        raise UnresolvedLambda(f"applied element '{name}' has no lambda value", pos)
+    return value
+
+
+def ref_endpoints(t, ctx, _pos=()):
+    match t:
+        case Atom(name):
+            decl = ctx.atoms.get(name)
+            if decl is None:
+                raise UnknownAtom(name, _pos)
+            return Object(0, decl.source), Object(0, decl.target)
+        case Refl(obj):
+            if obj.level == 0 and isinstance(obj.payload, str) and obj.payload not in ctx.elements:
+                raise UnknownElement(obj.payload, _pos)
+            return obj, obj
+        case Sym(body):
+            src, tgt = ref_endpoints(body, ctx, _pos + (0,))
+            return tgt, src
+        case Trans(left, right):
+            lsrc, ltgt = ref_endpoints(left, ctx, _pos + (0,))
+            rsrc, rtgt = ref_endpoints(right, ctx, _pos + (1,))
+            if ltgt != rsrc:
+                raise EndpointMismatch(_pos, ltgt, rsrc)
+            return lsrc, rtgt
+        case Xi(var, body):
+            src, tgt = ref_endpoints(body, ctx, _pos + (0,))
+            return (
+                Object(0, Abs(var, _resolve(src, ctx, _pos))),
+                Object(0, Abs(var, _resolve(tgt, ctx, _pos))),
+            )
+        case Mu(func, body):
+            f = _applied(func, ctx, _pos)
+            src, tgt = ref_endpoints(body, ctx, _pos + (0,))
+            return (
+                Object(0, App(f, _resolve(src, ctx, _pos))),
+                Object(0, App(f, _resolve(tgt, ctx, _pos))),
+            )
+        case Nu(body, arg):
+            f = _applied(arg, ctx, _pos)
+            src, tgt = ref_endpoints(body, ctx, _pos + (0,))
+            return (
+                Object(0, App(_resolve(src, ctx, _pos), f)),
+                Object(0, App(_resolve(tgt, ctx, _pos), f)),
+            )
+        case StepAtom(step):
+            return Object(step.level, step.before), Object(step.level, step.after)
+    raise TypeError(f"not a path term: {t!r}")
+
+
+def ref_word(t, ctx):
+    def single(key):
+        src, tgt = ref_endpoints(t, ctx)
+        return ReducedWord(src, (Letter(key, 1, src, tgt),))
+
+    match t:
+        case Refl(obj):
+            return ReducedWord(obj, ())
+        case Atom(name):
+            return single(("atom", name))
+        case Sym(body):
+            return _reverse(ref_word(body, ctx))
+        case Trans(left, right):
+            return _concat(ref_word(left, ctx), ref_word(right, ctx))
+        case Xi(var, body):
+            return single(("xi", var, read_back(ref_word(body, ctx))))
+        case Mu(func, body):
+            return single(("mu", func, read_back(ref_word(body, ctx))))
+        case Nu(body, arg):
+            return single(("nu", arg, read_back(ref_word(body, ctx))))
+        case StepAtom(step):
+            return single(("step", step))
+    raise TypeError(f"not a path term: {t!r}")
+
+
+def ref_build_template(template, binding, ctx):
+    match template:
+        case PVar(name):
+            return binding[name]
+        case PRefl(obj_var):
+            return Refl(binding[obj_var])
+        case PSym(body):
+            return Sym(ref_build_template(body, binding, ctx))
+        case PTrans(left, right):
+            return Trans(ref_build_template(left, binding, ctx), ref_build_template(right, binding, ctx))
+        case RReflAtSource(var):
+            return Refl(ref_endpoints(binding[var], ctx)[0])
+        case RReflAtTarget(var):
+            return Refl(ref_endpoints(binding[var], ctx)[1])
+    raise TypeError(f"not a template: {template!r}")
+
+
+def ref_find(rs, rule_name, at_level):
+    base = rule_name.rstrip("0123456789")
+    if not (base.isascii() and base.isalpha() and base.islower()):
+        raise UnknownRule(f"malformed rule name '{rule_name}'")
+    suffix = rule_name[len(base) :]
+    if suffix and int(suffix) != at_level:
+        raise UnknownRule(f"rule '{rule_name}' is pinned to level {int(suffix)}, not {at_level}")
+    for schema in rs.schemas:
+        if schema.name == base:
+            return instantiate_at_level(schema, at_level)
+    raise UnknownRule(f"no rule named '{rule_name}' in rule set '{rs.name}'")
+
+
+# --- comparison ------------------------------------------------------------------
+
+
+def outcome(f, *args):
+    """What a call gives: ("ok", value) or ("raise", type, text, position)."""
+    try:
+        return ("ok", f(*args))
+    except (PathRwError, TypeError, KeyError, ValueError) as exc:
+        return ("raise", type(exc), str(exc), getattr(exc, "position", None))
+
+
+def assert_same(new, old, *args):
+    assert outcome(new, *args) == outcome(old, *args), args
+
+
+def subterms(t):
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(ref_path_children(node))
+
+
+def check_kernel(terms, ctx):
+    """Every kernel function agrees with its reference on every subterm."""
+    checked = 0
+    for t in terms:
+        for node in subterms(t):
+            assert path_children(node) == ref_path_children(node)
+            assert_same(level, ref_level, node)
+            assert_same(endpoints, ref_endpoints, node, ctx)
+            assert_same(word, ref_word, node, ctx)
+            for i in (0, 1, 2):
+                assert_same(with_child, ref_with_child, node, i, Atom("x"))
+            checked += 1
+    return checked
+
+
+SWEEP = list(enumerate_terms(TRIANGLE, 7))
+
+
+def test_kernel_agrees_on_the_triangle_sweep():
+    assert check_kernel(SWEEP, TRIANGLE) > len(SWEEP)
+
+
+def _lam_terms():
+    """Nested xi/mu/nu formers, dressed and bare, some unresolvable."""
+    al, be = Atom("al"), Atom("be")
+    bodies = [al, Sym(al), Trans(al, be), Trans(al, Sym(al)), Refl(Object(0, "n")), Refl(Object(0, "z"))]
+    out = []
+    for body in bodies:
+        inner = [Xi("v", body), Mu("m", body), Nu(body, "n"), Mu("z", body), Nu(body, "k")]
+        out += inner
+        for former in inner:
+            out += [Xi("w", former), Mu("n", former), Nu(former, "m"), Sym(former)]
+            out += [Trans(former, Sym(former)), Trans(Sym(former), former), Trans(former, former)]
+    return out
+
+
+def test_kernel_agrees_on_congruence_formers():
+    terms = _lam_terms()
+    check_kernel(terms, LAM)
+    raised = {outcome(endpoints, t, LAM)[1] for t in terms if outcome(endpoints, t, LAM)[0] == "raise"}
+    assert raised == {UnresolvedLambda, EndpointMismatch}
+
+
+def _lifted_terms():
+    """Level-2 and level-3 terms lifted as the groupoid law sampler lifts them."""
+    rng = random.Random(7)
+    out = []
+    for u in SWEEP[::97]:
+        lifted, _ = _lift_from(u, TRIANGLE, rng)
+        out += [lifted, Sym(lifted), Trans(lifted, Sym(lifted))]
+    out += [_random_term_at_level(TRIANGLE, lv, rng) for lv in (2, 3) for _ in range(10)]
+    return out
+
+
+def test_kernel_agrees_on_lifted_terms():
+    terms = _lifted_terms()
+    assert {level(t) for t in terms} == {2, 3}
+    check_kernel(terms, TRIANGLE)
+
+
+def test_kernel_agrees_on_ill_formed_trees():
+    leaves = [Atom("r"), Atom("s"), Atom("zap"), Refl(Object(0, "a")), Refl(Object(0, "q"))]
+    trees = list(raw_trees(leaves, 5))
+    check_kernel(trees, TRIANGLE)
+    kinds = {outcome(endpoints, t, TRIANGLE)[1] for t in trees}
+    assert {UnknownAtom, UnknownElement, EndpointMismatch} <= kinds
+
+
+NON_TERMS = [42, "r", None, Object(0, "a"), PVar("r")]
+
+
+@pytest.mark.parametrize("bad", NON_TERMS, ids=repr)
+def test_kernel_rejects_non_terms_alike(bad):
+    for t in (bad, Sym(bad), Trans(Atom("r"), bad), Trans(Sym(bad), Atom("r")), Xi("v", bad)):
+        assert_same(level, ref_level, t)
+        assert_same(endpoints, ref_endpoints, t, TRIANGLE)
+        assert_same(word, ref_word, t, TRIANGLE)
+        assert path_children(t) == ref_path_children(t)
+        for i in (0, 1, -1, 2):
+            assert_same(with_child, ref_with_child, t, i, Atom("r"))
+    assert outcome(endpoints, bad, TRIANGLE)[1] is TypeError
+
+
+def test_endpoints_keeps_the_caller_position_prefix():
+    bad = Trans(Atom("r"), Trans(Atom("r"), Atom("r")))
+    assert_same(endpoints, ref_endpoints, bad, TRIANGLE, (1, 0))
+    assert outcome(endpoints, bad, TRIANGLE, (1, 0))[3] == (1, 0, 1)
+
+
+def test_endpoints_folds_long_chains_without_recursion():
+    rho_b, r = Refl(Object(0, "b")), Atom("r")
+    left, right, syms = r, r, r
+    for _ in range(5000):
+        left, right, syms = Trans(left, rho_b), Trans(Refl(Object(0, "a")), right), Sym(Sym(syms))
+    for t in (left, right, syms):
+        assert endpoints(t, TRIANGLE) == (Object(0, "a"), Object(0, "b"))
+    with pytest.raises(EndpointMismatch) as exc:
+        endpoints(Trans(left, r), TRIANGLE)
+    assert exc.value.position == ()
+
+
+def _templates():
+    for schema in GROUPOID_COMPLETE.schemas:
+        yield schema, schema.rhs
+        for _, _, _, template in schema.witness:
+            yield schema, template
+
+
+def test_build_template_agrees_on_sweep_redexes():
+    built = 0
+    for t in SWEEP[::3]:
+        for node in subterms(t):
+            for schema, template in _templates():
+                binding = schema.match(node)
+                if binding is not None:
+                    assert_same(build_template, ref_build_template, template, binding, TRIANGLE)
+                    built += 1
+    assert built > 1000
+
+
+def test_build_template_rejects_alike():
+    bad = Trans(Atom("r"), Atom("r"))
+    for template in (RReflAtSource("x"), RReflAtTarget("x"), PTrans(PVar("x"), RReflAtTarget("x"))):
+        assert_same(build_template, ref_build_template, template, {"x": bad}, TRIANGLE)
+        assert_same(build_template, ref_build_template, template, {}, TRIANGLE)
+    for template in (Atom("r"), "x", None, PSym(42)):
+        assert_same(build_template, ref_build_template, template, {"x": Atom("r")}, TRIANGLE)
+
+
+RULE_NAMES = ["tt", "tt1", "tt2", "tt3", "st", "st2", "TT", "t t", "", "2", "ttx2", "tté", "nope", "nope2"]
+
+
+@pytest.mark.parametrize("rs", [PAPER7, GROUPOID_COMPLETE], ids=lambda rs: rs.name)
+def test_find_resolves_and_rejects_as_before(rs):
+    """A memoized success changes neither later results nor any error."""
+    for _ in range(2):
+        for name, lv in itertools.product(RULE_NAMES, (1, 2, 3)):
+            assert_same(rs.find, lambda n, v: ref_find(rs, n, v), name, lv)
+

@@ -9,13 +9,17 @@ from hypothesis import given
 from pathrw.engine import (
     Equal,
     canonical_derivation,
+    derivation_to_path,
     contract_once,
     decide_rw_equal,
     normalize,
     replay_derivation,
 )
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, match_redexes
+from pathrw.errors import PathRwError
 from pathrw.oracle import (
+    Letter,
+    ReducedWord,
     check_confluence,
     enumerate_terms,
     oracle_equal,
@@ -139,6 +143,50 @@ def test_nu_former_is_its_own_generator():
 def test_former_with_trivial_body_is_not_trivial():
     t = Mu("m", Refl(el("n")))
     assert word(t, _LAM_CTX).letters != ()
+
+
+def _round_trips(t, ctx):
+    """read_back(word(t)) has the word of t; returns the generator kinds seen."""
+    w = word(t, ctx)
+    back = read_back(w)
+    assert word(back, ctx) == w, t
+    return {(letter.gen[0], letter.orient) for letter in w.letters}
+
+
+def test_former_words_read_back_to_the_same_word():
+    al, be = Atom("al"), Atom("be")
+    formers = [
+        Xi("v", al),
+        Mu("m", Trans(al, be)),
+        Nu(Sym(al), "n"),
+        Nu(Trans(al, Trans(be, Sym(be))), "k"),
+        Mu("m", Xi("v", al)),
+        Xi("w", Nu(al, "m")),
+    ]
+    kinds = set()
+    for f in formers:
+        for t in (f, Sym(f), Sym(Sym(f)), Trans(f, Sym(f)), Trans(Sym(f), f)):
+            kinds |= _round_trips(t, _LAM_CTX)
+    assert kinds == {(kind, orient) for kind in ("xi", "mu", "nu") for orient in (1, -1)}
+
+
+def test_step_words_read_back_to_the_same_word(ctx_rs):
+    """Level-2 terms: recorded steps, forward and reversed, are the letters."""
+    kinds = set()
+    for t in list(enumerate_terms(ctx_rs, 5))[::7]:
+        d = canonical_derivation(t, PAPER7, ctx_rs)
+        if d.steps:
+            p = derivation_to_path(d)
+            for u in (p, Sym(p), Trans(p, Sym(p)), Trans(Sym(p), Refl(Object(1, t)))):
+                kinds |= _round_trips(u, ctx_rs)
+    assert kinds == {("step", 1), ("step", -1)}
+
+
+@pytest.mark.parametrize("gen", [("bogus", "r"), ("atom", 5), ("xi", "v"), ("nu", 1, Atom("r")), ("step",), (), "atom"])
+def test_read_back_rejects_unreadable_keys(gen):
+    base = Object(0, "a")
+    with pytest.raises(PathRwError, match="^unreadable generator key: "):
+        read_back(ReducedWord(base, (Letter(gen, 1, base, base),)))
 
 
 # --- enumeration -------------------------------------------------------------
