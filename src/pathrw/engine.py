@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .errors import ChainMismatch, LevelMismatch, NoRedex, PathRwError
 from .terms import (
     Context,
+    Mu,
+    Nu,
     Object,
     PathTerm,
     Position,
@@ -28,6 +30,7 @@ from .terms import (
     StepAtom,
     Sym,
     Trans,
+    Xi,
     endpoints,
     format_term,
     level,
@@ -99,19 +102,12 @@ def contract_once(
     t: PathTerm, rule: str, pos: Position, rs: RuleSet, ctx: Context
 ) -> tuple[PathTerm, RewriteStep]:
     """Apply ``rule`` at ``pos`` in ``t``; returns the contractum and the step."""
-    schema, after = _contract(t, rule, pos, rs, ctx)
-    return after, RewriteStep(schema.display_name, pos, FORWARD, t, after, schema.level)
-
-
-def _contract(
-    t: PathTerm, rule: str, pos: Position, rs: RuleSet, ctx: Context
-) -> tuple[RuleSchema, PathTerm]:
-    """The schema ``rule`` names at ``t``'s level, and its contractum at ``pos`` in ``t``."""
     schema = rs.find(rule, level(t))
     binding = schema.match(subterm_at(t, pos))
     if binding is None:
         raise NoRedex(f"rule '{rule}' does not match at position {pos}")
-    return schema, replace_at(t, pos, build_template(schema.rhs, binding, ctx))
+    after = replace_at(t, pos, build_template(schema.rhs, binding, ctx))
+    return after, RewriteStep(schema.display_name, pos, FORWARD, t, after, schema.level)
 
 
 def normalize(
@@ -175,21 +171,55 @@ def derivation_to_path(d: Derivation) -> PathTerm:
 
 
 def replay_derivation(d: Derivation, rs: RuleSet, ctx: Context) -> bool:
-    """True iff every step is a legal contraction where recorded and the chain links."""
+    """True iff every step is a legal contraction where recorded and the chain links.
+
+    A check builds no term but the rule's right-hand side: it walks the redex
+    side and the produced side down the position together. Replay returns
+    False at the first step that does not link to the one before or is at
+    another level, whose direction is neither forward nor reverse, whose rule
+    is unknown or pinned to another level, that has no subterm at its
+    position, or where the rule does not match or produces another subterm.
+    """
     cur = d.start
     for step in d.steps:
-        if step.level != d.level or step.before != cur:
-            return False
-        redex_side = step.before if step.direction == FORWARD else step.after
-        produced = step.after if step.direction == FORWARD else step.before
-        try:
-            _, out = _contract(redex_side, step.rule, step.position, rs, ctx)
-        except PathRwError:
-            return False
-        if out != produced:
+        if step.level != d.level or step.before != cur or not _replays(step, rs, ctx):
             return False
         cur = step.after
     return True
+
+
+def _replays(step: RewriteStep, rs: RuleSet, ctx: Context) -> bool:
+    """``replace_at(redex, pos, contractum) == produced``, without building the left side."""
+    if step.direction not in (FORWARD, REVERSE):
+        return False
+    redex, produced = (step.before, step.after) if step.direction == FORWARD else (step.after, step.before)
+    try:
+        schema = rs.find(step.rule, level(redex))
+    except PathRwError:
+        return False
+    for i in step.position:  # same class, same label, equal children off the path
+        tp = type(redex)
+        if tp is not type(produced) or i < 0:
+            return False
+        if tp is Trans and i < 2:
+            off, off2 = (redex.right, produced.right) if i == 0 else (redex.left, produced.left)
+            if off is not off2 and off != off2:
+                return False
+            redex, produced = (redex.left, produced.left) if i == 0 else (redex.right, produced.right)
+        elif i == 0 and (
+            tp is Sym
+            or tp is Xi and redex.var == produced.var
+            or tp is Mu and redex.func == produced.func
+            or tp is Nu and redex.arg == produced.arg
+        ):
+            redex, produced = redex.body, produced.body
+        else:
+            return False
+    binding = schema.match(redex)
+    try:
+        return binding is not None and build_template(schema.rhs, binding, ctx) == produced
+    except PathRwError:
+        return False
 
 
 def decide_rw_equal(s: PathTerm, t: PathTerm, rs: RuleSet, ctx: Context) -> Equal | NotEqual:

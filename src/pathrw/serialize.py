@@ -15,7 +15,7 @@ from typing import Any, Callable
 from .engine import Derivation, RewriteStep, replay_derivation
 from .errors import PathRwError
 from .lam import format_lambda
-from .rules import rule_set
+from .rules import FORWARD, REVERSE, rule_set
 from .script import parse_lambda_expr, parse_path_expr
 from .terms import Context, PathTerm, StepAtom, format_term, path_children
 
@@ -127,6 +127,13 @@ def _position(entry: dict[str, Any], where: str) -> tuple[int, ...]:
     return tuple(position)
 
 
+def _direction(entry: dict[str, Any], where: str) -> str:
+    direction = _require(entry, "direction", where, str)
+    if direction not in (FORWARD, REVERSE):
+        raise PathRwError(f"{where} 'direction' must be '{FORWARD}' or '{REVERSE}', not {direction!r}")
+    return direction
+
+
 def derivation_from_doc(doc: dict[str, Any]) -> tuple[Derivation, Context, str]:
     return _read_doc(doc)[:3]
 
@@ -147,7 +154,7 @@ def _read_doc(doc: dict[str, Any]) -> tuple[Derivation, Context, str, Callable[[
         RewriteStep(
             rule=_require(entry, "rule", f"step {i}", str),
             position=_position(entry, f"step {i}"),
-            direction=_require(entry, "direction", f"step {i}", str),
+            direction=_direction(entry, f"step {i}"),
             before=parse(_require(entry, "before", f"step {i}", str)),
             after=parse(_require(entry, "after", f"step {i}", str)),
             level=lv,

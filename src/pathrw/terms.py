@@ -196,7 +196,7 @@ def path_children(t: PathTerm) -> tuple[PathTerm, ...]:
 def subterm_at(t: PathTerm, pos: Position) -> PathTerm:
     for i in pos:
         children = path_children(t)
-        if i >= len(children):
+        if not 0 <= i < len(children):
             raise PathRwError(f"no subterm at position {fmt_position(pos)}")
         t = children[i]
     return t

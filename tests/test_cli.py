@@ -8,10 +8,10 @@ import re
 import pytest
 
 from pathrw.cli import main
-from pathrw.engine import normalize
+from pathrw.engine import invert_derivation, normalize
 from pathrw.errors import PathRwError
 from pathrw.rules import PAPER7
-from pathrw.script import parse_script
+from pathrw.script import parse_path_expr, parse_script
 from pathrw.serialize import (
     derivation_from_doc,
     derivation_to_doc,
@@ -139,6 +139,17 @@ def test_document_missing_keys_are_input_errors(script_file, capsys):
             replay_document(bad)
     del doc["steps"][1]["after"]
     with pytest.raises(PathRwError, match="step 1 has no 'after'"):
+        replay_document(doc)
+
+
+def test_document_with_an_unknown_direction_is_an_input_error():
+    script = parse_script(EXAMPLE)
+    _, d = normalize(parse_path_expr("tau(r, rho(b))", script.context), PAPER7, script.context)
+    doc = derivation_to_doc(invert_derivation(d), script.context, "paper7")
+    assert doc["steps"][0]["direction"] == "reverse" and replay_document(doc)
+    doc["steps"][0]["direction"] = "sideways"
+    message = "step 0 'direction' must be 'forward' or 'reverse', not 'sideways'"
+    with pytest.raises(PathRwError, match=re.escape(message)):
         replay_document(doc)
 
 

@@ -3,6 +3,7 @@ witnesses, derivation algebra, lifting, and replay."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -314,6 +315,27 @@ def test_replay_rejects_corrupted_position(ctx_r):
     step = d.steps[0]
     bad = Derivation(d.start, (RewriteStep(step.rule, (0,), step.direction, step.before, step.after, step.level),), 1)
     assert not replay_derivation(bad, PAPER7, ctx_r)
+
+
+def test_negative_positions_are_rejected_not_indexed(ctx_r):
+    t = Trans(Atom("r"), Refl(el("b")))
+    with pytest.raises(PathRwError, match=r"no subterm at position"):
+        contract_once(t, "trr", (-1,), PAPER7, ctx_r)
+    _, d = normalize(Trans(Trans(Atom("r"), Refl(el("b"))), Refl(el("b"))), PAPER7, ctx_r)
+    assert [(step.rule, step.position) for step in d.steps] == [("trr", (0,)), ("trr", ())]
+    assert replay_derivation(d, PAPER7, ctx_r)
+    for pos in ((-1,), (0, -1), (-1, 0)):
+        step = dataclasses.replace(d.steps[0], position=pos)
+        assert not replay_derivation(Derivation(d.start, (step,), 1), PAPER7, ctx_r)
+
+
+def test_replay_rejects_an_unknown_direction(ctx_r):
+    _, d = normalize(Trans(Atom("r"), Refl(el("b"))), PAPER7, ctx_r)
+    inv = invert_derivation(d)
+    assert inv.steps[0].direction == "reverse" and replay_derivation(inv, PAPER7, ctx_r)
+    for direction in ("sideways", "Reverse", ""):
+        bad = Derivation(inv.start, (dataclasses.replace(inv.steps[0], direction=direction),), 1)
+        assert not replay_derivation(bad, PAPER7, ctx_r)
 
 
 def test_replay_rejects_wrong_rule_set(ctx_rs):

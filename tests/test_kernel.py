@@ -5,15 +5,21 @@ The references below are the kernel as it was written with structural
 exact type, and ``endpoints`` folds Sym and Trans on an explicit stack. On
 every term set here both must return equal results, and raise the same error
 type with the same text and position.
+
+Two more references cover the rewrite kernel: candidate schemas chosen by the
+root class alone, against the shape index, and replay that contracts the redex
+side and compares the whole result, against replay that builds no spine.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from pathrw.engine import Derivation, contract_once, decide_rw_equal, normalize, replay_derivation
 from pathrw.errors import (
     EndpointMismatch,
     PathRwError,
@@ -26,6 +32,7 @@ from pathrw.groupoid import _lift_from, _random_term_at_level
 from pathrw.lam import Abs, App, Var
 from pathrw.oracle import Letter, ReducedWord, _concat, _reverse, enumerate_terms, read_back, word
 from pathrw.rules import (
+    FORWARD,
     GROUPOID_COMPLETE,
     PAPER7,
     PRefl,
@@ -36,6 +43,7 @@ from pathrw.rules import (
     RReflAtTarget,
     build_template,
     instantiate_at_level,
+    match_redexes,
 )
 from pathrw.terms import (
     Atom,
@@ -52,6 +60,8 @@ from pathrw.terms import (
     endpoints,
     level,
     path_children,
+    replace_at,
+    subterm_at,
     with_child,
 )
 
@@ -395,3 +405,221 @@ def test_find_resolves_and_rejects_as_before(rs):
         for name, lv in itertools.product(RULE_NAMES, (1, 2, 3)):
             assert_same(rs.find, lambda n, v: ref_find(rs, n, v), name, lv)
 
+
+
+# --- references: root-class candidates and replay by rebuilding ------------------
+
+
+def ref_pattern_head(pattern):
+    match pattern:
+        case PSym():
+            return Sym
+        case PTrans():
+            return Trans
+        case PRefl():
+            return Refl
+        case _:
+            return None
+
+
+_BY_HEAD: dict = {}
+
+
+def ref_by_head(rs, lv):
+    """Per level, the schemas that can match at each root class (None: any other)."""
+    if (rs.name, lv) not in _BY_HEAD:
+        schemas = tuple(instantiate_at_level(s, lv) for s in rs.schemas)
+        _BY_HEAD[rs.name, lv] = {
+            head: tuple(s for s in schemas if ref_pattern_head(s.lhs) in (head, None))
+            for head in (Sym, Trans, Refl, None)
+        }
+    return _BY_HEAD[rs.name, lv]
+
+
+def ref_first_match(rs, node, lv):
+    by_head = ref_by_head(rs, lv)
+    for schema in by_head.get(type(node), by_head[None]):
+        binding = schema.match(node)
+        if binding is not None:
+            return schema, binding
+    return None
+
+
+def ref_match_redexes(rs, t):
+    by_head = ref_by_head(rs, level(t))
+    found = []
+
+    def walk(node, pos):
+        for i, child in enumerate(ref_path_children(node)):
+            walk(child, pos + (i,))
+        for schema in by_head.get(type(node), by_head[None]):
+            if schema.match(node) is not None:
+                found.append((schema.display_name, pos))
+
+    walk(t, ())
+    return found
+
+
+def ref_replay(d, rs, ctx):
+    """Replay that contracts the redex side and compares the whole result."""
+    cur = d.start
+    for step in d.steps:
+        if step.level != d.level or step.before != cur:
+            return False
+        redex_side = step.before if step.direction == FORWARD else step.after
+        produced = step.after if step.direction == FORWARD else step.before
+        try:
+            out, _ = contract_once(redex_side, step.rule, step.position, rs, ctx)
+        except PathRwError:
+            return False
+        if out != produced:
+            return False
+        cur = step.after
+    return True
+
+
+# --- the shape index ----------------------------------------------------------------
+
+
+def check_candidates(terms, lift=0):
+    """``first_match`` and ``match_redexes`` agree with the root-class references."""
+    nodes = 0
+    for t in terms:
+        lv = level(t)
+        for rs in (PAPER7, GROUPOID_COMPLETE):
+            assert match_redexes(rs, t) == ref_match_redexes(rs, t)
+            for node in subterms(t):
+                for at in (lv, lv + lift):
+                    assert rs.first_match(node, at) == ref_first_match(rs, node, at)
+                nodes += 1
+    return nodes
+
+
+def test_shape_index_agrees_on_the_triangle_sweep():
+    assert check_candidates(SWEEP) > 2 * len(SWEEP)
+
+
+def test_shape_index_agrees_on_congruence_formers():
+    check_candidates(_lam_terms(), lift=1)
+
+
+def test_shape_index_agrees_on_lifted_terms():
+    check_candidates(_lifted_terms(), lift=1)
+
+
+def test_shape_index_prunes_by_children():
+    index = PAPER7._at_level(1)[1]
+    assert index[Trans, Atom, Atom] == ()
+    assert [s.name for s in index[Trans, Trans, Refl]] == ["trr", "tt"]
+    assert [s.name for s in index[Sym, Sym]] == ["ss"]
+    assert [s.name for s in GROUPOID_COMPLETE._at_level(2)[1][Sym, Trans]] == ["st"]
+    assert index[Atom] == index[Refl] == ()
+
+
+# --- replay without rebuilding ------------------------------------------------------
+
+
+def _copy(t):
+    """An equal term that shares no node with ``t``."""
+    children = ref_path_children(t)
+    for i, child in enumerate(children):
+        t = ref_with_child(t, i, _copy(child))
+    return t if children else dataclasses.replace(t)
+
+
+def _retyped(node):
+    """A node of another class that keeps the first path child."""
+    match node:
+        case Trans(left, _):
+            return Mu("m", left)
+        case Sym(body):
+            return Xi("v", body)
+        case Xi(var, body):
+            return Mu(var, body)
+        case Mu(func, body):
+            return Nu(body, func)
+        case Nu(body, arg):
+            return Sym(body)
+    return Sym(node)
+
+
+def _relabelled(node):
+    match node:
+        case Xi(var, body):
+            return Xi(var + "'", body)
+        case Mu(func, body):
+            return Mu(func + "'", body)
+        case Nu(body, arg):
+            return Nu(body, arg + "'")
+    return None
+
+
+def _with_side(step, side, t):
+    """``step`` with its redex side (0) or produced side (1) replaced by ``t``."""
+    forward = step.direction == FORWARD
+    before, after = (t, step.after) if (side == 0) == forward else (step.before, t)
+    return dataclasses.replace(step, before=before, after=after)
+
+
+def _mutants(step):
+    pos, rule = step.position, step.rule
+    for p in {pos[:-1], pos + (0,), pos + (1,), pos + (0,) * 40, pos + (-1,), (-1,) + pos}:
+        yield dataclasses.replace(step, position=p)
+    if pos:
+        for delta in (-1, 1):
+            yield dataclasses.replace(step, position=pos[:-1] + (pos[-1] + delta,))
+        yield dataclasses.replace(step, position=(-1,) + pos[1:])
+    base = rule.rstrip("0123456789")
+    for name in {base, base + "1", base + "2", base + "3", "tt", "st", "sr", "nope"} - {rule}:
+        yield dataclasses.replace(step, rule=name)
+    sides = [step.before, step.after] if step.direction == FORWARD else [step.after, step.before]
+    for k in range(len(pos) + 1):
+        spine = pos[:k]
+        nodes = [subterm_at(t, spine) for t in sides]
+        edits = [_retyped]
+        if k == len(pos):  # the contractum, or the redex
+            edits += [_copy, Sym, lambda node: nodes[1] if node is nodes[0] else nodes[0]]
+        else:
+            edits.append(_relabelled)
+            if type(nodes[0]) is Trans:
+                off = 1 - pos[k]
+                for edit in (_copy, Sym):
+                    edits.append(lambda node, edit=edit: with_child(node, off, edit(path_children(node)[off])))
+        for edit in edits:
+            new = [edit(node) for node in nodes]
+            for side in (0, 1):
+                if new[side] is not None:
+                    yield _with_side(step, side, replace_at(sides[side], spine, new[side]))
+            if None not in new:
+                both = _with_side(step, 0, replace_at(sides[0], spine, new[0]))
+                yield _with_side(both, 1, replace_at(sides[1], spine, new[1]))
+
+
+def _witnesses():
+    """(derivation, rule set, context): normal-form traces and decision witnesses."""
+    rng = random.Random(11)
+    cases = [(t, TRIANGLE) for t in rng.sample(SWEEP, 40)]
+    cases += [(t, LAM) for t in _lam_terms() if outcome(endpoints, t, LAM)[0] == "ok"]
+    cases += [(t, TRIANGLE) for t in _lifted_terms()[::3]]
+    for t, ctx in cases:
+        for rs in (PAPER7, GROUPOID_COMPLETE):
+            nf, d = normalize(t, rs, ctx)
+            yield d, rs, ctx
+            verdict = decide_rw_equal(nf, t, rs, ctx)
+            yield verdict.witness, rs, ctx
+
+
+def test_replay_agrees_with_rebuilding_on_mutated_witnesses():
+    verdicts = {True: 0, False: 0}
+    kinds = set()
+    for d, rs, ctx in _witnesses():
+        assert replay_derivation(d, rs, ctx) and ref_replay(d, rs, ctx)
+        for step in d.steps:
+            kinds.update(type(subterm_at(step.before, step.position[:k])) for k in range(len(step.position)))
+            for mutant in _mutants(step):
+                one = Derivation(mutant.before, (mutant,), d.level)
+                got = outcome(replay_derivation, one, rs, ctx)
+                assert got == outcome(ref_replay, one, rs, ctx), mutant
+                verdicts[got[1]] += 1
+    assert {Trans, Sym, Xi, Mu, Nu} <= kinds
+    assert verdicts[True] > 1000 and verdicts[False] > 1000

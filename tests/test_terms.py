@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from pathrw.errors import ContextError, EndpointMismatch, UnknownAtom
+from pathrw.errors import ContextError, EndpointMismatch, PathRwError, UnknownAtom
 from pathrw.lam import Abs, Var
 from pathrw.oracle import enumerate_terms
 from pathrw.terms import (
@@ -98,6 +98,15 @@ def test_positions_round_trip(ctx_rs):
     swapped = replace_at(t, (1, 0), Sym(Sym(Atom("r"))))
     assert subterm_at(swapped, (1, 0)) == Sym(Sym(Atom("r")))
     assert subterm_at(swapped, (0,)) == Sym(Atom("r"))
+
+
+def test_subterm_at_rejects_negative_indices():
+    t = Trans(Atom("r"), Refl(el("b")))
+    for pos in ((-1,), (0, -1), (1, -1), (2,)):
+        with pytest.raises(PathRwError, match="no subterm at position"):
+            subterm_at(t, pos)
+        with pytest.raises(PathRwError, match="no subterm at position"):
+            replace_at(t, pos, Atom("r"))
 
 
 def test_path_children_leaves():
