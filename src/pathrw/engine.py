@@ -65,14 +65,11 @@ class RewriteStep:
     level: int
 
     def flipped(self) -> RewriteStep:
-        return RewriteStep(
-            self.rule,
-            self.position,
-            REVERSE if self.direction == FORWARD else FORWARD,
-            self.after,
-            self.before,
-            self.level,
-        )
+        """The same step read backwards; a direction other than forward or reverse is an error."""
+        if self.direction not in (FORWARD, REVERSE):
+            raise PathRwError(f"step direction must be '{FORWARD}' or '{REVERSE}', not {self.direction!r}")
+        direction = REVERSE if self.direction == FORWARD else FORWARD
+        return RewriteStep(self.rule, self.position, direction, self.after, self.before, self.level)
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +146,7 @@ def concat_derivations(d1: Derivation, d2: Derivation) -> Derivation:
 
 
 def invert_derivation(d: Derivation) -> Derivation:
-    """The same witness read backwards; every step's direction flips."""
+    """The same witness read backwards; every step's direction flips (see ``RewriteStep.flipped``)."""
     steps = tuple(step.flipped() for step in reversed(d.steps))
     return Derivation(d.end, steps, d.level)
 

@@ -314,9 +314,23 @@ def _here(pos: Position, frames: list) -> Position:
 
 def _former_endpoints(t: Xi | Mu | Nu, tp: type, ctx: Context, pos: Position) -> tuple[Object, Object]:
     f = None if tp is Xi else _applied_lambda(t.func if tp is Mu else t.arg, ctx, pos)
-    src, tgt = endpoints(t.body, ctx, pos + (0,))
-    m = _resolve_lambda(src, ctx, pos)
-    m2 = _resolve_lambda(tgt, ctx, pos)
+    return former_endpoints(t, f, endpoints(t.body, ctx, pos + (0,)), ctx, pos)
+
+
+def former_endpoints(
+    t: Xi | Mu | Nu,
+    f: LambdaTerm | None,
+    body_ends: tuple[Object, Object],
+    ctx: Context,
+    pos: Position = (),
+) -> tuple[Object, Object]:
+    """A congruence former's endpoints, built from its body's without walking the body.
+
+    ``f`` is the lambda value a Mu or Nu applies (None for Xi).
+    """
+    tp = type(t)
+    m = _resolve_lambda(body_ends[0], ctx, pos)
+    m2 = _resolve_lambda(body_ends[1], ctx, pos)
     if tp is Xi:
         return Object(0, Abs(t.var, m)), Object(0, Abs(t.var, m2))
     if tp is Mu:

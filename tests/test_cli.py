@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import random
 import re
 
 import pytest
@@ -239,3 +240,114 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "sigma(rho)" in proc.stdout
+
+
+# -- mutated documents: every failure is a PathRwError ---------------------
+
+TERM_KEYS = ("start", "end")
+STEP_TERM_KEYS = ("before", "after")
+STRAYS = "@!#é1ω-"
+WRONG_VALUES = (5, -1, 1.5, True, None, "x", [], ["x"], {}, {"x": 1})
+
+
+def _documents(tmp_path, capsys):
+    """``equal --json`` and ``normalize --json`` documents, with and without a lambda context."""
+    script = tmp_path / "mixed.pth"
+    script.write_text(
+        EXAMPLE + "type F\nelem m n : F\nlam m := \\x. x\nlam n := \\y. y\nstep al : m = n alpha\n"
+        "path f := xi(v, tau(al, sigma(al)))\npath w2 := rho(a)\n",
+        encoding="utf-8",
+    )
+    runs = [
+        ["equal", str(script), "p", "q"],
+        ["equal", str(script), "w", "w2", "--rules", "groupoid-complete"],
+        ["normalize", str(script), "p"],
+        ["normalize", str(script), "f", "--rules", "groupoid-complete"],
+    ]
+    docs = []
+    for argv in runs:
+        assert main(argv + ["--json"]) == 0
+        docs.append(doc_from_json(capsys.readouterr().out))
+    return docs
+
+
+def _term_slots(doc):
+    """(container, key) of every term string in the document."""
+    slots = [(doc, key) for key in TERM_KEYS]
+    for step in doc["steps"]:
+        slots += [(step, key) for key in STEP_TERM_KEYS]
+    return slots
+
+
+def _mutate_term(text, others, rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return f"truncated at {len(text)}", text[: rng.randrange(len(text) + 1)]
+    if kind == 1:
+        other = rng.choice(others)
+        a, b = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+        c, d = sorted(rng.randrange(len(other) + 1) for _ in range(2))
+        return "spliced", text[:a] + other[c:d] + text[b:]
+    if kind == 2:
+        depth = rng.choice((3, 300, 3000))
+        wrap = rng.choice([("sigma(", ")"), ("tau(", ", rho(a))"), ("tau(rho(a), ", ")"), ("xi(v, ", ")")])
+        return f"nested {depth} deep in {wrap[0]}", wrap[0] * depth + text + wrap[1] * depth
+    k = rng.randrange(len(text) + 1)
+    return "stray character", text[:k] + rng.choice(STRAYS) + text[k:]
+
+
+def _containers(doc):
+    """Every JSON object in the document, with a name for it."""
+    found, stack = [], [("document", doc)]
+    while stack:
+        name, node = stack.pop()
+        if isinstance(node, dict):
+            found.append((name, node))
+            stack += [(f"{name}.{key}", value) for key, value in node.items()]
+        elif isinstance(node, list):
+            stack += [(f"{name}[{i}]", value) for i, value in enumerate(node)]
+    return found
+
+
+def _mutant(doc, rng):
+    """A deep copy of ``doc`` with one seeded mutation, and a description of it."""
+    doc = copy.deepcopy(doc)
+    kind = rng.randrange(5)
+    if kind == 0 or not doc["steps"]:
+        container, key = rng.choice(_term_slots(doc))
+        others = [c[k] for c, k in _term_slots(doc)]
+        what, container[key] = _mutate_term(container[key], others, rng)
+        return doc, f"{key}: {what}"
+    if kind == 1:
+        name, container = rng.choice(_containers(doc))
+        key = rng.choice(sorted(container))
+        container[key] = rng.choice(WRONG_VALUES)
+        return doc, f"{name}.{key} = {container[key]!r}"
+    if kind == 2:
+        name, container = rng.choice([c for c in _containers(doc) if c[1]])
+        key = rng.choice(sorted(container))
+        del container[key]
+        return doc, f"{name} without {key}"
+    step = rng.choice(doc["steps"])
+    if kind == 3:
+        step["direction"] = rng.choice(("sideways", "", "FORWARD", "reverse ", "forward\n"))
+        return doc, f"direction {step['direction']!r}"
+    step["position"] = step["position"] + [rng.choice((-1, -2, 0, 1, 7))]
+    step["position"][rng.randrange(len(step["position"]))] *= -1
+    return doc, f"position {step['position']}"
+
+
+def test_mutated_documents_raise_only_path_errors(tmp_path, capsys):
+    docs = _documents(tmp_path, capsys)
+    for doc in docs:
+        assert replay_document(doc)
+    rng = random.Random(20)
+    for _ in range(1500):
+        bad, what = _mutant(rng.choice(docs), rng)
+        for read in (replay_document, derivation_from_doc):
+            try:
+                read(bad)
+            except PathRwError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the gate reports any other class
+                pytest.fail(f"{read.__name__} on a document with {what}: {type(exc).__name__}: {exc}")

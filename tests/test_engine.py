@@ -338,6 +338,21 @@ def test_replay_rejects_an_unknown_direction(ctx_r):
         assert not replay_derivation(bad, PAPER7, ctx_r)
 
 
+def test_flipping_a_step_with_an_unknown_direction_is_an_error(ctx_r):
+    _, d = normalize(Trans(Atom("r"), Refl(el("b"))), PAPER7, ctx_r)
+    step = d.steps[0]
+    assert (step.rule, step.direction) == ("trr", "forward")
+    assert step.flipped() == RewriteStep("trr", (), "reverse", step.after, step.before, 1)
+    assert step.flipped().flipped() == step
+    assert derivation_to_path(invert_derivation(d)) == Sym(StepAtom(step))
+    sideways = dataclasses.replace(step, direction="sideways")
+    message = "step direction must be 'forward' or 'reverse', not 'sideways'"
+    for build in (sideways.flipped, lambda: invert_derivation(Derivation(d.start, (sideways,), 1)),
+                  lambda: derivation_to_path(Derivation(d.start, (sideways,), 1))):
+        with pytest.raises(PathRwError, match=message):
+            build()
+
+
 def test_replay_rejects_wrong_rule_set(ctx_rs):
     t = Sym(Trans(Atom("r"), Atom("s")))
     d = canonical_derivation(t, GROUPOID_COMPLETE, ctx_rs)
