@@ -7,147 +7,27 @@ witnesses, and verifies the weak category/groupoid laws at every level of
 the tower of paths-between-paths.
 """
 
+from types import ModuleType as _ModuleType
+
 from .engine import (
-    Derivation,
-    Equal,
-    NotEqual,
-    RewriteStep,
-    canonical_derivation,
-    concat_derivations,
-    contract_once,
-    decide_rw_equal,
-    derivation_to_path,
-    invert_derivation,
-    mu_measure,
-    normalize,
-    replay_derivation,
+    Derivation, Equal, NotEqual, RewriteStep, canonical_derivation, concat_derivations, contract_once,
+    decide_rw_equal, derivation_to_path, invert_derivation, mu_measure, normalize, replay_derivation,
 )
 from .errors import PathRwError
-from .groupoid import (
-    LawReport,
-    LawSuiteReport,
-    check_assoc,
-    check_inverses,
-    check_units,
-    compose,
-    run_laws,
-)
+from .groupoid import LawReport, LawSuiteReport, check_assoc, check_inverses, check_units, compose, run_laws
 from .lam import Abs, App, LambdaTerm, Var, alpha_eq, substitute, validate_axiom_atom
-from .oracle import (
-    Peak,
-    ReducedWord,
-    check_confluence,
-    enumerate_terms,
-    oracle_equal,
-    read_back,
-    word,
-)
+from .oracle import Peak, ReducedWord, check_confluence, enumerate_terms, oracle_equal, read_back, word
 from .rules import (
-    GROUPOID_COMPLETE,
-    PAPER7,
-    RuleSchema,
-    RuleSet,
-    explain_rule,
-    instantiate_at_level,
-    match_redexes,
-    rule_set,
+    GROUPOID_COMPLETE, PAPER7, RuleSchema, RuleSet, explain_rule, instantiate_at_level, match_redexes, rule_set,
 )
 from .script import Script, parse_lambda_expr, parse_path_expr, parse_script
 from .serialize import derivation_from_doc, derivation_to_doc, replay_document
 from .terms import (
-    Atom,
-    AtomDecl,
-    Context,
-    Mu,
-    Nu,
-    Object,
-    PathTerm,
-    Refl,
-    StepAtom,
-    Sym,
-    Trans,
-    WellFormednessReport,
-    Xi,
-    element_obj,
-    endpoints,
-    format_term,
-    level,
-    path_obj,
-    size,
-    validate,
+    Atom, AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, StepAtom, Sym, Trans, WellFormednessReport, Xi,
+    element_obj, endpoints, format_term, level, path_obj, size, validate,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Abs",
-    "App",
-    "Atom",
-    "AtomDecl",
-    "Context",
-    "Derivation",
-    "Equal",
-    "GROUPOID_COMPLETE",
-    "LambdaTerm",
-    "LawReport",
-    "LawSuiteReport",
-    "Mu",
-    "NotEqual",
-    "Nu",
-    "Object",
-    "PAPER7",
-    "PathRwError",
-    "PathTerm",
-    "Peak",
-    "ReducedWord",
-    "Refl",
-    "RewriteStep",
-    "RuleSchema",
-    "RuleSet",
-    "Script",
-    "StepAtom",
-    "Sym",
-    "Trans",
-    "Var",
-    "WellFormednessReport",
-    "Xi",
-    "alpha_eq",
-    "canonical_derivation",
-    "check_assoc",
-    "check_confluence",
-    "check_inverses",
-    "check_units",
-    "compose",
-    "concat_derivations",
-    "contract_once",
-    "decide_rw_equal",
-    "derivation_from_doc",
-    "derivation_to_doc",
-    "derivation_to_path",
-    "element_obj",
-    "endpoints",
-    "enumerate_terms",
-    "explain_rule",
-    "format_term",
-    "instantiate_at_level",
-    "invert_derivation",
-    "level",
-    "match_redexes",
-    "mu_measure",
-    "normalize",
-    "oracle_equal",
-    "parse_lambda_expr",
-    "parse_path_expr",
-    "parse_script",
-    "path_obj",
-    "read_back",
-    "replay_derivation",
-    "replay_document",
-    "rule_set",
-    "run_laws",
-    "size",
-    "substitute",
-    "validate",
-    "validate_axiom_atom",
-    "word",
-]
+# Everything imported above, so the list cannot drift from the imports.
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType))

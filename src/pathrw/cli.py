@@ -189,13 +189,8 @@ def _cmd_oracle(args) -> int:
     script = _load(args.file)
     term = _named_path(script, args.path)
     w = word(term, script.context)
-    if not w.letters:
-        rendered = "(empty)"
-    else:
-        rendered = " ".join(
-            _letter_text(letter.gen) + ("" if letter.orient == 1 else "^-1")
-            for letter in w.letters
-        )
+    letters = (_letter_text(x.gen) + ("" if x.orient == 1 else "^-1") for x in w.letters)
+    rendered = " ".join(letters) or "(empty)"
     print(f"word:   {rendered}")
     print(f"source: {format_object(w.source)}")
     print(f"target: {format_object(w.target)}")

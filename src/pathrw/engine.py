@@ -34,7 +34,6 @@ from .terms import (
     endpoints,
     format_term,
     level,
-    path_children,
     replace_at,
     subterm_at,
 )
@@ -120,20 +119,22 @@ def normalize(
 
 
 def mu_measure(t: PathTerm) -> tuple[int, int]:
-    """Termination measure: (size, total size of left factors of compositions)."""
+    """Termination measure: (size, total size of left factors of compositions).
 
-    def go(node: PathTerm) -> tuple[int, int]:
-        if isinstance(node, Trans):
-            left_size, left_weight = go(node.left)
-            right_size, right_weight = go(node.right)
-            return 1 + left_size + right_size, left_weight + right_weight + left_size
-        children = path_children(node)
-        if not children:
-            return 1, 0
-        body_size, body_weight = go(children[0])
-        return 1 + body_size, body_weight
-
-    return go(t)
+    A node counts once per composition whose left factor holds it: one pre-order walk counts both.
+    """
+    count = weight = 0
+    stack = [(t, 0)]
+    while stack:
+        node, lefts = stack.pop()
+        count += 1
+        weight += lefts
+        tp = type(node)
+        if tp is Trans:
+            stack += ((node.right, lefts), (node.left, lefts + 1))
+        elif tp is Sym or tp is Xi or tp is Mu or tp is Nu:
+            stack.append((node.body, lefts))
+    return count, weight
 
 
 def concat_derivations(d1: Derivation, d2: Derivation) -> Derivation:
@@ -230,7 +231,7 @@ def decide_rw_equal(s: PathTerm, t: PathTerm, rs: RuleSet, ctx: Context) -> Equa
     if level(s) != level(t):
         raise LevelMismatch(f"levels differ: {level(s)} != {level(t)}")
     ends_s = endpoints(s, ctx)
-    ends_t = endpoints(t, ctx)
+    ends_t = ends_s if t is s else endpoints(t, ctx)
     if ends_s != ends_t:
         return NotEqual("endpoint mismatch")
     if s == t:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import EndpointMismatch, LevelMismatch
+from .errors import EndpointMismatch, LevelMismatch, PathRwError
 from .engine import (
     Derivation,
     concat_derivations,
@@ -117,6 +117,8 @@ def _require_level(terms: tuple[PathTerm, ...], lv: int) -> None:
 
 def run_laws(ctx: Context, lv: int, samples: int, seed: int) -> LawSuiteReport:
     """Run the five law checks on ``samples`` random composable tuples."""
+    if lv < 1:
+        raise PathRwError("levels start at 1")
     rng = random.Random(seed)
     reports: list[LawReport] = []
     for _ in range(samples):

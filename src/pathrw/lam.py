@@ -104,22 +104,35 @@ def alpha_eq(m: LambdaTerm, n: LambdaTerm) -> bool:
     return go(m, n, {}, {}, 0)
 
 
+class Text(str):
+    """Literal output on a formatter's stack, told apart from the terms still to render."""
+
+
+_OPEN, _CLOSE, _SPACE, _SPACE_OPEN = Text("("), Text(")"), Text(" "), Text(" (")
+
+
 def format_lambda(t: LambdaTerm) -> str:
-    """Render a term in the script syntax: ``\\x. M``, application by juxtaposition."""
-    match t:
-        case Var(name):
-            return name
-        case Abs(var, body):
-            return f"\\{var}. {format_lambda(body)}"
-        case App(func, arg):
-            func_s = format_lambda(func)
-            if isinstance(func, Abs):
-                func_s = f"({func_s})"
-            arg_s = format_lambda(arg)
-            if isinstance(arg, (Abs, App)):
-                arg_s = f"({arg_s})"
-            return f"{func_s} {arg_s}"
-    raise TypeError(f"not a lambda term: {t!r}")
+    """Render a term in the script syntax: ``\\x. M``, application by juxtaposition.
+
+    The walk is pre-order on an explicit stack, so deep terms do not recurse.
+    """
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        tp = type(t)
+        if tp is Text or tp is Var:
+            out.append(t if tp is Text else t.name)
+        elif tp is Abs:
+            out.append(f"\\{t.var}. ")
+            todo.append(t.body)
+        elif tp is App:
+            arg = t.arg
+            todo += (_CLOSE, arg, _SPACE_OPEN) if type(arg) is Abs or type(arg) is App else (arg, _SPACE)
+            todo += (_CLOSE, t.func, _OPEN) if type(t.func) is Abs else (t.func,)
+        else:
+            raise TypeError(f"not a lambda term: {t!r}")
+    return "".join(out)
 
 
 def validate_axiom_atom(atom: AtomDecl, ctx: Context) -> bool:

@@ -13,10 +13,11 @@ confluence check (enumerate peaks, join by normalization).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import PathRwError
+from .errors import PathRwError, UnknownAtom
 from .rules import RuleSet, contractions, match_redexes
 from .terms import (
     Atom,
@@ -31,7 +32,9 @@ from .terms import (
     Sym,
     Trans,
     Xi,
+    applied_lambda,
     endpoints,
+    former_endpoints,
 )
 
 
@@ -65,13 +68,26 @@ class ReducedWord:
 
 
 def _concat(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
-    letters = list(w1.letters)
-    for letter in w2.letters:
-        if letters and letters[-1].gen == letter.gen and letters[-1].orient == -letter.orient:
-            letters.pop()
+    return ReducedWord(w1.base, tuple(_join(w1.letters, w2.letters)))
+
+
+def _join(left, right) -> deque:
+    """``left`` then ``right``, cancelled at the seam: the shorter moves into the longer, reused if a deque."""
+    if len(left) >= len(right):
+        host = left if type(left) is deque else deque(left)
+        for letter in right:
+            if host and host[-1].gen == letter.gen and host[-1].orient == -letter.orient:
+                host.pop()
+            else:
+                host.append(letter)
+        return host
+    host = right if type(right) is deque else deque(right)
+    for letter in reversed(left):
+        if host and host[0].gen == letter.gen and host[0].orient == -letter.orient:
+            host.popleft()
         else:
-            letters.append(letter)
-    return ReducedWord(w1.base, tuple(letters))
+            host.appendleft(letter)
+    return host
 
 
 def _reverse(w: ReducedWord) -> ReducedWord:
@@ -83,28 +99,72 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
 
     Refl is empty, Sym reverses and flips orientations, Trans concatenates
     with cancellation; atoms, formers, and recorded steps are single letters.
+    The walk is post-order on an explicit stack. A former takes its endpoints
+    from its body's word, unless the walk met a node in the body that
+    ``endpoints`` rejects: then it calls ``endpoints``, which raises.
     """
-    tp = type(t)
-    if tp is Trans:
-        return _concat(word(t.left, ctx), word(t.right, ctx))
-    if tp is Sym:
-        return _reverse(word(t.body, ctx))
-    if tp is Refl:
-        return ReducedWord(t.obj, ())
-    if tp is Atom:
-        key: object = ("atom", t.name)
-    elif tp is StepAtom:
-        key = ("step", t.step)
-    elif tp is Xi:
-        key = ("xi", t.var, read_back(word(t.body, ctx)))
-    elif tp is Mu:
-        key = ("mu", t.func, read_back(word(t.body, ctx)))
-    elif tp is Nu:
-        key = ("nu", t.arg, read_back(word(t.body, ctx)))
-    else:
-        raise TypeError(f"not a path term: {t!r}")
-    src, tgt = endpoints(t, ctx)
-    return ReducedWord(src, (Letter(key, 1, src, tgt),))
+    # Per node above t: [node, its left child's (base, letters) once walked], or [former, flaws on entry].
+    frames: list = []
+    formers = flaws = 0  # formers among the frames; nodes met inside one that endpoints rejects
+    while True:
+        tp = type(t)
+        if tp is Trans or tp is Sym:
+            frames.append([t, None])
+            t = t.left if tp is Trans else t.body
+            continue
+        if tp is Xi or tp is Mu or tp is Nu:
+            frames.append([t, flaws])
+            formers += 1
+            t = t.body
+            continue
+        if tp is Refl:
+            base, letters = t.obj, ()
+            payload = base.payload
+            if formers and base.level == 0 and isinstance(payload, str) and payload not in ctx.elements:
+                flaws += 1
+        else:
+            if tp is Atom:
+                decl = ctx.atoms.get(t.name)
+                if decl is None:
+                    raise UnknownAtom(t.name)
+                src, tgt = Object(0, decl.source), Object(0, decl.target)
+                key: object = ("atom", t.name)
+            elif tp is StepAtom:
+                src, tgt = Object(t.step.level, t.step.before), Object(t.step.level, t.step.after)
+                key = ("step", t.step)
+            else:
+                raise TypeError(f"not a path term: {t!r}")
+            base, letters = src, (Letter(key, 1, src, tgt),)
+        while frames:
+            frame = frames[-1]
+            node = frame[0]
+            tp = type(node)
+            if tp is Sym:
+                base = letters[-1].tgt if letters else base
+                letters = [letter.inverse() for letter in reversed(letters)]
+            elif tp is not Trans:
+                formers -= 1
+                body = ReducedWord(base, tuple(letters))
+                label = node.var if tp is Xi else node.func if tp is Mu else node.arg
+                key = ("xi" if tp is Xi else "mu" if tp is Mu else "nu", label, read_back(body))
+                if flaws == frame[1]:
+                    ends = body.source, body.target
+                    src, tgt = former_endpoints(node, applied_lambda(node, ctx), ends, ctx)
+                else:
+                    src, tgt = endpoints(node, ctx)
+                base, letters = src, (Letter(key, 1, src, tgt),)
+            elif frame[1] is None:
+                frame[1] = base, letters
+                t = node.right
+                break
+            else:
+                lbase, left = frame[1]
+                if formers and (left[-1].tgt if left else lbase) != base:
+                    flaws += 1
+                base, letters = lbase, _join(left, letters)
+            frames.pop()
+        else:
+            return ReducedWord(base, tuple(letters))
 
 
 def read_back(w: ReducedWord) -> PathTerm:

@@ -34,7 +34,7 @@ from .errors import (
 from .lam import Abs, App, LambdaTerm, Var, validate_axiom_atom
 from .terms import (
     Atom, AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, Sym, Trans, Xi,
-    endpoints, former_endpoints, path_obj,
+    applied_lambda, endpoints, former_endpoints, path_obj,
 )
 
 _ALIASES = {
@@ -335,14 +335,9 @@ class _Parser:
         if former == _RHO:
             obj = path_obj(body)
             return Refl(obj), (obj, obj), i
-        if former == _XI:
-            term, f = Xi(frame[2], body), None
-        elif former == _MU:
-            term, f = Mu(frame[2], body), ctx.lambda_elements[frame[2]]
-        else:
-            term, f = Nu(body, arg), ctx.lambda_elements[arg]
+        term = Xi(frame[2], body) if former == _XI else Mu(frame[2], body) if former == _MU else Nu(body, arg)
         try:
-            return term, former_endpoints(term, f, ends, ctx), i
+            return term, former_endpoints(term, applied_lambda(term, ctx), ends, ctx), i
         except PathRwError as exc:
             raise TypeMismatch(str(exc), *self._at(frame[1])) from None
 

@@ -17,33 +17,27 @@ from .errors import PathRwError
 from .lam import format_lambda
 from .rules import FORWARD, REVERSE, rule_set
 from .script import parse_lambda_expr, parse_path_expr
-from .terms import Context, PathTerm, StepAtom, format_term, path_children
+from .terms import Context, PathTerm, StepAtom, format_term, level, subterms
 
 FORMAT_NAME = "pathrw-derivation"
 FORMAT_VERSION = 1
-
-
-def _reject_step_atoms(t: PathTerm) -> None:
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, StepAtom):
-            raise PathRwError("recorded-step atoms have no script syntax; cannot serialize")
-        stack.extend(path_children(node))
 
 
 _KINDS = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
 def _require(entry: Any, key: str, where: str, kind: type) -> Any:
-    """``entry[key]``, which must be a ``kind``; a PathRwError naming the field otherwise."""
+    """``entry[key]``, which must be a ``kind``; a PathRwError naming the field otherwise.
+
+    A JSON ``true`` or ``false`` is no integer here, though ``bool`` subclasses ``int``.
+    """
     if not isinstance(entry, dict):
         raise PathRwError(f"{where} must be an object, not {type(entry).__name__}")
     try:
         value = entry[key]
     except KeyError:
         raise PathRwError(f"{where} has no '{key}'") from None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or type(value) is bool:
         raise PathRwError(f"{where} '{key}' must be {_KINDS[kind]}, not {type(value).__name__}")
     return value
 
@@ -95,10 +89,9 @@ def context_from_doc(doc: dict[str, Any]) -> Context:
 
 def derivation_to_doc(d: Derivation, ctx: Context, rules_name: str) -> dict[str, Any]:
     """Serialize a derivation with everything needed to replay it standalone."""
-    _reject_step_atoms(d.start)
-    for step in d.steps:
-        _reject_step_atoms(step.before)
-        _reject_step_atoms(step.after)
+    terms = [d.start, *(t for step in d.steps for t in (step.before, step.after))]
+    if any(type(node) is StepAtom for t in terms for node in subterms(t)):
+        raise PathRwError("recorded-step atoms have no script syntax; cannot serialize")
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -149,14 +142,21 @@ def _read_doc(doc: dict[str, Any]) -> tuple[Derivation, Context, str, Callable[[
     ctx = context_from_doc(_require(doc, "context", "document", dict))
     parse = functools.cache(lambda text: parse_path_expr(text, ctx))
     lv = _require(doc, "level", "document", int)
-    start = parse(_require(doc, "start", "document", str))
+
+    def term(entry: dict[str, Any], key: str, where: str) -> PathTerm:
+        t = parse(_require(entry, key, where, str))
+        if level(t) != lv:
+            raise PathRwError(f"{where} '{key}' is at level {level(t)}, not the document's {lv}")
+        return t
+
+    start = term(doc, "start", "document")
     steps = tuple(
         RewriteStep(
             rule=_require(entry, "rule", f"step {i}", str),
             position=_position(entry, f"step {i}"),
             direction=_direction(entry, f"step {i}"),
-            before=parse(_require(entry, "before", f"step {i}", str)),
-            after=parse(_require(entry, "after", f"step {i}", str)),
+            before=term(entry, "before", f"step {i}"),
+            after=term(entry, "after", f"step {i}"),
             level=lv,
         )
         for i, entry in enumerate(_require(doc, "steps", "document", list))

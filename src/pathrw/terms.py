@@ -5,16 +5,18 @@ atoms, reflexivity, symmetry, transitivity, and the lambda congruence formers.
 A level-(n+1) term is a path between level-n terms; its atoms are recorded
 rewrite steps. Everything is immutable.
 
-The term classes are final: nothing subclasses them. So the traversals on the
-rewrite, replay and oracle paths dispatch on exact type (``type(t) is Trans``),
-which costs a fraction of a class-pattern ``match`` case; cold code such as
-``format_term`` and ``validate`` keeps ``match``.
+The term classes are final: nothing subclasses them. So every traversal
+dispatches on exact type (``type(t) is Trans``), which costs a fraction of a
+class-pattern ``match`` case. No traversal recurses: ``endpoints`` and
+``validate`` share one post-order fold on an explicit stack, and ``size``
+and ``format_term`` walk pre-order on one, so terms of any depth work at the
+default recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, TypeAlias, Union
+from typing import TYPE_CHECKING, Iterator, TypeAlias, Union
 
 from .errors import (
     ContextError,
@@ -25,7 +27,7 @@ from .errors import (
     PathRwError,
     fmt_position,
 )
-from .lam import Abs, App, LambdaTerm, Var, format_lambda
+from .lam import Abs, App, LambdaTerm, Text, Var, format_lambda
 
 if TYPE_CHECKING:
     from .engine import RewriteStep
@@ -171,16 +173,24 @@ def level(t: PathTerm) -> int:
     raise TypeError(f"not a path term: {t!r}")
 
 
+def subterms(t: PathTerm) -> Iterator[PathTerm]:
+    """Every node of the tree in pre-order, left to right; a non-term raises TypeError when reached."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        tp = type(t)
+        if tp is Trans:
+            stack += (t.right, t.left)
+        elif tp is Sym or tp is Xi or tp is Mu or tp is Nu:
+            stack.append(t.body)
+        elif tp is not Atom and tp is not Refl and tp is not StepAtom:
+            raise TypeError(f"not a path term: {t!r}")
+        yield t
+
+
 def size(t: PathTerm) -> int:
     """Node count of the expression tree."""
-    match t:
-        case Atom() | Refl() | StepAtom():
-            return 1
-        case Sym(body) | Xi(_, body) | Mu(_, body) | Nu(body, _):
-            return 1 + size(body)
-        case Trans(left, right):
-            return 1 + size(left) + size(right)
-    raise TypeError(f"not a path term: {t!r}")
+    return sum(1 for _ in subterms(t))
 
 
 def path_children(t: PathTerm) -> tuple[PathTerm, ...]:
@@ -248,7 +258,11 @@ def _resolve_lambda(obj: Object, ctx: Context, pos: Position) -> LambdaTerm:
     return payload  # already a lambda term
 
 
-def _applied_lambda(name: str, ctx: Context, pos: Position) -> LambdaTerm:
+def applied_lambda(t: Xi | Mu | Nu, ctx: Context, pos: Position = ()) -> LambdaTerm | None:
+    """The lambda value a Mu or Nu applies to its endpoints (None for Xi)."""
+    if type(t) is Xi:
+        return None
+    name = t.func if type(t) is Mu else t.arg
     value = ctx.lambda_elements.get(name)
     if value is None:
         raise UnresolvedLambda(f"applied element '{name}' has no lambda value", pos)
@@ -256,14 +270,29 @@ def _applied_lambda(name: str, ctx: Context, pos: Position) -> LambdaTerm:
 
 
 def endpoints(t: PathTerm, ctx: Context, _pos: Position = ()) -> tuple[Object, Object]:
-    """Source and target of a path term.
+    """Source and target of a path term; raises at the first ill-formed node.
 
     Sym swaps, Trans chains, Refl duplicates; congruence formers build the
     corresponding lambda terms; a recorded step contributes its before/after
-    terms one level down. Sym and Trans nodes fold on an explicit stack, so
-    long chains do not recurse; a congruence former recurses into its body.
+    terms one level down.
     """
-    frames: list = []  # per Sym/Trans above t: [node, child index, left child's ends]
+    return _fold(t, ctx, _pos, None)
+
+
+# What an ill-formed subterm folds to in ``validate``: it meets nothing but
+# itself, so its ancestors fail without reporting it twice.
+_FAILED = object()
+_NO_ENDS = (_FAILED, _FAILED)
+
+
+def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> tuple:
+    """The one post-order fold behind ``endpoints`` and ``validate``, on an explicit stack.
+
+    With ``violations`` None it raises at the first error. Otherwise it notes
+    each error and folds on, folds the terms inside level-n objects and
+    recorded steps too, and checks a former by a raising fold of its own.
+    """
+    frames: list = []  # per node above t: [node, child index, left child's ends or former's lambda]
     while True:
         tp = type(t)
         if tp is Trans or tp is Sym:
@@ -272,49 +301,125 @@ def endpoints(t: PathTerm, ctx: Context, _pos: Position = ()) -> tuple[Object, O
             continue
         if tp is Atom:
             decl = ctx.atoms.get(t.name)
-            if decl is None:
-                raise UnknownAtom(t.name, _here(_pos, frames))
-            ends = Object(0, decl.source), Object(0, decl.target)
+            if decl is not None:
+                ends = Object(0, decl.source), Object(0, decl.target)
+            elif violations is None:
+                raise UnknownAtom(t.name, _here(pos, frames))
+            else:
+                ends = _note(violations, "unknown-atom", _here(pos, frames), f"unknown atom '{t.name}'")
         elif tp is Refl:
             obj = t.obj
-            if obj.level == 0 and isinstance(obj.payload, str) and obj.payload not in ctx.elements:
-                raise UnknownElement(obj.payload, _here(_pos, frames))
             ends = obj, obj
+            if obj.level == 0:
+                if isinstance(obj.payload, str) and obj.payload not in ctx.elements:
+                    if violations is None:
+                        raise UnknownElement(obj.payload, _here(pos, frames))
+                    message = f"unknown element '{obj.payload}'"
+                    ends = _note(violations, "unknown-element", _here(pos, frames), message)
+            elif violations is not None:
+                if isinstance(obj.payload, (Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom)):
+                    frames.append([t, 0, None])
+                    t = obj.payload
+                    continue
+                message = "object payload is not a path term"
+                ends = _note(violations, "bad-object", _here(pos, frames), message)
         elif tp is StepAtom:
             step = t.step
+            if violations is not None:
+                frames.append([t, 0, None])
+                t = step.before
+                continue
             ends = Object(step.level, step.before), Object(step.level, step.after)
         elif tp is Xi or tp is Mu or tp is Nu:
-            ends = _former_endpoints(t, tp, ctx, _here(_pos, frames))
-        else:
+            if violations is None:
+                try:
+                    f = applied_lambda(t, ctx)
+                except UnresolvedLambda:  # raise it again with its position, built only on error
+                    f = applied_lambda(t, ctx, _here(pos, frames))
+                frames.append([t, 0, f])
+                t = t.body
+                continue
+            try:
+                ends = _fold(t, ctx, _here(pos, frames), None)
+            except UnresolvedLambda as exc:
+                ends = _note(violations, "unresolved-lambda", exc.position, str(exc))
+            except (UnknownAtom, UnknownElement, EndpointMismatch) as exc:
+                ends = _note(violations, "endpoint-error", exc.position, str(exc))
+        elif violations is None:
             raise TypeError(f"not a path term: {t!r}")
+        else:
+            ends = _note(violations, "bad-term", _here(pos, frames), f"not a path term: {t!r}")
         # Fold the finished subtree into its ancestors, up to the first one
-        # whose right child is still to walk.
+        # with a child still to walk.
         while frames:
             frame = frames[-1]
             node = frame[0]
-            if type(node) is Sym:
+            tp = type(node)
+            if tp is Sym:
                 ends = ends[1], ends[0]
+            elif tp is not Trans:
+                if tp is StepAtom and frame[1] == 0:
+                    frame[1], frame[2] = 1, ends
+                    t = node.step.after
+                    break
+                ends = _close(frames, pos, ends, ctx, violations)
             elif frame[1] == 0:
                 frame[1], frame[2] = 1, ends
                 t = node.right
                 break
             else:
                 (lsrc, ltgt), (rsrc, rtgt) = frame[2], ends
-                if ltgt != rsrc:
-                    raise EndpointMismatch(_here(_pos, frames[:-1]), ltgt, rsrc)
-                ends = lsrc, rtgt
+                if ltgt == rsrc:
+                    ends = lsrc, rtgt
+                elif violations is None:
+                    raise EndpointMismatch(_here(pos, frames[:-1]), ltgt, rsrc)
+                elif ltgt is _FAILED or rsrc is _FAILED:
+                    ends = _NO_ENDS
+                else:
+                    message = f"cannot chain: {format_object(ltgt)} != {format_object(rsrc)}"
+                    ends = _note(violations, "endpoint-mismatch", _here(pos, frames[:-1]), message)
             frames.pop()
         else:
             return ends
 
 
 def _here(pos: Position, frames: list) -> Position:
-    return pos + tuple([frame[1] for frame in frames])
+    """The position below ``frames``; the terms inside an object or a recorded step sit at its own."""
+    return pos + tuple([f[1] for f in frames if type(f[0]) is not Refl and type(f[0]) is not StepAtom])
 
 
-def _former_endpoints(t: Xi | Mu | Nu, tp: type, ctx: Context, pos: Position) -> tuple[Object, Object]:
-    f = None if tp is Xi else _applied_lambda(t.func if tp is Mu else t.arg, ctx, pos)
-    return former_endpoints(t, f, endpoints(t.body, ctx, pos + (0,)), ctx, pos)
+def _note(violations: list, kind: str, pos: Position, message: str) -> tuple:
+    violations.append(Violation(kind, pos, message))
+    return _NO_ENDS
+
+
+def _close(frames: list, pos: Position, ends: tuple, ctx: Context, violations: list | None) -> tuple:
+    """The ends of the former, or the Refl or step whose terms were folded, atop ``frames``.
+
+    Its frame keeps a former's applied lambda, or the ends of a step's ``before``.
+    """
+    node, _, kept = frames[-1]
+    tp = type(node)
+    if tp is not Refl and tp is not StepAtom:
+        try:
+            return former_endpoints(node, kept, ends, ctx)
+        except UnresolvedLambda:  # raise it again with its position, built only on error
+            return former_endpoints(node, kept, ends, ctx, _here(pos, frames[:-1]))
+    if ends[0] is _FAILED or tp is StepAtom and kept[0] is _FAILED:
+        return _NO_ENDS
+    if tp is Refl:
+        if level(node.obj.payload) != node.obj.level:
+            message = "object level disagrees with its payload"
+            return _note(violations, "level-mismatch", _here(pos, frames[:-1]), message)
+        return node.obj, node.obj
+    step = node.step
+    if kept != ends:
+        message = "recorded step does not preserve endpoints"
+        return _note(violations, "step-endpoints", _here(pos, frames[:-1]), message)
+    if level(step.before) != step.level:
+        message = "recorded step level disagrees with its terms"
+        return _note(violations, "level-mismatch", _here(pos, frames[:-1]), message)
+    return Object(step.level, step.before), Object(step.level, step.after)
 
 
 def former_endpoints(
@@ -362,73 +467,7 @@ def validate(t: PathTerm, ctx: Context) -> WellFormednessReport:
     treats as opaque.
     """
     violations: list[Violation] = []
-
-    def note(kind: str, pos: Position, message: str) -> None:
-        violations.append(Violation(kind, pos, message))
-
-    def go(t: PathTerm, pos: Position) -> tuple[Object, Object] | None:
-        match t:
-            case Atom(name):
-                decl = ctx.atoms.get(name)
-                if decl is None:
-                    note("unknown-atom", pos, f"unknown atom '{name}'")
-                    return None
-                return Object(0, decl.source), Object(0, decl.target)
-            case Refl(obj):
-                if obj.level == 0:
-                    if isinstance(obj.payload, str) and obj.payload not in ctx.elements:
-                        note("unknown-element", pos, f"unknown element '{obj.payload}'")
-                        return None
-                elif isinstance(obj.payload, (Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom)):
-                    if go(obj.payload, pos) is None:
-                        return None
-                    if level(obj.payload) != obj.level:
-                        note("level-mismatch", pos, "object level disagrees with its payload")
-                        return None
-                else:
-                    note("bad-object", pos, "object payload is not a path term")
-                    return None
-                return obj, obj
-            case Sym(body):
-                ends = go(body, pos + (0,))
-                return (ends[1], ends[0]) if ends else None
-            case Trans(left, right):
-                lends = go(left, pos + (0,))
-                rends = go(right, pos + (1,))
-                if lends is None or rends is None:
-                    return None
-                if lends[1] != rends[0]:
-                    note(
-                        "endpoint-mismatch",
-                        pos,
-                        f"cannot chain: {format_object(lends[1])} != {format_object(rends[0])}",
-                    )
-                    return None
-                return lends[0], rends[1]
-            case Xi() | Mu() | Nu():
-                try:
-                    return endpoints(t, ctx, pos)
-                except UnresolvedLambda as exc:
-                    note("unresolved-lambda", exc.position, str(exc))
-                except (UnknownAtom, UnknownElement, EndpointMismatch) as exc:
-                    note("endpoint-error", exc.position, str(exc))
-                return None
-            case StepAtom(step):
-                bends = go(step.before, pos)
-                aends = go(step.after, pos)
-                if bends is None or aends is None:
-                    return None
-                if bends != aends:
-                    note("step-endpoints", pos, "recorded step does not preserve endpoints")
-                    return None
-                if level(step.before) != step.level:
-                    note("level-mismatch", pos, "recorded step level disagrees with its terms")
-                    return None
-                return Object(step.level, step.before), Object(step.level, step.after)
-        note("bad-term", pos, f"not a path term: {t!r}")
-        return None
-
-    go(t, ())
+    _fold(t, ctx, (), violations)
     return WellFormednessReport(tuple(violations))
 
 
@@ -451,27 +490,41 @@ def format_object(obj: Object) -> str:
     return format_term(payload)
 
 
+_CLOSE, _COMMA = Text(")"), Text(", ")
+
+
 def format_term(t: PathTerm) -> str:
     """Render a term in the script expression syntax.
 
     Recorded steps have no script syntax; they render as a bracketed display
-    form and do not round-trip through the parser.
+    form and do not round-trip through the parser. The walk is pre-order on
+    an explicit stack, which also holds the text that closes each node.
     """
-    match t:
-        case Atom(name):
-            return name
-        case Refl(obj):
-            return f"rho({format_object(obj)})"
-        case Sym(body):
-            return f"sigma({format_term(body)})"
-        case Trans(left, right):
-            return f"tau({format_term(left)}, {format_term(right)})"
-        case Xi(var, body):
-            return f"xi({var}, {format_term(body)})"
-        case Mu(func, body):
-            return f"mu({func}, {format_term(body)})"
-        case Nu(body, arg):
-            return f"nu({format_term(body)}, {arg})"
-        case StepAtom(step):
-            return f"step[{step.rule}@{fmt_position(step.position)}:{step.direction[0]}]"
-    raise TypeError(f"not a path term: {t!r}")
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        tp = type(t)
+        if tp is Text or tp is Atom:
+            out.append(t if tp is Text else t.name)
+        elif tp is Trans:
+            out.append("tau(")
+            todo += (_CLOSE, t.right, _COMMA, t.left)
+        elif tp is Sym or tp is Xi or tp is Mu:
+            out.append("sigma(" if tp is Sym else f"xi({t.var}, " if tp is Xi else f"mu({t.func}, ")
+            todo += (_CLOSE, t.body)
+        elif tp is Nu:
+            out.append("nu(")
+            todo += (Text(f", {t.arg})"), t.body)
+        elif tp is Refl:
+            if isinstance(t.obj.payload, (str, Var, Abs, App)):
+                out.append(f"rho({format_object(t.obj)})")
+            else:  # a path term one level down, or a non-term that raises when reached
+                out.append("rho(")
+                todo += (_CLOSE, t.obj.payload)
+        elif tp is StepAtom:
+            step = t.step
+            out.append(f"step[{step.rule}@{fmt_position(step.position)}:{step.direction[0]}]")
+        else:
+            raise TypeError(f"not a path term: {t!r}")
+    return "".join(out)

@@ -351,3 +351,67 @@ def test_mutated_documents_raise_only_path_errors(tmp_path, capsys):
                 pass
             except Exception as exc:  # noqa: BLE001 - the gate reports any other class
                 pytest.fail(f"{read.__name__} on a document with {what}: {type(exc).__name__}: {exc}")
+
+
+# -- deep terms, document levels and law levels ------------------------------
+
+LAMBDA_SCRIPT = "type F\nelem m n : F\nlam m := \\x. x\nlam n := \\y. y\nstep al : m = n alpha\n"
+TRIANGLE_SCRIPT = "type A\nelem a b c : A\nstep r : a = b\nstep s : b = c\nstep u : a = c\n"
+
+
+def test_two_thousand_nested_xis_run_through_the_cli(tmp_path, capsys):
+    n = 2_000
+    script = tmp_path / "deep.pth"
+    script.write_text(LAMBDA_SCRIPT + "path p := " + "xi(v, " * n + "al" + ")" * n + "\n", encoding="utf-8")
+    text = "xi(v, " * n + "al" + ")" * n
+    assert main(["normalize", str(script), "p"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"normal: {text}  [0 steps]"
+    assert main(["oracle", str(script), "p"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "word:   xi[v, " + text[len("xi(v, ") : -1] + "]"
+    assert out[1] == "source: " + "\\v. " * n + "\\x. x"
+    assert main(["equal", str(script), "p", "p"]) == 0
+    assert capsys.readouterr().out == f"equal: {text} == {text}\n"
+
+
+def test_two_thousand_leaf_chain_runs_through_the_cli(tmp_path, capsys):
+    links = [("r", "s", "sigma(u)")[k % 3] for k in range(2_000)]
+    text = "".join(f"tau({link}, " for link in links[:-1]) + links[-1] + ")" * (len(links) - 1)
+    script = tmp_path / "chain.pth"
+    script.write_text(TRIANGLE_SCRIPT + f"path ch := {text}\n", encoding="utf-8")
+    assert main(["oracle", str(script), "ch"]) == 0
+    word = " ".join(("r", "s", "u^-1")[k % 3] for k in range(2_000))
+    assert capsys.readouterr().out == f"word:   {word}\nsource: a\ntarget: c\n"
+    assert main(["equal", str(script), "ch", "ch"]) == 0
+    assert capsys.readouterr().out == f"equal: {text} == {text}\n"
+    assert main(["normalize", str(script), "ch", "--strategy", "leftmost-outermost"]) == 0
+    assert capsys.readouterr().out == f"start:  {text}\nnormal: {text}  [0 steps]\n"
+
+
+@pytest.mark.parametrize("level", [2, 7, 0, -3, True])
+def test_document_level_must_be_its_terms_level(script_file, capsys, level):
+    main(["equal", script_file, "p", "q", "--json"])
+    doc = doc_from_json(capsys.readouterr().out)
+    assert doc["level"] == 1 and replay_document(doc)
+    doc["level"] = level
+    if level is True:
+        message = "document 'level' must be an integer, not bool"
+    else:
+        message = f"document 'start' is at level 1, not the document's {level}"
+    for read in (replay_document, derivation_from_doc):
+        with pytest.raises(PathRwError, match=re.escape(message)):
+            read(doc)
+
+
+def test_document_step_terms_must_be_at_the_document_level(script_file, capsys):
+    main(["equal", script_file, "p", "q", "--json"])
+    doc = doc_from_json(capsys.readouterr().out)
+    doc["steps"][1]["after"] = "rho(tau(r, sigma(r)))"
+    with pytest.raises(PathRwError, match=re.escape("step 1 'after' is at level 2, not the document's 1")):
+        replay_document(doc)
+
+
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_laws_below_level_one_are_input_errors(script_file, capsys, level):
+    assert main(["laws", script_file, "--level", level]) == 2
+    assert capsys.readouterr().err == "error: levels start at 1\n"
