@@ -24,7 +24,7 @@ from .script import Script, parse_lambda_expr, parse_path_expr, parse_script
 from .serialize import derivation_from_doc, derivation_to_doc, replay_document
 from .terms import (
     Atom, AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, StepAtom, Sym, Trans, WellFormednessReport, Xi,
-    element_obj, endpoints, format_term, level, path_obj, size, validate,
+    endpoints, format_term, level, path_obj, size, validate,
 )
 
 __version__ = "0.1.0"

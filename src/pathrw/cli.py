@@ -114,11 +114,7 @@ def _cmd_normalize(args) -> int:
     script = _load(args.file)
     term = _named_path(script, args.path)
     if args.level is not None and level(term) != args.level:
-        print(
-            f"error: path '{args.path}' is at level {level(term)}, not {args.level}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+        raise PathRwError(f"path '{args.path}' is at level {level(term)}, not {args.level}")
     rs = rule_set(args.rules)
     nf, derivation = normalize(term, rs, script.context, args.strategy)
     if args.json:
@@ -155,8 +151,7 @@ def _cmd_laws(args) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            print(f"error: PATHRW_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise PathRwError(f"PATHRW_SEED must be an integer, got {env_seed!r}") from None
     report = run_laws(script.context, args.level, args.samples, seed)
     counts = report.counts()
     for law in LAWS:

@@ -119,6 +119,8 @@ def run_laws(ctx: Context, lv: int, samples: int, seed: int) -> LawSuiteReport:
     """Run the five law checks on ``samples`` random composable tuples."""
     if lv < 1:
         raise PathRwError("levels start at 1")
+    if samples < 0:
+        raise PathRwError("samples must be at least 0")
     rng = random.Random(seed)
     reports: list[LawReport] = []
     for _ in range(samples):
@@ -149,7 +151,7 @@ def _composable_triple(ctx: Context, lv: int, rng: random.Random) -> tuple[PathT
 
 def _random_term_at_level(ctx: Context, lv: int, rng: random.Random) -> PathTerm:
     if lv == 1:
-        return _wrap_redundant(_random_path(ctx, rng, depth=rng.randint(0, 2)), ctx, rng)
+        return _wrap(_random_path(ctx, rng, depth=rng.randint(0, 2)), ctx, rng)[0]
     base = _random_term_at_level(ctx, lv - 1, rng)
     return _lift_from(base, ctx, rng)[0]
 
@@ -164,7 +166,7 @@ def _lift_from(u: PathTerm, ctx: Context, rng: random.Random) -> tuple[PathTerm,
     d_forward = _random_step_derivation(u, ctx, rng)
     v, d_unwrap = _recorded_wrap(d_forward.end, ctx, rng)
     d = concat_derivations(d_forward, invert_derivation(d_unwrap))
-    lifted = _wrap_redundant(derivation_to_path(d), ctx, rng)
+    lifted = _wrap(derivation_to_path(d), ctx, rng)[0]
     return lifted, v
 
 
@@ -191,18 +193,7 @@ def _recorded_wrap(w: PathTerm, ctx: Context, rng: random.Random) -> tuple[PathT
     The unwrapping derivation peels the wrappers at the root, one forward
     contraction per layer.
     """
-    rules: list[str] = []
-    v = w
-    for _ in range(rng.randint(0, 2)):
-        src, tgt = endpoints(v, ctx)
-        rule = rng.choice(_WRAP_RULES)
-        if rule == "ss":
-            v = Sym(Sym(v))
-        elif rule == "tlr":
-            v = Trans(Refl(src), v)
-        else:
-            v = Trans(v, Refl(tgt))
-        rules.append(rule)
+    v, rules = _wrap(w, ctx, rng)
     steps = []
     cur = v
     for rule in reversed(rules):
@@ -211,18 +202,20 @@ def _recorded_wrap(w: PathTerm, ctx: Context, rng: random.Random) -> tuple[PathT
     return v, Derivation(v, tuple(steps), level(w))
 
 
-def _wrap_redundant(t: PathTerm, ctx: Context, rng: random.Random) -> PathTerm:
-    """Dress a term in endpoint-preserving redundancy, for livelier samples."""
+def _wrap(t: PathTerm, ctx: Context, rng: random.Random) -> tuple[PathTerm, list[str]]:
+    """Dress a term in endpoint-preserving redundancy; returns it and the rules that peel it, innermost first."""
+    rules: list[str] = []
     for _ in range(rng.randint(0, 2)):
         src, tgt = endpoints(t, ctx)
-        choice = rng.randrange(3)
-        if choice == 0:
+        rule = rng.choice(_WRAP_RULES)
+        if rule == "ss":
             t = Sym(Sym(t))
-        elif choice == 1:
+        elif rule == "tlr":
             t = Trans(Refl(src), t)
         else:
             t = Trans(t, Refl(tgt))
-    return t
+        rules.append(rule)
+    return t, rules
 
 
 def _random_path(ctx: Context, rng: random.Random, depth: int) -> PathTerm:

@@ -6,8 +6,9 @@ connected by contractions exactly when their words agree. Congruence formers
 and recorded steps enter as opaque generators keyed by their canonicalized
 content, which keeps the word map invariant under contractions beneath them.
 
-Also here: exhaustive small-term enumeration and a brute-force local
-confluence check (enumerate peaks, join by normalization).
+Also here: exhaustive enumeration of small level-1 terms, the paths between
+elements, and a brute-force local confluence check over them (enumerate
+peaks, join by normalization).
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ class ReducedWord:
         return self.letters[-1].tgt if self.letters else self.base
 
 
-def _concat(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
-    return ReducedWord(w1.base, tuple(_join(w1.letters, w2.letters)))
-
-
 def _join(left, right) -> deque:
     """``left`` then ``right``, cancelled at the seam: the shorter moves into the longer, reused if a deque."""
     if len(left) >= len(right):
@@ -88,10 +85,6 @@ def _join(left, right) -> deque:
         else:
             host.appendleft(letter)
     return host
-
-
-def _reverse(w: ReducedWord) -> ReducedWord:
-    return ReducedWord(w.target, tuple(l.inverse() for l in reversed(w.letters)))
 
 
 def word(t: PathTerm, ctx: Context) -> ReducedWord:
@@ -203,70 +196,29 @@ def oracle_equal(s: PathTerm, t: PathTerm, ctx: Context) -> bool:
     return word(s, ctx) == word(t, ctx)
 
 
-def enumerate_terms(ctx: Context, max_size: int, lvl: int = 1) -> Iterator[PathTerm]:
-    """Every well-formed term of size <= max_size at the given level, once each.
+def enumerate_terms(ctx: Context, max_size: int) -> Iterator[PathTerm]:
+    """Every well-formed level-1 term of size <= max_size, once each, by size.
 
-    Level 1 enumerates over the context's atoms and elements (congruence
-    formers are excluded: their binder and lambda supply is open-ended).
-    From level 2 up the atom supply is taken to be the single forward
-    contractions of the enumerated terms one level down, and trivial paths
-    range over those same terms; this is only meant for desk-scale sizes.
+    The terms are built over the context's atoms and elements; congruence
+    formers are left out, since their binder and lambda supply is open-ended.
+    Size 1 is the atoms, then ``rho`` of each element. Size k is ``sigma`` of
+    every size k-1 term, then every ``tau(left, right)`` whose endpoints meet,
+    left size ascending. Each row carries its term's endpoints.
     """
-    if lvl < 1:
-        raise ValueError("levels start at 1")
-    for by_size in _tables(ctx, max_size, lvl):
-        yield from by_size
-
-
-def _tables(ctx: Context, max_size: int, lvl: int) -> list[list[PathTerm]]:
-    """Terms grouped by exact size, each list in deterministic order."""
-    leaves = list(_leaves(ctx, max_size, lvl))
-    by_size: list[list[PathTerm]] = [[] for _ in range(max_size + 1)]
-    ends: dict[PathTerm, tuple[Object, Object]] = {}
-    if max_size >= 1:
-        for term, (src, tgt) in leaves:
-            by_size[1].append(term)
-            ends[term] = (src, tgt)
-    for k in range(2, max_size + 1):
-        for t in by_size[k - 1]:
-            sym = Sym(t)
-            src, tgt = ends[t]
-            ends[sym] = (tgt, src)
-            by_size[k].append(sym)
-        for i in range(1, k - 1):
-            j = k - 1 - i
-            for left in by_size[i]:
-                lsrc, ltgt = ends[left]
-                for right in by_size[j]:
-                    rsrc, rtgt = ends[right]
-                    if ltgt == rsrc:
-                        trans = Trans(left, right)
-                        ends[trans] = (lsrc, rtgt)
-                        by_size[k].append(trans)
-    return by_size[1:]
-
-
-def _leaves(ctx: Context, max_size: int, lvl: int) -> Iterator[tuple[PathTerm, tuple[Object, Object]]]:
-    if lvl == 1:
-        for name in ctx.atoms:
-            t = Atom(name)
-            yield t, endpoints(t, ctx)
-        for name in ctx.elements:
-            obj = Object(0, name)
-            yield Refl(obj), (obj, obj)
-        return
-    from .engine import contract_once
-    from .rules import PAPER7
-
-    below = list(enumerate_terms(ctx, max_size, lvl - 1))
-    for u in below:
-        for rule, pos in match_redexes(PAPER7, u):
-            _, step = contract_once(u, rule, pos, PAPER7, ctx)
-            t = StepAtom(step)
-            yield t, endpoints(t, ctx)
-    for u in below:
-        obj = Object(lvl - 1, u)
-        yield Refl(obj), (obj, obj)
+    by_size: list[list[tuple[PathTerm, Object, Object]]] = [[]]  # (term, source, target) rows
+    for k in range(1, max_size + 1):
+        if k == 1:
+            rows = [(Atom(n), Object(0, d.source), Object(0, d.target)) for n, d in ctx.atoms.items()]
+            rows += [(Refl(Object(0, n)), Object(0, n), Object(0, n)) for n in ctx.elements]
+        else:
+            rows = [(Sym(t), tgt, src) for t, src, tgt in by_size[k - 1]]
+            for i in range(1, k - 1):
+                right_rows = by_size[k - 1 - i]
+                for left, src, mid in by_size[i]:
+                    rows += [(Trans(left, right), src, tgt) for right, rsrc, tgt in right_rows if rsrc == mid]
+        by_size.append(rows)
+        for row in rows:
+            yield row[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,7 +256,7 @@ def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
         return cached
 
     peaks = []
-    for t in enumerate_terms(ctx, max_size, 1):
+    for t in enumerate_terms(ctx, max_size):
         redexes = match_redexes(rs, t)
         if len(redexes) < 2:
             continue

@@ -471,11 +471,6 @@ def validate(t: PathTerm, ctx: Context) -> WellFormednessReport:
     return WellFormednessReport(tuple(violations))
 
 
-def element_obj(name: str) -> Object:
-    """Object wrapping a declared element."""
-    return Object(0, name)
-
-
 def path_obj(t: PathTerm) -> Object:
     """Object wrapping a path term, one level up."""
     return Object(level(t), t)

@@ -49,7 +49,7 @@ def test_normalize_prints_trace_and_normal_form(script_file, capsys):
 
 def test_normalize_level_assertion(script_file, capsys):
     assert main(["normalize", script_file, "w", "--level", "2"]) == 2
-    assert "level" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: path 'w' is at level 1, not 2\n")
 
 
 def test_normalize_unknown_path(script_file, capsys):
@@ -178,6 +178,9 @@ def test_laws_seed_env_override(script_file, capsys, monkeypatch):
     monkeypatch.setenv("PATHRW_SEED", "99")
     assert main(["laws", script_file, "--samples", "5", "--seed", "3"]) == 0
     assert "seed 99" in capsys.readouterr().out
+    monkeypatch.setenv("PATHRW_SEED", "x9")
+    assert main(["laws", script_file, "--samples", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: PATHRW_SEED must be an integer, got 'x9'\n")
 
 
 def test_consecutive_calls_leak_no_options(script_file, capsys, monkeypatch):
@@ -415,3 +418,11 @@ def test_document_step_terms_must_be_at_the_document_level(script_file, capsys):
 def test_laws_below_level_one_are_input_errors(script_file, capsys, level):
     assert main(["laws", script_file, "--level", level]) == 2
     assert capsys.readouterr().err == "error: levels start at 1\n"
+
+
+@pytest.mark.parametrize("samples", ["-3", "-1"])
+def test_laws_negative_samples_are_input_errors(script_file, capsys, samples):
+    assert main(["laws", script_file, "--samples", samples]) == 2
+    assert capsys.readouterr() == ("", "error: samples must be at least 0\n")
+    assert main(["laws", script_file, "--samples", "0"]) == 0
+    assert capsys.readouterr().out.endswith(", 0 checks, 0 failures\n")

@@ -29,7 +29,9 @@ from pathrw.terms import (
 )
 
 from conftest import lambda_terms_up_to, raw_trees
-from test_kernel import LAM, NON_TERMS, SWEEP, TRIANGLE, _lam_terms, _lifted_terms, ref_endpoints, ref_level
+from test_kernel import (
+    LAM, NON_TERMS, SWEEP, TRIANGLE, _lam_terms, _lifted_terms, ref_concat, ref_endpoints, ref_level, ref_reverse,
+)
 
 # --- references: the recursive walks -------------------------------------------
 
@@ -105,20 +107,6 @@ def ref_mu_measure(t):
         return 1 + body_size, body_weight
 
     return go(t)
-
-
-def ref_concat(w1, w2):
-    letters = list(w1.letters)
-    for letter in w2.letters:
-        if letters and letters[-1].gen == letter.gen and letters[-1].orient == -letter.orient:
-            letters.pop()
-        else:
-            letters.append(letter)
-    return ReducedWord(w1.base, tuple(letters))
-
-
-def ref_reverse(w):
-    return ReducedWord(w.target, tuple(letter.inverse() for letter in reversed(w.letters)))
 
 
 def ref_word(t, ctx):

@@ -30,7 +30,7 @@ from pathrw.errors import (
 )
 from pathrw.groupoid import _lift_from, _random_term_at_level
 from pathrw.lam import Abs, App, Var
-from pathrw.oracle import Letter, ReducedWord, _concat, _reverse, enumerate_terms, read_back, word
+from pathrw.oracle import Letter, ReducedWord, enumerate_terms, read_back, word
 from pathrw.rules import (
     FORWARD,
     GROUPOID_COMPLETE,
@@ -188,6 +188,20 @@ def ref_endpoints(t, ctx, _pos=()):
     raise TypeError(f"not a path term: {t!r}")
 
 
+def ref_concat(w1, w2):
+    letters = list(w1.letters)
+    for letter in w2.letters:
+        if letters and letters[-1].gen == letter.gen and letters[-1].orient == -letter.orient:
+            letters.pop()
+        else:
+            letters.append(letter)
+    return ReducedWord(w1.base, tuple(letters))
+
+
+def ref_reverse(w):
+    return ReducedWord(w.target, tuple(letter.inverse() for letter in reversed(w.letters)))
+
+
 def ref_word(t, ctx):
     def single(key):
         src, tgt = ref_endpoints(t, ctx)
@@ -199,9 +213,9 @@ def ref_word(t, ctx):
         case Atom(name):
             return single(("atom", name))
         case Sym(body):
-            return _reverse(ref_word(body, ctx))
+            return ref_reverse(ref_word(body, ctx))
         case Trans(left, right):
-            return _concat(ref_word(left, ctx), ref_word(right, ctx))
+            return ref_concat(ref_word(left, ctx), ref_word(right, ctx))
         case Xi(var, body):
             return single(("xi", var, read_back(ref_word(body, ctx))))
         case Mu(func, body):

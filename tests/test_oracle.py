@@ -3,6 +3,8 @@ confluence experiments, and the derivable-extension certificates."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given
 
@@ -37,6 +39,7 @@ from pathrw.terms import (
     Sym,
     Trans,
     Xi,
+    format_term,
     size,
 )
 from pathrw.lam import Abs, Var
@@ -245,14 +248,12 @@ def test_enumerate_is_deterministic(ctx_rs):
     assert list(enumerate_terms(ctx_rs, 5)) == list(enumerate_terms(ctx_rs, 5))
 
 
-def test_enumerate_level_two_small(ctx_r):
-    terms = list(enumerate_terms(ctx_r, 2, 2))
-    assert terms
-    from pathrw.terms import level, validate
-
-    for t in terms:
-        assert level(t) == 2
-        assert validate(t, ctx_r).ok
+def test_enumerate_sequence_is_pinned(ctx_rs):
+    """The size-9 sequence, order included, as the term-keyed tables first gave it."""
+    terms = list(enumerate_terms(ctx_rs, 9))
+    assert len(terms) == 8869
+    digest = hashlib.sha256("\n".join(format_term(t) for t in terms).encode()).hexdigest()
+    assert digest == "96832c6cdee807f87dc68ac6f427ce415ed6c87696f8d22c9d17635df107614d"
 
 
 # --- read-back and canonical forms -------------------------------------------
