@@ -238,8 +238,8 @@ def decide_rw_equal(s: PathTerm, t: PathTerm, rs: RuleSet, ctx: Context) -> Equa
         return Equal(Derivation(s, (), level(s)))
     if word(s, ctx) != word(t, ctx):
         return NotEqual("reduced words differ")
-    ds = canonical_derivation(s, rs, ctx)
-    dt = canonical_derivation(t, rs, ctx)
+    ds = _record(s, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)  # both sides checked above
+    dt = _record(t, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)
     if ds.end != dt.end:
         # Terms with one reduced word share a canonical form; anything else is
         # a fault in the groupoid-complete rules, not in the input.

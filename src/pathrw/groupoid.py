@@ -205,8 +205,9 @@ def _recorded_wrap(w: PathTerm, ctx: Context, rng: random.Random) -> tuple[PathT
 def _wrap(t: PathTerm, ctx: Context, rng: random.Random) -> tuple[PathTerm, list[str]]:
     """Dress a term in endpoint-preserving redundancy; returns it and the rules that peel it, innermost first."""
     rules: list[str] = []
-    for _ in range(rng.randint(0, 2)):
-        src, tgt = endpoints(t, ctx)
+    for layer in range(rng.randint(0, 2)):
+        if not layer:  # wrapping keeps the endpoints
+            src, tgt = endpoints(t, ctx)
         rule = rng.choice(_WRAP_RULES)
         if rule == "ss":
             t = Sym(Sym(t))

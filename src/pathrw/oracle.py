@@ -7,8 +7,8 @@ and recorded steps enter as opaque generators keyed by their canonicalized
 content, which keeps the word map invariant under contractions beneath them.
 
 Also here: exhaustive enumeration of small level-1 terms, the paths between
-elements, and a brute-force local confluence check over them (enumerate
-peaks, join by normalization).
+elements, and a local confluence check over them that builds each term's
+normal forms from its children's (see ``check_confluence``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import PathRwError, UnknownAtom
-from .rules import RuleSet, contractions, match_redexes
+from .rules import PSym, PTrans, PVar, RuleSet, Template, _contract_from, build_template
 from .terms import (
     Atom,
     Context,
@@ -234,35 +234,69 @@ class Peak:
     right_nf: PathTerm
 
 
+# A node over normal children, as the walker sees it: only the root is left to visit.
+_SEAMS = {Trans: PTrans(PVar("l"), PVar("r")), Sym: PSym(PVar("b"))}
+
+
 def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
-    """Brute-force local confluence at desk scale.
+    """Local confluence at desk scale: the peaks among the enumerated terms.
 
-    For every enumerated term, contract each redex once, normalize all the
-    contracta, and report every pair that lands on different normal forms.
+    A peak is a pair of redexes of one term, in ``match_redexes`` order,
+    whose contracta have different leftmost-innermost normal forms. Under
+    innermost order a term's normal form is its root walked over its
+    children's normal forms, so no contractum is normalized from scratch:
+    each term's facts (normal form, redexes, each contractum's normal form)
+    come from its children's, enumerated before it. A contraction in a child
+    joins the child's contractum normal form with its sibling's; one at the
+    root builds the right-hand side over the bound subterms' normal forms and
+    walks only what it built. ``join`` memoizes the normal form of a node over
+    normal children by its class and its children's identities.
     """
-    from .engine import contract_once
+    if max_size < 1:
+        raise PathRwError("max size must be at least 1")
 
-    nf_cache: dict[PathTerm, PathTerm] = {}
+    def walked(node: PathTerm, template: Template) -> PathTerm:
+        for _, _, _, node in _contract_from(node, template, rs, ctx):
+            pass
+        return node
 
-    def nf(t: PathTerm) -> PathTerm:
-        # Enumerated terms and their contracta are well formed, so this walks
-        # without normalize's entry check and without recording steps.
-        cached = nf_cache.get(t)
-        if cached is None:
-            cached = t
-            for _, _, _, cached in contractions(t, rs, ctx):
-                pass
-            nf_cache[t] = cached
-        return cached
+    joined: dict[tuple[type, int, int], tuple] = {}  # also holds the children, so no id is reused
 
+    def join(tp: type, a: PathTerm, b: PathTerm | None = None) -> PathTerm:
+        key = tp, id(a), id(b)
+        hit = joined.get(key)
+        if hit is None:
+            node = Trans(a, b) if tp is Trans else Sym(a)
+            hit = joined[key] = a, b, walked(node, _SEAMS[tp])
+        return hit[2]
+
+    # id(term) -> (term, normal form, redexes as (rule, position), each contractum's normal form)
+    facts: dict[int, tuple[PathTerm, PathTerm, list, list]] = {}
     peaks = []
     for t in enumerate_terms(ctx, max_size):
-        redexes = match_redexes(rs, t)
-        if len(redexes) < 2:
+        tp = type(t)
+        if tp is Trans:
+            _, lnf, lred, lnfs = facts[id(t.left)]
+            _, rnf, rred, rnfs = facts[id(t.right)]
+            nf = join(Trans, lnf, rnf)
+            redexes = [(rule, (0, *pos)) for rule, pos in lred] + [(rule, (1, *pos)) for rule, pos in rred]
+            nfs = [join(Trans, c, rnf) for c in lnfs] + [join(Trans, lnf, c) for c in rnfs]
+        elif tp is Sym:
+            _, bnf, bred, bnfs = facts[id(t.body)]
+            nf = join(Sym, bnf)
+            redexes = [(rule, (0, *pos)) for rule, pos in bred]
+            nfs = [join(Sym, c) for c in bnfs]
+        else:
+            facts[id(t)] = t, t, [], []
             continue
-        contracta = [(rule, pos, contract_once(t, rule, pos, rs, ctx)[0]) for rule, pos in redexes]
-        for (r1, p1, c1), (r2, p2, c2) in itertools.combinations(contracta, 2):
-            n1, n2 = nf(c1), nf(c2)
+        for schema, binding in rs.matches(t, 1):
+            for name, bound in binding.items():
+                if type(bound) is not Object:
+                    binding[name] = facts[id(bound)][1]
+            redexes.append((schema.display_name, ()))
+            nfs.append(walked(build_template(schema.rhs, binding, ctx), schema.rhs))
+        facts[id(t)] = t, nf, redexes, nfs
+        for ((r1, p1), n1), ((r2, p2), n2) in itertools.combinations(zip(redexes, nfs), 2):
             if n1 != n2:
                 peaks.append(Peak(t, r1, p1, n1, r2, p2, n2))
     return peaks

@@ -332,6 +332,15 @@ class RuleSet:
                 return schema, binding
         return None
 
+    def matches(self, node: PathTerm, lv: int) -> list[tuple[RuleSchema, Binding]]:
+        """Every schema at level ``lv`` that matches at ``node``, in rule-set order, with its binding."""
+        found = []
+        for schema in self._at_level(lv)[1][_shape(node)]:
+            binding = schema.match(node)
+            if binding is not None:
+                found.append((schema, binding))
+        return found
+
 
 PAPER7 = RuleSet("paper7", (SR, SS, TR, TSR, TLR, TRR, TT))
 GROUPOID_COMPLETE = RuleSet("groupoid-complete", PAPER7.schemas + (ST, TRC, TSRC))
@@ -397,14 +406,12 @@ def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
     keep the rule set's order. An empty list means ``t`` is a normal form.
     Schemas apply at the term's own level; names carry the level suffix.
     """
-    index = rs._at_level(level(t))[1]
+    lv = level(t)
     found: list[tuple[str, Position]] = []
     path = [[t, None, 0]]
     for frame in _visits(path, innermost=True):
-        node = frame[0]
-        for schema in index[_shape(node)]:
-            if schema.match(node) is not None:
-                found.append((schema.display_name, _position(path)))
+        for schema, _ in rs.matches(frame[0], lv):
+            found.append((schema.display_name, _position(path)))
     return found
 
 
@@ -421,8 +428,20 @@ def contractions(
     innermost = strategy == "leftmost-innermost"
     if not innermost and strategy != "leftmost-outermost":
         raise ValueError(f"unknown strategy '{strategy}'")
+    return _contract_from(t, None, rs, ctx, innermost)
+
+
+def _contract_from(
+    t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context, innermost: bool = True
+) -> Iterator[tuple[RuleSchema, Position, PathTerm, PathTerm]]:
+    """``contractions`` from a root frame whose node ``template`` built.
+
+    Innermost, the parts of ``t`` at the template's metavariables are taken
+    as normal and never visited: from ``PTrans(PVar, PVar)`` only the root
+    and what contracting it builds are walked.
+    """
     lv = level(t)
-    path = [[t, None, 0]]
+    path = [[t, template, 0]]
     for frame in _visits(path, innermost):
         found = rs.first_match(frame[0], lv)
         while found is not None:

@@ -215,6 +215,14 @@ def test_confluence_reports_peaks_but_exits_zero(script_file, capsys):
     assert "0 peaks" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("max_size", ["-3", "0"])
+def test_confluence_max_size_below_one_is_an_input_error(script_file, capsys, max_size):
+    assert main(["confluence", script_file, "--max-size", max_size]) == 2
+    assert capsys.readouterr() == ("", "error: max size must be at least 1\n")
+    assert main(["confluence", script_file, "--max-size", "1"]) == 0
+    assert capsys.readouterr().out == "confluence: rules paper7, max size 1, 0 peaks\n"
+
+
 def test_explain_command(capsys):
     assert main(["explain", "tt"]) == 0
     out = capsys.readouterr().out

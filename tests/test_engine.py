@@ -133,6 +133,10 @@ def test_input_is_checked_once_per_call_not_per_step(ctx_r, monkeypatch):
     assert len(normalize(t, PAPER7, ctx_r)[1].steps) == 60
     assert len(canonical_derivation(t, PAPER7, ctx_r).steps) == 60
     assert checked == [t, t]
+    checked.clear()
+    u = Atom("r")
+    assert isinstance(decide_rw_equal(t, u, PAPER7, ctx_r), Equal)
+    assert checked == [t, u]
 
 
 # --- non-confluence of the seven rules (witnessed) ---------------------------
@@ -200,7 +204,7 @@ def test_decide_level_mismatch(ctx_r):
 def test_decide_raises_an_internal_error_when_canonical_forms_differ(ctx_fan, monkeypatch):
     """Equal words but different canonical forms is a fault in the rules, not in the input."""
     lhs = Trans(Atom("r"), Trans(Sym(Atom("r")), Atom("s")))
-    monkeypatch.setattr(engine, "canonical_derivation", lambda t, rs, ctx: Derivation(t, (), level(t)))
+    monkeypatch.setattr(engine, "_record", lambda t, walk_rs, ctx, strategy, rs: Derivation(t, (), level(t)))
     with pytest.raises(RuntimeError, match="^internal error: equal reduced words") as exc:
         decide_rw_equal(lhs, Atom("s"), PAPER7, ctx_fan)
     # cli.main reports OSError and PathRwError as input errors; this must escape it.

@@ -3,6 +3,8 @@ suite, and level uniformity up the tower."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pathrw.engine import derivation_to_path, normalize, replay_derivation
@@ -13,6 +15,10 @@ from pathrw.groupoid import (
     check_inverses,
     check_units,
     compose,
+    _random_path,
+    _random_term_at_level,
+    _wrap,
+    _WRAP_RULES,
     run_laws,
 )
 from pathrw.rules import PAPER7
@@ -141,3 +147,49 @@ def test_lifted_objects_have_matching_endpoints(ctx_r):
     assert level(lifted) == 2
     src, tgt = endpoints(lifted, ctx_r)
     assert src == Object(1, d.start) and tgt == Object(1, d.end)
+
+
+def ref_wrap(t, ctx, rng):
+    """The redundancy wrapper as first written: it reads the endpoints on every layer."""
+    rules = []
+    for _ in range(rng.randint(0, 2)):
+        src, tgt = endpoints(t, ctx)
+        rule = rng.choice(_WRAP_RULES)
+        if rule == "ss":
+            t = Sym(Sym(t))
+        elif rule == "tlr":
+            t = Trans(Refl(src), t)
+        else:
+            t = Trans(t, Refl(tgt))
+        rules.append(rule)
+    return t, rules
+
+
+def _outcome(wrap, t, ctx, rng):
+    try:
+        return wrap(t, ctx, rng)
+    except EndpointMismatch as exc:
+        return type(exc), str(exc)
+
+
+def test_wrap_agrees_with_reference_draw_for_draw(ctx_rs):
+    """Same terms, same rules, same RNG state after, over 3,000 seeds; an ill-formed term raises alike."""
+    ill = Trans(Atom("r"), Atom("r"))
+    kinds = set()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        kind = seed % 3
+        if kind == 0:
+            t = _random_path(ctx_rs, rng, depth=rng.randint(0, 3))
+        elif kind == 1:
+            t = _random_term_at_level(ctx_rs, 2, rng)
+        else:
+            t = ill
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        got = _outcome(_wrap, t, ctx_rs, rng)
+        assert got == _outcome(ref_wrap, t, ctx_rs, ref_rng), seed
+        assert rng.getstate() == ref_rng.getstate(), seed
+        kinds.add((kind, got[0] is EndpointMismatch, len(got[1]) if got[0] is not EndpointMismatch else None))
+    assert {(2, True, None), (2, False, 0)} <= kinds  # ill-formed: raises with a layer, not without
+    assert {(k, False, n) for k in (0, 1) for n in (0, 1, 2)} <= kinds

@@ -4,6 +4,7 @@ confluence experiments, and the derivable-extension certificates."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given
@@ -17,10 +18,11 @@ from pathrw.engine import (
     normalize,
     replay_derivation,
 )
-from pathrw.rules import GROUPOID_COMPLETE, PAPER7, match_redexes
+from pathrw.rules import GROUPOID_COMPLETE, PAPER7, contractions, match_redexes
 from pathrw.errors import PathRwError
 from pathrw.oracle import (
     Letter,
+    Peak,
     ReducedWord,
     check_confluence,
     enumerate_terms,
@@ -306,6 +308,58 @@ def test_extended_rules_have_no_peaks(ctx_fan, ctx_rs):
 def test_size_one_terms_have_no_peaks(ctx_rs):
     assert check_confluence(PAPER7, ctx_rs, 1) == []
     assert check_confluence(GROUPOID_COMPLETE, ctx_rs, 1) == []
+
+
+def ref_check_confluence(rs, ctx, max_size):
+    """Brute force: contract each redex of each term in place, normalize each contractum from scratch."""
+    nf_cache = {}
+
+    def nf(t):
+        cached = nf_cache.get(t)
+        if cached is None:
+            cached = t
+            for _, _, _, cached in contractions(t, rs, ctx):
+                pass
+            nf_cache[t] = cached
+        return cached
+
+    peaks = []
+    for t in enumerate_terms(ctx, max_size):
+        redexes = match_redexes(rs, t)
+        if len(redexes) < 2:
+            continue
+        contracta = [(rule, pos, contract_once(t, rule, pos, rs, ctx)[0]) for rule, pos in redexes]
+        for (r1, p1, c1), (r2, p2, c2) in itertools.combinations(contracta, 2):
+            n1, n2 = nf(c1), nf(c2)
+            if n1 != n2:
+                peaks.append(Peak(t, r1, p1, n1, r2, p2, n2))
+    return peaks
+
+
+_TRIANGLE_ATOMS = {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")}
+_TRIANGLE = Context(("A",), {"a": "A", "b": "A", "c": "A"}, {}, _TRIANGLE_ATOMS)
+# The triangle next to lambda-valued elements joined by a tagged atom.
+_TRIANGLE_LAM = Context(
+    ("A", "F"),
+    {"a": "A", "b": "A", "c": "A", "m": "F", "n": "F"},
+    {"m": Abs("x", Var("x")), "n": Abs("y", Var("y"))},
+    {**_TRIANGLE_ATOMS, "al": AtomDecl("m", "n", "F", "alpha")},
+)
+
+
+@pytest.mark.parametrize("rs", [PAPER7, GROUPOID_COMPLETE], ids=lambda rs: rs.name)
+@pytest.mark.parametrize("ctx_name", ["ctx_rs", "ctx_fan", "triangle", "triangle_lam"])
+def test_confluence_agrees_with_brute_force(request, ctx_name, rs):
+    """Same peaks, in the same order, with equal fields, at every size up to 7."""
+    ctx = {"triangle": _TRIANGLE, "triangle_lam": _TRIANGLE_LAM}.get(ctx_name) or request.getfixturevalue(ctx_name)
+    for max_size in range(1, 8):
+        assert check_confluence(rs, ctx, max_size) == ref_check_confluence(rs, ctx, max_size), max_size
+
+
+def test_confluence_agrees_with_brute_force_at_size_nine(ctx_rs):
+    peaks = check_confluence(PAPER7, ctx_rs, 9)
+    assert len(peaks) == 119
+    assert peaks == ref_check_confluence(PAPER7, ctx_rs, 9)
 
 
 # --- extension rules are derivable -------------------------------------------
