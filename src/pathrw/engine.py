@@ -46,6 +46,7 @@ from .rules import (
     build_template,
     contractions,
 )
+from .oracle import word
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,21 +225,20 @@ def decide_rw_equal(s: PathTerm, t: PathTerm, rs: RuleSet, ctx: Context) -> Equa
     """Decide whether two same-level terms are connected by contractions.
 
     The verdict comes from the reduced-word oracle and is exact; an Equal
-    result carries a witness that replays over ``rs``.
+    result carries a witness that replays over ``rs``. Each side's word
+    checks it, so an ill-formed side raises what ``endpoints`` raises.
     """
-    from .oracle import word
-
     if level(s) != level(t):
         raise LevelMismatch(f"levels differ: {level(s)} != {level(t)}")
-    ends_s = endpoints(s, ctx)
-    ends_t = ends_s if t is s else endpoints(t, ctx)
-    if ends_s != ends_t:
+    ws = word(s, ctx)
+    wt = ws if t is s else word(t, ctx)
+    if (ws.source, ws.target) != (wt.source, wt.target):
         return NotEqual("endpoint mismatch")
     if s == t:
         return Equal(Derivation(s, (), level(s)))
-    if word(s, ctx) != word(t, ctx):
+    if ws != wt:
         return NotEqual("reduced words differ")
-    ds = _record(s, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)  # both sides checked above
+    ds = _record(s, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)  # both sides checked by their words
     dt = _record(t, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)
     if ds.end != dt.end:
         # Terms with one reduced word share a canonical form; anything else is

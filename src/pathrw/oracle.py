@@ -5,6 +5,8 @@ context's step atoms; the seven rules are groupoid laws, so two terms are
 connected by contractions exactly when their words agree. Congruence formers
 and recorded steps enter as opaque generators keyed by their canonicalized
 content, which keeps the word map invariant under contractions beneath them.
+``word`` is one linear walk that pushes inversion down to the leaves; it
+accepts exactly the terms ``endpoints`` accepts and raises what it raises.
 
 Also here: exhaustive enumeration of small level-1 terms, the paths between
 elements, and a local confluence check over them that builds each term's
@@ -14,11 +16,10 @@ normal forms from its children's (see ``check_confluence``).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import PathRwError, UnknownAtom
+from .errors import PathRwError, UnresolvedLambda
 from .rules import PSym, PTrans, PVar, RuleSet, Template, _contract_from, build_template
 from .terms import (
     Atom,
@@ -68,96 +69,80 @@ class ReducedWord:
         return self.letters[-1].tgt if self.letters else self.base
 
 
-def _join(left, right) -> deque:
-    """``left`` then ``right``, cancelled at the seam: the shorter moves into the longer, reused if a deque."""
-    if len(left) >= len(right):
-        host = left if type(left) is deque else deque(left)
-        for letter in right:
-            if host and host[-1].gen == letter.gen and host[-1].orient == -letter.orient:
-                host.pop()
-            else:
-                host.append(letter)
-        return host
-    host = right if type(right) is deque else deque(right)
-    for letter in reversed(left):
-        if host and host[0].gen == letter.gen and host[0].orient == -letter.orient:
-            host.popleft()
-        else:
-            host.appendleft(letter)
-    return host
-
-
 def word(t: PathTerm, ctx: Context) -> ReducedWord:
-    """The reduced word of a path term.
+    """The reduced word of a path term; raises what ``endpoints`` raises.
 
-    Refl is empty, Sym reverses and flips orientations, Trans concatenates
-    with cancellation; atoms, formers, and recorded steps are single letters.
-    The walk is post-order on an explicit stack. A former takes its endpoints
-    from its body's word, unless the walk met a node in the body that
-    ``endpoints`` rejects: then it calls ``endpoints``, which raises.
+    Refl is empty, Sym inverts, Trans concatenates with cancellation; atoms,
+    formers, and recorded steps are single letters. One walk on an explicit
+    stack of (node, polarity) entries: Sym flips the polarity, and a Trans
+    under negative polarity visits its right child first, so the leaves come
+    in path order. Each leaf's letter, inverted under negative polarity,
+    cancels against the top of one output list. A former opens a segment of
+    that list and walks its body at positive polarity; then it reads the
+    segment back as its key and puts its own letter in the segment's place.
+    Each segment keeps its first source and last target. A leaf that does not
+    chain to the one before it, or an atom, element or former that
+    ``endpoints`` rejects, makes ``word`` call ``endpoints``, which raises.
     """
-    # Per node above t: [node, its left child's (base, letters) once walked], or [former, flaws on entry].
-    frames: list = []
-    formers = flaws = 0  # formers among the frames; nodes met inside one that endpoints rejects
-    while True:
+    root = t
+    out: list[Letter] = []
+    segments = [[0, None, None]]  # per open segment: [its start in out, first source, last target]
+    todo: list = [(t, 1)]  # polarity +-1 walks a node; +-2 closes a former whose body is walked
+    while todo:
+        t, pol = todo.pop()
         tp = type(t)
-        if tp is Trans or tp is Sym:
-            frames.append([t, None])
-            t = t.left if tp is Trans else t.body
+        if tp is Trans:
+            todo += ((t.right, pol), (t.left, pol)) if pol == 1 else ((t.left, pol), (t.right, pol))
             continue
-        if tp is Xi or tp is Mu or tp is Nu:
-            frames.append([t, flaws])
-            formers += 1
-            t = t.body
+        if tp is Sym:
+            todo.append((t.body, -pol))
             continue
-        if tp is Refl:
-            base, letters = t.obj, ()
-            payload = base.payload
-            if formers and base.level == 0 and isinstance(payload, str) and payload not in ctx.elements:
-                flaws += 1
-        else:
-            if tp is Atom:
-                decl = ctx.atoms.get(t.name)
-                if decl is None:
-                    raise UnknownAtom(t.name)
-                src, tgt = Object(0, decl.source), Object(0, decl.target)
-                key: object = ("atom", t.name)
-            elif tp is StepAtom:
-                src, tgt = Object(t.step.level, t.step.before), Object(t.step.level, t.step.after)
-                key = ("step", t.step)
-            else:
-                raise TypeError(f"not a path term: {t!r}")
-            base, letters = src, (Letter(key, 1, src, tgt),)
-        while frames:
-            frame = frames[-1]
-            node = frame[0]
-            tp = type(node)
-            if tp is Sym:
-                base = letters[-1].tgt if letters else base
-                letters = [letter.inverse() for letter in reversed(letters)]
-            elif tp is not Trans:
-                formers -= 1
-                body = ReducedWord(base, tuple(letters))
-                label = node.var if tp is Xi else node.func if tp is Mu else node.arg
-                key = ("xi" if tp is Xi else "mu" if tp is Mu else "nu", label, read_back(body))
-                if flaws == frame[1]:
-                    ends = body.source, body.target
-                    src, tgt = former_endpoints(node, applied_lambda(node, ctx), ends, ctx)
-                else:
-                    src, tgt = endpoints(node, ctx)
-                base, letters = src, (Letter(key, 1, src, tgt),)
-            elif frame[1] is None:
-                frame[1] = base, letters
-                t = node.right
+        if tp is Atom:
+            decl = ctx.atoms.get(t.name)
+            if decl is None:
                 break
-            else:
-                lbase, left = frame[1]
-                if formers and (left[-1].tgt if left else lbase) != base:
-                    flaws += 1
-                base, letters = lbase, _join(left, letters)
-            frames.pop()
+            src, tgt, key = Object(0, decl.source), Object(0, decl.target), ("atom", t.name)
+        elif tp is Refl:
+            src = tgt = t.obj
+            key = None
+            if src.level == 0 and isinstance(src.payload, str) and src.payload not in ctx.elements:
+                break
+        elif tp is StepAtom:
+            step = t.step
+            src, tgt, key = Object(step.level, step.before), Object(step.level, step.after), ("step", step)
+        elif tp is Xi or tp is Mu or tp is Nu:
+            if pol == 1 or pol == -1:
+                segments.append([len(out), None, None])
+                todo += ((t, 2 * pol), (t.body, 1))
+                continue
+            pol //= 2
+            start, base, end = segments.pop()
+            body = read_back(ReducedWord(base, tuple(out[start:])))
+            del out[start:]
+            key = ("xi", t.var, body) if tp is Xi else ("mu", t.func, body) if tp is Mu else ("nu", t.arg, body)
+            try:
+                src, tgt = former_endpoints(t, applied_lambda(t, ctx), (base, end), ctx)
+            except UnresolvedLambda:
+                break
         else:
-            return ReducedWord(base, tuple(letters))
+            break
+        if pol == -1:
+            src, tgt = tgt, src
+        segment = segments[-1]
+        if segment[1] is None:
+            segment[1] = src
+        elif segment[2] != src:
+            break
+        segment[2] = tgt
+        if key is not None:
+            if len(out) > segment[0] and out[-1].gen == key and out[-1].orient == -pol:
+                out.pop()
+            else:
+                out.append(Letter(key, pol, src, tgt))
+    else:
+        return ReducedWord(segments[0][1], tuple(out))
+    endpoints(root, ctx)
+    raise RuntimeError("internal error: word rejected a term that endpoints accepts")
 
 
 def read_back(w: ReducedWord) -> PathTerm:
@@ -192,7 +177,10 @@ def _letter_term(letter: Letter) -> PathTerm:
 
 
 def oracle_equal(s: PathTerm, t: PathTerm, ctx: Context) -> bool:
-    """True iff the two terms have the same reduced word, base included."""
+    """True iff the two terms have the same reduced word, base included.
+
+    An ill-formed term raises what ``endpoints`` raises.
+    """
     return word(s, ctx) == word(t, ctx)
 
 

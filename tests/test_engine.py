@@ -27,7 +27,7 @@ from pathrw.engine import (
     replay_derivation,
 )
 from pathrw.errors import ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError
-from pathrw.oracle import enumerate_terms, oracle_equal
+from pathrw.oracle import enumerate_terms, oracle_equal, word
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, match_redexes
 from pathrw.terms import (
     Atom,
@@ -135,8 +135,10 @@ def test_input_is_checked_once_per_call_not_per_step(ctx_r, monkeypatch):
     assert checked == [t, t]
     checked.clear()
     u = Atom("r")
+    worded = []
+    monkeypatch.setattr(engine, "word", lambda v, ctx: worded.append(v) or word(v, ctx))
     assert isinstance(decide_rw_equal(t, u, PAPER7, ctx_r), Equal)
-    assert checked == [t, u]
+    assert checked == [] and worded == [t, u]
 
 
 # --- non-confluence of the seven rules (witnessed) ---------------------------
@@ -169,10 +171,12 @@ def test_decide_needs_reverse_steps(ctx_fan):
     assert replay_derivation(verdict.witness, PAPER7, ctx_fan)
 
 
-def test_decide_not_equal_on_endpoint_mismatch(ctx_r):
-    verdict = decide_rw_equal(Atom("r"), Sym(Atom("r")), PAPER7, ctx_r)
-    assert isinstance(verdict, NotEqual)
-    assert "endpoint" in verdict.reason
+def test_decide_not_equal_on_endpoint_mismatch(ctx_fan):
+    r, s = Atom("r"), Atom("s")
+    for lhs, rhs in ((r, Sym(r)), (r, s), (Sym(r), Sym(s))):  # both ends differ; only the target; only the source
+        verdict = decide_rw_equal(lhs, rhs, PAPER7, ctx_fan)
+        assert isinstance(verdict, NotEqual)
+        assert verdict.reason == "endpoint mismatch"
 
 
 def test_decide_reflexive_is_empty_witness(ctx_rs):

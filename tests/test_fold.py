@@ -133,6 +133,12 @@ def ref_word(t, ctx):
     return ReducedWord(src, (Letter(key, 1, src, tgt),))
 
 
+def checked_ref_word(t, ctx):
+    """``ref_word`` behind ``ref_endpoints``: ``word`` raises what ``endpoints`` raises."""
+    ref_endpoints(t, ctx)
+    return ref_word(t, ctx)
+
+
 def ref_validate(t, ctx):
     violations = []
 
@@ -220,7 +226,7 @@ def check_walks(terms, ctx):
         for new, old, args in (
             (validate, ref_validate, (t, ctx)),
             (endpoints, ref_endpoints, (t, ctx)),
-            (word, ref_word, (t, ctx)),
+            (word, checked_ref_word, (t, ctx)),
             (size, ref_size, (t,)),
             (format_term, ref_format_term, (t,)),
             (mu_measure, ref_mu_measure, (t,)),
@@ -458,7 +464,7 @@ def count_endpoints_calls(monkeypatch):
 
 
 def test_word_takes_former_endpoints_from_body_words(monkeypatch):
-    """A nest of formers costs ``word`` no ``endpoints`` call; an ill-formed body costs one, which raises."""
+    """A nest of formers costs ``word`` no ``endpoints`` call; an ill-formed body costs one, on the whole term, which raises."""
     calls = count_endpoints_calls(monkeypatch)
     for depth in (1, 10, 100, 1000):
         assert len(word(nest(depth), LAM).letters) == 1
@@ -468,8 +474,5 @@ def test_word_takes_former_endpoints_from_body_words(monkeypatch):
     bad = nest(100, Trans(Atom("al"), Refl(Object(0, "m"))))
     with pytest.raises(EndpointMismatch) as exc:
         word(bad, LAM)
-    assert exc.value.position == (0,)
-    innermost = bad
-    for _ in range(99):
-        innermost = innermost.body
-    assert len(calls) == 1 and calls[0] is innermost
+    assert exc.value.position == (0,) * 100
+    assert len(calls) == 1 and calls[0] is bad

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from pathrw.engine import (
     replay_derivation,
 )
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, contractions, match_redexes
-from pathrw.errors import PathRwError
+from pathrw.errors import EndpointMismatch, PathRwError, UnknownAtom, UnknownElement
 from pathrw.oracle import (
     Letter,
     Peak,
@@ -41,12 +42,14 @@ from pathrw.terms import (
     Sym,
     Trans,
     Xi,
+    endpoints,
     format_term,
     size,
 )
 from pathrw.lam import Abs, Var
 
 from conftest import term_strategy
+from test_kernel import ref_word
 
 
 def el(name):
@@ -82,6 +85,48 @@ def test_word_orientation_swaps_endpoints(ctx_r):
     assert w.base == el("b")
 
 
+def test_word_raises_what_endpoints_raises(ctx_rs):
+    r, s = Atom("r"), Atom("s")
+    with pytest.raises(UnknownAtom, match=r"^unknown atom 'zap' at position 1\.1$"):
+        word(Trans(r, Trans(s, Atom("zap"))), ctx_rs)
+    for bad, kind, pos in ((Sym(Trans(r, Refl(el("c")))), EndpointMismatch, (0,)), (Trans(Refl(el("q")), r), UnknownElement, (0,))):
+        with pytest.raises(kind) as expected:
+            endpoints(bad, ctx_rs)
+        with pytest.raises(kind) as got:
+            word(bad, ctx_rs)
+        assert str(got.value) == str(expected.value) and got.value.position == expected.value.position == pos
+
+
+LOOPS = Context(("A",), {"a": "A"}, {}, {"u": AtomDecl("a", "a", "A"), "v": AtomDecl("a", "a", "A")})
+
+
+def growing_nest(k):
+    """``w_k = sigma(tau(w_(k-1), v))`` with ``w_0 = u``: Sym and Trans alternate over a growing word."""
+    t = Atom("u")
+    for _ in range(k):
+        t = Sym(Trans(t, Atom("v")))
+    return t
+
+
+def growing_nest_letters(k):
+    """The closed form: ``w_2m = v^-m u v^m`` and ``w_2m+1 = v^-(m+1) u^-1 v^m``."""
+    m, odd = divmod(k, 2)
+    u, v = ("atom", "u"), ("atom", "v")
+    return [(v, -1)] * (m + odd) + [(u, -1 if odd else 1)] + [(v, 1)] * m
+
+
+def test_word_runs_on_a_hundred_thousand_link_growing_nest():
+    assert sys.getrecursionlimit() < 10_000
+    for k in range(31):
+        t = growing_nest(k)
+        w = word(t, LOOPS)
+        assert [(letter.gen, letter.orient) for letter in w.letters] == growing_nest_letters(k)
+        assert w == ref_word(t, LOOPS)
+    w = word(growing_nest(100_000), LOOPS)
+    assert [(letter.gen, letter.orient) for letter in w.letters] == growing_nest_letters(100_000)
+    assert (w.source, w.target) == (el("a"), el("a"))
+
+
 # --- oracle_equal ------------------------------------------------------------
 
 
@@ -90,6 +135,13 @@ def test_oracle_equal_examples(ctx_fan):
     assert oracle_equal(lhs, Atom("s"), ctx_fan)
     assert not oracle_equal(Atom("r"), Sym(Atom("r")), ctx_fan)
     assert oracle_equal(lhs, lhs, ctx_fan)
+
+
+def test_oracle_equal_rejects_ill_chained_terms(ctx_r):
+    bad = Trans(Atom("r"), Atom("r"))
+    with pytest.raises(EndpointMismatch) as exc:
+        oracle_equal(bad, bad, ctx_r)
+    assert exc.value.position == ()
 
 
 def test_oracle_invariant_under_every_contraction(ctx_rs):
