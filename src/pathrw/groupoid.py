@@ -5,6 +5,11 @@ that carries it to the right-hand side: a single named rule application,
 instantiated at the terms' own level. The suite runner samples random
 composable tuples (random contraction chains lifted one level up, for
 levels past the first), runs all five checks, and replays every witness.
+
+The sampler climbs the tower in a loop and threads endpoints, which
+contracting and wrapping keep, instead of reading them; a random step
+contracts the redex the one redex walk found. The public checks build the
+law instances with the suite's helpers once their inputs check out.
 """
 
 from __future__ import annotations
@@ -13,15 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import EndpointMismatch, LevelMismatch, PathRwError
-from .engine import (
-    Derivation,
-    concat_derivations,
-    contract_once,
-    derivation_to_path,
-    invert_derivation,
-    replay_derivation,
-)
-from .rules import PAPER7, match_redexes
+from .engine import Derivation, RewriteStep, derivation_to_path, replay_derivation
+from .rules import FORWARD, PAPER7, REVERSE, build_template, redexes
 from .terms import (
     Atom,
     Context,
@@ -32,6 +30,7 @@ from .terms import (
     Trans,
     endpoints,
     level,
+    replace_at,
 )
 
 LAWS = ("assoc", "left-unit", "right-unit", "left-inverse", "right-inverse")
@@ -70,43 +69,35 @@ class LawSuiteReport:
 
 def compose(s: PathTerm, r: PathTerm, ctx: Context) -> PathTerm:
     """Sequential composition ``s`` then ``r``; endpoints must meet."""
-    _, s_tgt = endpoints(s, ctx)
-    r_src, _ = endpoints(r, ctx)
-    if s_tgt != r_src:
-        raise EndpointMismatch((), s_tgt, r_src)
+    _meet(endpoints(s, ctx)[1], r, ctx)
     return Trans(s, r)
 
 
-def _single_step_report(
-    law: str, lhs: PathTerm, rule: str, lv: int, inputs: tuple[PathTerm, ...], ctx: Context
-) -> LawReport:
-    _, step = contract_once(lhs, rule, (), PAPER7, ctx)
-    witness = Derivation(lhs, (step,), lv)
-    return LawReport(law, lv, inputs, witness, replay_derivation(witness, PAPER7, ctx))
+def _meet(end: Object, r: PathTerm, ctx: Context) -> Object:
+    """The target of ``r``, which must start at ``end``."""
+    r_src, r_tgt = endpoints(r, ctx)
+    if end != r_src:
+        raise EndpointMismatch((), end, r_src)
+    return r_tgt
 
 
 def check_assoc(s: PathTerm, r: PathTerm, t: PathTerm, lv: int, ctx: Context) -> LawReport:
     """Witness that the two associations of a composable triple are connected."""
     _require_level((s, r, t), lv)
-    lhs = compose(compose(s, r, ctx), t, ctx)
-    return _single_step_report("assoc", lhs, "tt", lv, (s, r, t), ctx)
+    _meet(_meet(endpoints(s, ctx)[1], r, ctx), t, ctx)
+    return _assoc(s, r, t, lv, ctx)
 
 
 def check_units(s: PathTerm, lv: int, ctx: Context) -> tuple[LawReport, LawReport]:
     """Witnesses that the trivial paths at both endpoints act as units on ``s``."""
     _require_level((s,), lv)
-    src, tgt = endpoints(s, ctx)
-    left = _single_step_report("left-unit", Trans(Refl(src), s), "tlr", lv, (s,), ctx)
-    right = _single_step_report("right-unit", Trans(s, Refl(tgt)), "trr", lv, (s,), ctx)
-    return left, right
+    return _units(s, *endpoints(s, ctx), lv, ctx)
 
 
 def check_inverses(s: PathTerm, lv: int, ctx: Context) -> tuple[LawReport, LawReport]:
     """Witnesses that the inverse of ``s`` cancels it on both sides."""
     _require_level((s,), lv)
-    left = _single_step_report("left-inverse", Trans(s, Sym(s)), "tr", lv, (s,), ctx)
-    right = _single_step_report("right-inverse", Trans(Sym(s), s), "tsr", lv, (s,), ctx)
-    return left, right
+    return _inverses(s, *endpoints(s, ctx), lv, ctx)
 
 
 def _require_level(terms: tuple[PathTerm, ...], lv: int) -> None:
@@ -115,122 +106,148 @@ def _require_level(terms: tuple[PathTerm, ...], lv: int) -> None:
             raise LevelMismatch(f"term is at level {level(t)}, law check at level {lv}")
 
 
+def _law(law: str, rule: str, lhs: PathTerm, rhs: PathTerm, inputs: tuple, lv: int, ctx: Context) -> LawReport:
+    """A law on well-formed, composable inputs: ``lhs`` to ``rhs`` by ``rule`` at the root, replayed."""
+    step = RewriteStep(PAPER7.find(rule, lv).display_name, (), FORWARD, lhs, rhs, lv)
+    witness = Derivation(lhs, (step,), lv)
+    return LawReport(law, lv, inputs, witness, replay_derivation(witness, PAPER7, ctx))
+
+
+def _assoc(s: PathTerm, r: PathTerm, t: PathTerm, lv: int, ctx: Context) -> LawReport:
+    return _law("assoc", "tt", Trans(Trans(s, r), t), Trans(s, Trans(r, t)), (s, r, t), lv, ctx)
+
+
+def _units(s: PathTerm, src: Object, tgt: Object, lv: int, ctx: Context) -> tuple[LawReport, LawReport]:
+    left = _law("left-unit", "tlr", Trans(Refl(src), s), s, (s,), lv, ctx)
+    return left, _law("right-unit", "trr", Trans(s, Refl(tgt)), s, (s,), lv, ctx)
+
+
+def _inverses(s: PathTerm, src: Object, tgt: Object, lv: int, ctx: Context) -> tuple[LawReport, LawReport]:
+    left = _law("left-inverse", "tr", Trans(s, Sym(s)), Refl(src), (s,), lv, ctx)
+    return left, _law("right-inverse", "tsr", Trans(Sym(s), s), Refl(tgt), (s,), lv, ctx)
+
+
 def run_laws(ctx: Context, lv: int, samples: int, seed: int) -> LawSuiteReport:
     """Run the five law checks on ``samples`` random composable tuples."""
     if lv < 1:
         raise PathRwError("levels start at 1")
     if samples < 0:
         raise PathRwError("samples must be at least 0")
+    if samples and not ctx.elements:
+        raise PathRwError("no elements to sample paths from")
     rng = random.Random(seed)
     reports: list[LawReport] = []
     for _ in range(samples):
-        s, r, t = _composable_triple(ctx, lv, rng)
-        reports.append(check_assoc(s, r, t, lv, ctx))
-        reports.extend(check_units(s, lv, ctx))
-        reports.extend(check_inverses(s, lv, ctx))
+        s, r, t, src, tgt = _composable_triple(ctx, lv, rng)
+        reports.append(_assoc(s, r, t, lv, ctx))
+        reports.extend(_units(s, src, tgt, lv, ctx))
+        reports.extend(_inverses(s, src, tgt, lv, ctx))
     return LawSuiteReport(lv, samples, seed, tuple(reports))
 
 
 # --- random sampling -------------------------------------------------------
 
 
-def _composable_triple(ctx: Context, lv: int, rng: random.Random) -> tuple[PathTerm, PathTerm, PathTerm]:
+def _composable_triple(
+    ctx: Context, lv: int, rng: random.Random
+) -> tuple[PathTerm, PathTerm, PathTerm, Object, Object]:
+    """A composable triple ``s``, ``r``, ``t`` at level ``lv``, with the endpoints of ``s``."""
     if lv == 1:
-        s = _random_path(ctx, rng, depth=rng.randint(0, 3))
-        _, s_tgt = endpoints(s, ctx)
-        r = _random_path_from(s_tgt, ctx, rng, depth=rng.randint(0, 2))
-        _, r_tgt = endpoints(r, ctx)
-        t = _random_path_from(r_tgt, ctx, rng, depth=rng.randint(0, 2))
-        return s, r, t
-    u = _random_term_at_level(ctx, lv - 1, rng)
-    s, v = _lift_from(u, ctx, rng)
-    r, w = _lift_from(v, ctx, rng)
-    t, _ = _lift_from(w, ctx, rng)
-    return s, r, t
+        s, s_src, s_tgt = _random_path(ctx, rng, depth=rng.randint(0, 3))
+        r, r_tgt = _random_path_from(s_tgt, ctx, rng, depth=rng.randint(0, 2))
+        t, _ = _random_path_from(r_tgt, ctx, rng, depth=rng.randint(0, 2))
+        return s, r, t, s_src, s_tgt
+    u, src, tgt = _random_term_at_level(ctx, lv - 1, rng)
+    s, v = _lift_from(u, src, tgt, ctx, rng)
+    r, w = _lift_from(v, src, tgt, ctx, rng)
+    t, _ = _lift_from(w, src, tgt, ctx, rng)
+    return s, r, t, Object(lv - 1, u), Object(lv - 1, v)
 
 
-def _random_term_at_level(ctx: Context, lv: int, rng: random.Random) -> PathTerm:
-    if lv == 1:
-        return _wrap(_random_path(ctx, rng, depth=rng.randint(0, 2)), ctx, rng)[0]
-    base = _random_term_at_level(ctx, lv - 1, rng)
-    return _lift_from(base, ctx, rng)[0]
+def _random_term_at_level(ctx: Context, lv: int, rng: random.Random) -> tuple[PathTerm, Object, Object]:
+    """A random term at level ``lv`` and its endpoints: a wrapped level-1 path lifted ``lv - 1`` times."""
+    t, src, tgt = _random_path(ctx, rng, depth=rng.randint(0, 2))
+    t = _wrap(t, src, tgt, rng)[0]
+    for k in range(1, lv):
+        lifted, v = _lift_from(t, src, tgt, ctx, rng)
+        t, src, tgt = lifted, Object(k, t), Object(k, v)
+    return t, src, tgt
 
 
-def _lift_from(u: PathTerm, ctx: Context, rng: random.Random) -> tuple[PathTerm, PathTerm]:
-    """A one-level-up path starting at ``u``: lift a short recorded derivation.
+def _lift_from(
+    u: PathTerm, src: Object, tgt: Object, ctx: Context, rng: random.Random
+) -> tuple[PathTerm, PathTerm]:
+    """A one-level-up path starting at ``u``, which runs from ``src`` to ``tgt``.
 
     Walks forward to a reduct of ``u``, then backwards into a redundancy
     wrapping of it, so lifted paths mix forward and reverse steps while
     staying small at every tower level. Returns (lifted path, its target).
     """
-    d_forward = _random_step_derivation(u, ctx, rng)
-    v, d_unwrap = _recorded_wrap(d_forward.end, ctx, rng)
-    d = concat_derivations(d_forward, invert_derivation(d_unwrap))
-    lifted = _wrap(derivation_to_path(d), ctx, rng)[0]
+    lv = level(u)
+    forward = _random_step_derivation(u, lv, ctx, rng)
+    v, layers = _wrap(forward.end, src, tgt, rng)
+    backward = tuple(  # each wrapper's unwrapping at the root, read backwards
+        RewriteStep(PAPER7.find(rule, lv).display_name, (), REVERSE, inner, outer, lv)
+        for rule, inner, outer in layers
+    )
+    d = Derivation(u, forward.steps + backward, lv)
+    lifted = _wrap(derivation_to_path(d), Object(lv, u), Object(lv, v), rng)[0]
     return lifted, v
 
 
-def _random_step_derivation(u: PathTerm, ctx: Context, rng: random.Random) -> Derivation:
-    """A recorded chain of up to three forward contractions from ``u``."""
+def _random_step_derivation(u: PathTerm, lv: int, ctx: Context, rng: random.Random) -> Derivation:
+    """A recorded chain of up to three forward contractions from ``u``, each at a redex one walk found."""
     steps = []
     cur = u
     for _ in range(rng.randint(0, 3)):
-        redexes = match_redexes(PAPER7, cur)
-        if not redexes:
+        found = list(redexes(PAPER7, cur))
+        if not found:
             break
-        rule, pos = rng.choice(redexes)
-        cur, step = contract_once(cur, rule, pos, PAPER7, ctx)
-        steps.append(step)
-    return Derivation(u, tuple(steps), level(u))
+        schema, binding, pos = rng.choice(found)
+        after = replace_at(cur, pos, build_template(schema.rhs, binding, ctx))
+        steps.append(RewriteStep(schema.display_name, pos, FORWARD, cur, after, lv))
+        cur = after
+    return Derivation(u, tuple(steps), lv)
 
 
 _WRAP_RULES = ("ss", "tlr", "trr")
 
 
-def _recorded_wrap(w: PathTerm, ctx: Context, rng: random.Random) -> tuple[PathTerm, Derivation]:
-    """Wrap ``w`` in redundancy; returns the wrapped term and its unwrapping.
+def _wrap(
+    t: PathTerm, src: Object, tgt: Object, rng: random.Random
+) -> tuple[PathTerm, list[tuple[str, PathTerm, PathTerm]]]:
+    """Dress a term from ``src`` to ``tgt`` in endpoint-preserving redundancy.
 
-    The unwrapping derivation peels the wrappers at the root, one forward
-    contraction per layer.
+    Returns it and its layers, innermost first: the rule that peels each,
+    and the terms inside and outside it.
     """
-    v, rules = _wrap(w, ctx, rng)
-    steps = []
-    cur = v
-    for rule in reversed(rules):
-        cur, step = contract_once(cur, rule, (), PAPER7, ctx)
-        steps.append(step)
-    return v, Derivation(v, tuple(steps), level(w))
-
-
-def _wrap(t: PathTerm, ctx: Context, rng: random.Random) -> tuple[PathTerm, list[str]]:
-    """Dress a term in endpoint-preserving redundancy; returns it and the rules that peel it, innermost first."""
-    rules: list[str] = []
-    for layer in range(rng.randint(0, 2)):
-        if not layer:  # wrapping keeps the endpoints
-            src, tgt = endpoints(t, ctx)
+    layers = []
+    for _ in range(rng.randint(0, 2)):
         rule = rng.choice(_WRAP_RULES)
+        inner = t
         if rule == "ss":
             t = Sym(Sym(t))
         elif rule == "tlr":
             t = Trans(Refl(src), t)
         else:
             t = Trans(t, Refl(tgt))
-        rules.append(rule)
-    return t, rules
+        layers.append((rule, inner, t))
+    return t, layers
 
 
-def _random_path(ctx: Context, rng: random.Random, depth: int) -> PathTerm:
-    """A random well-formed level-1 term with free endpoints."""
+def _random_path(ctx: Context, rng: random.Random, depth: int) -> tuple[PathTerm, Object, Object]:
+    """A random well-formed level-1 term with free endpoints, and its endpoints."""
     src = Object(0, rng.choice(list(ctx.elements)))
-    return _random_path_from(src, ctx, rng, depth)
+    t, tgt = _random_path_from(src, ctx, rng, depth)
+    return t, src, tgt
 
 
 def _random_path_from(
     end: Object, ctx: Context, rng: random.Random, depth: int, forward: bool = True
-) -> PathTerm:
-    """A random level-1 term starting at ``end``, or ending there if not ``forward``."""
-    ahead = [n for n, d in ctx.atoms.items() if Object(0, d.source if forward else d.target) == end]
-    behind = [n for n, d in ctx.atoms.items() if Object(0, d.target if forward else d.source) == end]
+) -> tuple[PathTerm, Object]:
+    """A random level-1 term starting at ``end``, or ending there if not ``forward``; and its other end."""
+    ahead = [(n, d) for n, d in ctx.atoms.items() if Object(0, d.source if forward else d.target) == end]
+    behind = [(n, d) for n, d in ctx.atoms.items() if Object(0, d.target if forward else d.source) == end]
     choices = ["refl"]
     if ahead:
         choices.append("atom")
@@ -240,15 +257,17 @@ def _random_path_from(
             choices.append("sym")
     kind = rng.choice(choices)
     if kind == "atom":
-        return Atom(rng.choice(ahead))
+        name, decl = rng.choice(ahead)
+        return Atom(name), Object(0, decl.target if forward else decl.source)
     if kind == "sym":
         if behind and (depth <= 1 or rng.random() < 0.5):
-            return Sym(Atom(rng.choice(behind)))
-        return Sym(_random_path_from(end, ctx, rng, depth - 1, not forward))
+            name, decl = rng.choice(behind)
+            return Sym(Atom(name)), Object(0, decl.source if forward else decl.target)
+        body, far = _random_path_from(end, ctx, rng, depth - 1, not forward)
+        return Sym(body), far
     if kind == "trans":
         # Drawn from ``end`` outwards: the left half first going forward, the right one backward.
-        near = _random_path_from(end, ctx, rng, depth - 1, forward)
-        mid = endpoints(near, ctx)[1 if forward else 0]
-        far = _random_path_from(mid, ctx, rng, depth - 1, forward)
-        return Trans(near, far) if forward else Trans(far, near)
-    return Refl(end)
+        near, mid = _random_path_from(end, ctx, rng, depth - 1, forward)
+        far_part, far = _random_path_from(mid, ctx, rng, depth - 1, forward)
+        return (Trans(near, far_part) if forward else Trans(far_part, near)), far
+    return Refl(end), end

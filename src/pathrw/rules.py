@@ -399,6 +399,17 @@ def _visits(path: list, innermost: bool) -> Iterator[list]:
             path.pop()
 
 
+def redexes(rs: RuleSet, t: PathTerm) -> Iterator[tuple[RuleSchema, Binding, Position]]:
+    """(schema, binding, position) per match, in ``match_redexes`` order; one shape index per walk."""
+    index = rs._at_level(level(t))[1]
+    path = [[t, None, 0]]
+    for frame in _visits(path, innermost=True):
+        for schema in index[_shape(frame[0])]:
+            binding = schema.match(frame[0])
+            if binding is not None:
+                yield schema, binding, _position(path)
+
+
 def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
     """All (rule name, position) pairs where a schema matches, innermost first.
 
@@ -406,13 +417,7 @@ def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
     keep the rule set's order. An empty list means ``t`` is a normal form.
     Schemas apply at the term's own level; names carry the level suffix.
     """
-    lv = level(t)
-    found: list[tuple[str, Position]] = []
-    path = [[t, None, 0]]
-    for frame in _visits(path, innermost=True):
-        for schema, _ in rs.matches(frame[0], lv):
-            found.append((schema.display_name, _position(path)))
-    return found
+    return [(schema.display_name, pos) for schema, _, pos in redexes(rs, t)]
 
 
 def contractions(

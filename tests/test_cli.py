@@ -434,3 +434,18 @@ def test_laws_negative_samples_are_input_errors(script_file, capsys, samples):
     assert capsys.readouterr() == ("", "error: samples must be at least 0\n")
     assert main(["laws", script_file, "--samples", "0"]) == 0
     assert capsys.readouterr().out.endswith(", 0 checks, 0 failures\n")
+
+
+def test_laws_at_level_two_thousand_exit_zero(script_file, capsys):
+    assert main(["laws", script_file, "--level", "2000", "--samples", "1"]) == 0
+    assert capsys.readouterr().out.endswith("laws: level 2000, seed 0, 5 checks, 0 failures\n")
+
+
+def test_laws_on_a_script_with_no_elements_is_an_input_error(tmp_path, capsys):
+    bare = tmp_path / "bare.pth"
+    bare.write_text("type A\n", encoding="utf-8")
+    for level in ("1", "3"):
+        assert main(["laws", str(bare), "--level", level, "--samples", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: no elements to sample paths from\n")
+    assert main(["laws", str(bare), "--samples", "0"]) == 0
+    assert capsys.readouterr().out.endswith("laws: level 1, seed 0, 0 checks, 0 failures\n")

@@ -334,9 +334,9 @@ def _lifted_terms():
     rng = random.Random(7)
     out = []
     for u in SWEEP[::97]:
-        lifted, _ = _lift_from(u, TRIANGLE, rng)
+        lifted, _ = _lift_from(u, *endpoints(u, TRIANGLE), TRIANGLE, rng)
         out += [lifted, Sym(lifted), Trans(lifted, Sym(lifted))]
-    out += [_random_term_at_level(TRIANGLE, lv, rng) for lv in (2, 3) for _ in range(10)]
+    out += [_random_term_at_level(TRIANGLE, lv, rng)[0] for lv in (2, 3) for _ in range(10)]
     return out
 
 
