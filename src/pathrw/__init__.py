@@ -18,7 +18,7 @@ from .groupoid import LawReport, LawSuiteReport, check_assoc, check_inverses, ch
 from .lam import Abs, App, LambdaTerm, Var, alpha_eq, substitute, validate_axiom_atom
 from .oracle import Peak, ReducedWord, check_confluence, enumerate_terms, oracle_equal, read_back, word
 from .rules import (
-    GROUPOID_COMPLETE, PAPER7, RuleSchema, RuleSet, explain_rule, instantiate_at_level, match_redexes, rule_set,
+    GROUPOID_COMPLETE, PAPER7, RuleSchema, RuleSet, explain_rule, match_redexes, rule_set, step_name,
 )
 from .script import Script, parse_lambda_expr, parse_path_expr, parse_script
 from .serialize import derivation_from_doc, derivation_to_doc, replay_document

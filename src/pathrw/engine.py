@@ -45,6 +45,7 @@ from .rules import (
     RuleSet,
     build_template,
     contractions,
+    step_name,
 )
 from .oracle import word
 
@@ -99,12 +100,13 @@ def contract_once(
     t: PathTerm, rule: str, pos: Position, rs: RuleSet, ctx: Context
 ) -> tuple[PathTerm, RewriteStep]:
     """Apply ``rule`` at ``pos`` in ``t``; returns the contractum and the step."""
-    schema = rs.find(rule, level(t))
+    lv = level(t)
+    schema = rs.find(rule, lv)
     binding = schema.match(subterm_at(t, pos))
     if binding is None:
         raise NoRedex(f"rule '{rule}' does not match at position {pos}")
     after = replace_at(t, pos, build_template(schema.rhs, binding, ctx))
-    return after, RewriteStep(schema.display_name, pos, FORWARD, t, after, schema.level)
+    return after, RewriteStep(step_name(schema.name, lv), pos, FORWARD, t, after, lv)
 
 
 def normalize(
@@ -174,11 +176,17 @@ def replay_derivation(d: Derivation, rs: RuleSet, ctx: Context) -> bool:
 
     A check builds no term but the rule's right-hand side: it walks the redex
     side and the produced side down the position together. Replay returns
-    False at the first step that does not link to the one before or is at
-    another level, whose direction is neither forward nor reverse, whose rule
-    is unknown or pinned to another level, that has no subterm at its
-    position, or where the rule does not match or produces another subterm.
+    False if the start is ill-formed (``endpoints`` raises), and at the first
+    step that does not link to the one before or is at another level, whose
+    direction is neither forward nor reverse, whose rule is unknown or pinned
+    to another level, whose position is not a tuple of non-negative ints or
+    has no subterm, or where the rule does not match or produces another
+    subterm.
     """
+    try:
+        endpoints(d.start, ctx)
+    except PathRwError:
+        return False
     cur = d.start
     for step in d.steps:
         if step.level != d.level or step.before != cur or not _replays(step, rs, ctx):
@@ -189,7 +197,7 @@ def replay_derivation(d: Derivation, rs: RuleSet, ctx: Context) -> bool:
 
 def _replays(step: RewriteStep, rs: RuleSet, ctx: Context) -> bool:
     """``replace_at(redex, pos, contractum) == produced``, without building the left side."""
-    if step.direction not in (FORWARD, REVERSE):
+    if step.direction not in (FORWARD, REVERSE) or type(step.position) is not tuple:
         return False
     redex, produced = (step.before, step.after) if step.direction == FORWARD else (step.after, step.before)
     try:
@@ -198,7 +206,7 @@ def _replays(step: RewriteStep, rs: RuleSet, ctx: Context) -> bool:
         return False
     for i in step.position:  # same class, same label, equal children off the path
         tp = type(redex)
-        if tp is not type(produced) or i < 0:
+        if tp is not type(produced) or type(i) is not int or i < 0:
             return False
         if tp is Trans and i < 2:
             off, off2 = (redex.right, produced.right) if i == 0 else (redex.left, produced.left)
@@ -273,7 +281,7 @@ def _record(
         if schema.witness and schema.name not in available:
             steps.extend(_expand(schema, pos, before, ctx, lv))
         else:
-            steps.append(RewriteStep(schema.display_name, pos, FORWARD, before, after, lv))
+            steps.append(RewriteStep(step_name(schema.name, lv), pos, FORWARD, before, after, lv))
     return Derivation(t, tuple(steps), lv)
 
 
@@ -282,6 +290,5 @@ def _expand(schema: RuleSchema, pos: Position, cur: PathTerm, ctx: Context, lv: 
     binding = schema.match(subterm_at(cur, pos))
     for rule, rel, direction, template in schema.witness:
         after = replace_at(cur, pos, build_template(template, binding, ctx))
-        name = rule if lv == 1 else f"{rule}{lv}"
-        yield RewriteStep(name, pos + rel, direction, cur, after, lv)
+        yield RewriteStep(step_name(rule, lv), pos + rel, direction, cur, after, lv)
         cur = after

@@ -2,7 +2,7 @@
 
 Each law check builds the law's left-hand side and returns the derivation
 that carries it to the right-hand side: a single named rule application,
-instantiated at the terms' own level. The suite runner samples random
+its step named for the terms' own level. The suite runner samples random
 composable tuples (random contraction chains lifted one level up, for
 levels past the first), runs all five checks, and replays every witness.
 
@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import EndpointMismatch, LevelMismatch, PathRwError
-from .engine import Derivation, RewriteStep, derivation_to_path, replay_derivation
-from .rules import FORWARD, PAPER7, REVERSE, build_template, redexes
+from .engine import Derivation, RewriteStep, _replays, derivation_to_path
+from .rules import FORWARD, PAPER7, REVERSE, build_template, redexes, step_name
 from .terms import (
     Atom,
     Context,
@@ -107,10 +107,9 @@ def _require_level(terms: tuple[PathTerm, ...], lv: int) -> None:
 
 
 def _law(law: str, rule: str, lhs: PathTerm, rhs: PathTerm, inputs: tuple, lv: int, ctx: Context) -> LawReport:
-    """A law on well-formed, composable inputs: ``lhs`` to ``rhs`` by ``rule`` at the root, replayed."""
-    step = RewriteStep(PAPER7.find(rule, lv).display_name, (), FORWARD, lhs, rhs, lv)
-    witness = Derivation(lhs, (step,), lv)
-    return LawReport(law, lv, inputs, witness, replay_derivation(witness, PAPER7, ctx))
+    """A law on well-formed, composable inputs: ``lhs`` to ``rhs`` by ``rule`` at the root; the step is replayed."""
+    step = RewriteStep(step_name(rule, lv), (), FORWARD, lhs, rhs, lv)
+    return LawReport(law, lv, inputs, Derivation(lhs, (step,), lv), _replays(step, PAPER7, ctx))
 
 
 def _assoc(s: PathTerm, r: PathTerm, t: PathTerm, lv: int, ctx: Context) -> LawReport:
@@ -187,7 +186,7 @@ def _lift_from(
     forward = _random_step_derivation(u, lv, ctx, rng)
     v, layers = _wrap(forward.end, src, tgt, rng)
     backward = tuple(  # each wrapper's unwrapping at the root, read backwards
-        RewriteStep(PAPER7.find(rule, lv).display_name, (), REVERSE, inner, outer, lv)
+        RewriteStep(step_name(rule, lv), (), REVERSE, inner, outer, lv)
         for rule, inner, outer in layers
     )
     d = Derivation(u, forward.steps + backward, lv)
@@ -205,7 +204,7 @@ def _random_step_derivation(u: PathTerm, lv: int, ctx: Context, rng: random.Rand
             break
         schema, binding, pos = rng.choice(found)
         after = replace_at(cur, pos, build_template(schema.rhs, binding, ctx))
-        steps.append(RewriteStep(schema.display_name, pos, FORWARD, cur, after, lv))
+        steps.append(RewriteStep(step_name(schema.name, lv), pos, FORWARD, cur, after, lv))
         cur = after
     return Derivation(u, tuple(steps), lv)
 

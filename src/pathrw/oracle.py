@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import PathRwError, UnresolvedLambda
-from .rules import PSym, PTrans, PVar, RuleSet, Template, _contract_from, build_template
+from .rules import PSym, PTrans, PVar, RuleSet, Template, _contract_from, build_template, step_name
 from .terms import (
     Atom,
     Context,
@@ -277,11 +277,11 @@ def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
         else:
             facts[id(t)] = t, t, [], []
             continue
-        for schema, binding in rs.matches(t, 1):
+        for schema, binding in rs.matches(t):
             for name, bound in binding.items():
                 if type(bound) is not Object:
                     binding[name] = facts[id(bound)][1]
-            redexes.append((schema.display_name, ()))
+            redexes.append((step_name(schema.name, 1), ()))
             nfs.append(walked(build_template(schema.rhs, binding, ctx), schema.rhs))
         facts[id(t)] = t, nf, redexes, nfs
         for ((r1, p1), n1), ((r2, p2), n2) in itertools.combinations(zip(redexes, nfs), 2):

@@ -1,10 +1,11 @@
 """Rewrite-rule schemas as data.
 
 The seven redundancy-removal rules over rho/sigma/tau, pattern matching
-against subterms, instantiation of the same schemas at every tower level,
-and a printable natural-deduction derivation for each rule. Each schema
-compiles its left pattern once into a matcher closure (``RuleSchema.match``)
-that recurses only as deep as the pattern; rule sets cache per-level copies.
+against subterms, and a printable natural-deduction derivation for each rule.
+The schemas are level-uniform: one schema rewrites terms at every tower
+level, and only a step's name, built by ``step_name``, says which level it is
+at. Each schema compiles its left pattern once into a matcher closure
+(``RuleSchema.match``) that recurses only as deep as the pattern.
 
 The optional "groupoid-complete" set adds three derivable rules so that
 normal forms become canonical; the seven alone are not confluent. Each of
@@ -28,7 +29,7 @@ average; matchers, templates and the term primitives dispatch on exact type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, TypeAlias, Union
 
 from .errors import PathRwError, UnknownRule
@@ -115,11 +116,11 @@ def build_template(template: Template, binding: Binding, ctx: Context) -> PathTe
 
 @dataclass(frozen=True, slots=True)
 class RuleSchema:
-    """One rewrite rule: a left pattern, a right template, and a level tag.
+    """One rewrite rule: a left pattern and a right template, at every level.
 
-    The pattern is level-uniform; the level tag names the instantiation and
-    suffixes the rule name from level 2 up. ``match`` is the left pattern
-    compiled once: it maps a term to the binding, or None. A derivable rule's
+    The schema rewrites terms of every level alike; ``step_name`` names a
+    step of it at a given level. ``match`` is the left pattern compiled
+    once: it maps a term to the binding, or None. A derivable rule's
     ``witness`` holds its seven-rule steps as (rule, position relative to the
     redex, direction, template of the whole redex after the step); it is
     empty for the seven rules.
@@ -128,7 +129,6 @@ class RuleSchema:
     name: str
     lhs: Pattern
     rhs: Template
-    level: int = 1
     witness: tuple[tuple[str, Position, str, Template], ...] = ()
     match: Callable[[PathTerm], Binding | None] = field(init=False, repr=False, compare=False)
 
@@ -142,15 +142,16 @@ class RuleSchema:
         object.__setattr__(self, "match", match)
 
     def __reduce__(self):  # the matcher is a closure: pickle the fields, recompile on load
-        return RuleSchema, (self.name, self.lhs, self.rhs, self.level, self.witness)
+        return RuleSchema, (self.name, self.lhs, self.rhs, self.witness)
 
     @property
     def extension(self) -> bool:
         return bool(self.witness)
 
-    @property
-    def display_name(self) -> str:
-        return self.name if self.level == 1 else f"{self.name}{self.level}"
+
+def step_name(name: str, lv: int) -> str:
+    """The name of a step of rule ``name`` at level ``lv``: bare at level 1, suffixed from level 2 up."""
+    return name if lv == 1 else f"{name}{lv}"
 
 
 def _compile(pattern: Pattern, bound: set[str]) -> Callable[[PathTerm, Binding], bool]:
@@ -177,15 +178,6 @@ def _compile(pattern: Pattern, bound: set[str]) -> Callable[[PathTerm, Binding],
             bound.add(name)
             return lambda t, b: b.setdefault(name, t) is t  # unbound here: binds t
     raise TypeError(f"not a pattern: {pattern!r}")
-
-
-def instantiate_at_level(schema: RuleSchema, n: int) -> RuleSchema:
-    """The same schema acting on level-n terms; identity at level 1."""
-    if n < 1:
-        raise ValueError("levels start at 1")
-    if n == schema.level:
-        return schema
-    return replace(schema, level=n)
 
 
 _HEADS = {PSym: Sym, PTrans: Trans, PRefl: Refl}
@@ -283,32 +275,27 @@ class RuleSet:
 
     name: str
     schemas: tuple[RuleSchema, ...]
-    # Derived: the index in ``schemas`` of each name; per level, on first use,
-    # the schemas instantiated at it and their shape index; and the schema
+    # Derived: the schema of each name; the shape index; and the schema
     # ``find`` resolved for each (rule name, level) it has succeeded on.
     _by_name: dict = field(init=False, repr=False, compare=False)
-    _levels: dict = field(init=False, repr=False, compare=False)
+    _index: _ShapeIndex = field(init=False, repr=False, compare=False)
     _found: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A witness records each step's rule by name, so a name picks one schema.
-        by_name: dict[str, int] = {}
-        for i, schema in enumerate(self.schemas):
-            if by_name.setdefault(schema.name, i) != i:
+        by_name: dict[str, RuleSchema] = {}
+        for schema in self.schemas:
+            if schema.name in by_name:
                 raise PathRwError(f"rule set '{self.name}' has two schemas named '{schema.name}'")
+            by_name[schema.name] = schema
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_levels", {})
+        object.__setattr__(self, "_index", _ShapeIndex(self.schemas))
         object.__setattr__(self, "_found", {})
 
-    def _at_level(self, lv: int) -> tuple[tuple[RuleSchema, ...], _ShapeIndex]:
-        cached = self._levels.get(lv)
-        if cached is None:
-            schemas = tuple(instantiate_at_level(s, lv) for s in self.schemas)
-            cached = self._levels[lv] = schemas, _ShapeIndex(schemas)
-        return cached
-
     def find(self, rule_name: str, at_level: int) -> RuleSchema:
-        """Resolve a rule name, bare or level-suffixed, at the given level."""
+        """The schema a step name, bare or level-suffixed (see ``step_name``), names at the given level."""
+        if type(rule_name) is not str:
+            raise UnknownRule(f"malformed rule name {rule_name!r}")
         schema = self._found.get((rule_name, at_level))
         if schema is not None:
             return schema
@@ -318,24 +305,26 @@ class RuleSet:
         suffix = rule_name[len(base) :]
         if suffix and int(suffix) != at_level:
             raise UnknownRule(f"rule '{rule_name}' is pinned to level {int(suffix)}, not {at_level}")
-        i = self._by_name.get(base)
-        if i is None:
+        schema = self._by_name.get(base)
+        if schema is None:
             raise UnknownRule(f"no rule named '{rule_name}' in rule set '{self.name}'")
-        schema = self._found[rule_name, at_level] = self._at_level(at_level)[0][i]
+        if at_level < 1:
+            raise ValueError("levels start at 1")
+        self._found[rule_name, at_level] = schema
         return schema
 
-    def first_match(self, node: PathTerm, lv: int) -> tuple[RuleSchema, Binding] | None:
-        """The first schema at level ``lv``, in rule-set order, that matches at ``node``."""
-        for schema in self._at_level(lv)[1][_shape(node)]:
+    def first_match(self, node: PathTerm) -> tuple[RuleSchema, Binding] | None:
+        """The first schema, in rule-set order, that matches at ``node``."""
+        for schema in self._index[_shape(node)]:
             binding = schema.match(node)
             if binding is not None:
                 return schema, binding
         return None
 
-    def matches(self, node: PathTerm, lv: int) -> list[tuple[RuleSchema, Binding]]:
-        """Every schema at level ``lv`` that matches at ``node``, in rule-set order, with its binding."""
+    def matches(self, node: PathTerm) -> list[tuple[RuleSchema, Binding]]:
+        """Every schema that matches at ``node``, in rule-set order, with its binding."""
         found = []
-        for schema in self._at_level(lv)[1][_shape(node)]:
+        for schema in self._index[_shape(node)]:
             binding = schema.match(node)
             if binding is not None:
                 found.append((schema, binding))
@@ -400,14 +389,11 @@ def _visits(path: list, innermost: bool) -> Iterator[list]:
 
 
 def redexes(rs: RuleSet, t: PathTerm) -> Iterator[tuple[RuleSchema, Binding, Position]]:
-    """(schema, binding, position) per match, in ``match_redexes`` order; one shape index per walk."""
-    index = rs._at_level(level(t))[1]
+    """(schema, binding, position) per match, in ``match_redexes`` order."""
     path = [[t, None, 0]]
     for frame in _visits(path, innermost=True):
-        for schema in index[_shape(frame[0])]:
-            binding = schema.match(frame[0])
-            if binding is not None:
-                yield schema, binding, _position(path)
+        for schema, binding in rs.matches(frame[0]):
+            yield schema, binding, _position(path)
 
 
 def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
@@ -415,9 +401,10 @@ def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
 
     Positions are enumerated leftmost-innermost; at one position the rules
     keep the rule set's order. An empty list means ``t`` is a normal form.
-    Schemas apply at the term's own level; names carry the level suffix.
+    Names carry the term's level (see ``step_name``).
     """
-    return [(schema.display_name, pos) for schema, _, pos in redexes(rs, t)]
+    lv = level(t)
+    return [(step_name(schema.name, lv), pos) for schema, _, pos in redexes(rs, t)]
 
 
 def contractions(
@@ -425,10 +412,10 @@ def contractions(
 ) -> Iterator[tuple[RuleSchema, Position, PathTerm, PathTerm]]:
     """Contract redexes of ``t`` in ``strategy`` order until none remains.
 
-    Yields (schema, position, before, after) per contraction, the schema
-    instantiated at the term's level. Whether a node is a redex depends only
-    on its subtree, so a node the walk has shown normal stays normal until a
-    contraction inside its subtree.
+    Yields (schema, position, before, after) per contraction, the schema one
+    of ``rs.schemas`` at every level of ``t``. Whether a node is a redex
+    depends only on its subtree, so a node the walk has shown normal stays
+    normal until a contraction inside its subtree.
     """
     innermost = strategy == "leftmost-innermost"
     if not innermost and strategy != "leftmost-outermost":
@@ -445,10 +432,9 @@ def _contract_from(
     as normal and never visited: from ``PTrans(PVar, PVar)`` only the root
     and what contracting it builds are walked.
     """
-    lv = level(t)
     path = [[t, template, 0]]
     for frame in _visits(path, innermost):
-        found = rs.first_match(frame[0], lv)
+        found = rs.first_match(frame[0])
         while found is not None:
             schema, binding = found
             before = path[0][0]
@@ -461,7 +447,7 @@ def _contract_from(
             found = None
             if not innermost:
                 for k in range(len(path) - 1):
-                    found = rs.first_match(path[k][0], lv)
+                    found = rs.first_match(path[k][0])
                     if found is not None:
                         del path[k + 1 :]
                         break

@@ -206,7 +206,7 @@ def path_children(t: PathTerm) -> tuple[PathTerm, ...]:
 def subterm_at(t: PathTerm, pos: Position) -> PathTerm:
     for i in pos:
         children = path_children(t)
-        if not 0 <= i < len(children):
+        if type(i) is not int or not 0 <= i < len(children):
             raise PathRwError(f"no subterm at position {fmt_position(pos)}")
         t = children[i]
     return t
@@ -237,7 +237,7 @@ def replace_at(t: PathTerm, pos: Position, new: PathTerm) -> PathTerm:
     spine = []
     for i in pos:
         children = path_children(t)
-        if not 0 <= i < len(children):
+        if type(i) is not int or not 0 <= i < len(children):
             raise PathRwError(f"no subterm at position {fmt_position(pos)}")
         spine.append(t)
         t = children[i]

@@ -26,7 +26,7 @@ from pathrw.engine import (
     normalize,
     replay_derivation,
 )
-from pathrw.errors import ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError
+from pathrw.errors import ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError, UnknownRule
 from pathrw.oracle import enumerate_terms, oracle_equal, word
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, match_redexes
 from pathrw.terms import (
@@ -38,7 +38,10 @@ from pathrw.terms import (
     StepAtom,
     Sym,
     Trans,
+    endpoints,
     level,
+    replace_at,
+    subterm_at,
 )
 
 from conftest import term_strategy
@@ -335,6 +338,48 @@ def test_negative_positions_are_rejected_not_indexed(ctx_r):
     for pos in ((-1,), (0, -1), (-1, 0)):
         step = dataclasses.replace(d.steps[0], position=pos)
         assert not replay_derivation(Derivation(d.start, (step,), 1), PAPER7, ctx_r)
+
+
+def test_replay_rejects_an_ill_formed_start(ctx_r):
+    """tau(rho(c), r) with r : a = b has no endpoints, though tlr matches it and gives r."""
+    ctx = Context(ctx_r.base_types, {**ctx_r.elements, "c": "A"}, {}, ctx_r.atoms)
+    start = Trans(Refl(el("c")), Atom("r"))
+    for check in (endpoints, lambda t, ctx: normalize(t, PAPER7, ctx)):
+        with pytest.raises(EndpointMismatch):
+            check(start, ctx)
+    step = RewriteStep("tlr", (), "forward", start, Atom("r"), 1)
+    assert not replay_derivation(Derivation(start, (step,), 1), PAPER7, ctx)
+    assert not replay_derivation(Derivation(start, (), 1), PAPER7, ctx)
+    good = Trans(Refl(el("a")), Atom("r"))
+    step = RewriteStep("tlr", (), "forward", good, Atom("r"), 1)
+    assert replay_derivation(Derivation(good, (step,), 1), PAPER7, ctx)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rule", None), ("rule", 5), ("rule", ["tlr"]), ("position", None), ("position", ("x",)), ("position", (0.0,))],
+    ids=repr,
+)
+def test_bad_hand_built_step_fields_fail_cleanly(ctx_r, field, value):
+    """A step field of the wrong type makes replay False and the entry points raise a PathRwError."""
+    t = Sym(Trans(Refl(el("a")), Atom("r")))
+    _, step = contract_once(t, "tlr", (0,), PAPER7, ctx_r)
+    bad = dataclasses.replace(step, **{field: value})
+    assert replay_derivation(Derivation(t, (bad,), 1), PAPER7, ctx_r) is False
+    assert replay_derivation(Derivation(bad.after, (bad.flipped(),), 1), PAPER7, ctx_r) is False
+    if field == "rule":
+        with pytest.raises(UnknownRule, match="malformed rule name"):
+            PAPER7.find(value, 1)
+        with pytest.raises(UnknownRule, match="malformed rule name"):
+            contract_once(t, value, (0,), PAPER7, ctx_r)
+    elif value is not None:
+        for call in (
+            lambda: contract_once(t, "tlr", value, PAPER7, ctx_r),
+            lambda: subterm_at(t, value),
+            lambda: replace_at(t, value, Atom("r")),
+        ):
+            with pytest.raises(PathRwError, match="no subterm at position"):
+                call()
 
 
 def test_replay_rejects_an_unknown_direction(ctx_r):

@@ -1,11 +1,12 @@
 """The term layer's explicit-stack walks against the recursive code they replace.
 
 The references below are ``validate``, ``size``, ``format_term``,
-``mu_measure``, ``word`` and ``format_lambda`` as they were written before:
-one Python frame per node, ``validate`` re-implementing ``endpoints``. On
-every term set here the walks must give equal results, or raise the same
-error type with the same text and position. The depth tests then run each
-walk, at the default recursion limit, on terms far deeper than that limit.
+``mu_measure`` and ``format_lambda`` as they were written before: one Python
+frame per node, ``validate`` re-implementing ``endpoints``. ``word`` is
+checked against ``test_kernel``'s reference. On every term set here the
+walks must give equal results, or raise the same error type with the same
+text and position. The depth tests then run each walk, at the default
+recursion limit, on terms far deeper than that limit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathrw.errors import (
     EndpointMismatch, PathRwError, UnknownAtom, UnknownElement, UnresolvedLambda, fmt_position,
 )
 from pathrw.lam import Abs, App, Var, format_lambda
-from pathrw.oracle import Letter, ReducedWord, read_back, word
+from pathrw.oracle import read_back, word
 from pathrw.rules import PAPER7
 from pathrw.terms import (
     Atom, Mu, Nu, Object, Refl, StepAtom, Sym, Trans, Violation, WellFormednessReport, Xi,
@@ -30,7 +31,7 @@ from pathrw.terms import (
 
 from conftest import lambda_terms_up_to, raw_trees
 from test_kernel import (
-    LAM, NON_TERMS, SWEEP, TRIANGLE, _lam_terms, _lifted_terms, ref_concat, ref_endpoints, ref_level, ref_reverse,
+    LAM, NON_TERMS, SWEEP, TRIANGLE, _lam_terms, _lifted_terms, checked_ref_word, ref_endpoints, ref_level, subterms,
 )
 
 # --- references: the recursive walks -------------------------------------------
@@ -107,36 +108,6 @@ def ref_mu_measure(t):
         return 1 + body_size, body_weight
 
     return go(t)
-
-
-def ref_word(t, ctx):
-    tp = type(t)
-    if tp is Trans:
-        return ref_concat(ref_word(t.left, ctx), ref_word(t.right, ctx))
-    if tp is Sym:
-        return ref_reverse(ref_word(t.body, ctx))
-    if tp is Refl:
-        return ReducedWord(t.obj, ())
-    if tp is Atom:
-        key = ("atom", t.name)
-    elif tp is StepAtom:
-        key = ("step", t.step)
-    elif tp is Xi:
-        key = ("xi", t.var, read_back(ref_word(t.body, ctx)))
-    elif tp is Mu:
-        key = ("mu", t.func, read_back(ref_word(t.body, ctx)))
-    elif tp is Nu:
-        key = ("nu", t.arg, read_back(ref_word(t.body, ctx)))
-    else:
-        raise TypeError(f"not a path term: {t!r}")
-    src, tgt = ref_endpoints(t, ctx)
-    return ReducedWord(src, (Letter(key, 1, src, tgt),))
-
-
-def checked_ref_word(t, ctx):
-    """``ref_word`` behind ``ref_endpoints``: ``word`` raises what ``endpoints`` raises."""
-    ref_endpoints(t, ctx)
-    return ref_word(t, ctx)
 
 
 def ref_validate(t, ctx):
@@ -235,14 +206,6 @@ def check_walks(terms, ctx):
         report = outcome(validate, t, ctx)
         rejected += report[0] == "ok" and not report[1].ok
     return rejected
-
-
-def subterms(t):
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(path_children(node))
 
 
 def test_walks_agree_on_the_triangle_sweep():

@@ -500,6 +500,13 @@ def test_run_laws_climbs_two_thousand_levels(ctx_rs):
     assert all(step.rule.endswith("2000") for r in report.reports for step in r.witness.steps)
 
 
+def test_run_laws_at_level_two_thousand_names_steps_of_the_level_one_schemas(ctx_rs):
+    report = run_laws(ctx_rs, 2000, 1, 0)
+    assert [r.witness.steps[0].rule for r in report.reports] == ["tt2000", "tlr2000", "trr2000", "tr2000", "tsr2000"]
+    assert PAPER7.find("tt", 2000) is rules.TT
+    assert rules.step_name("tt", 2000) == "tt2000"
+
+
 def test_run_laws_needs_an_element_to_sample(ctx_rs):
     bare = Context(("A",))
     for lv in (1, 3):

@@ -1,5 +1,5 @@
-"""Rule schemas: golden contractions, matching order, level instantiation,
-endpoint soundness, measure decrease, the extension rules' seven-rule
+"""Rule schemas: golden contractions, matching order, level-uniform schemas
+and level-suffixed step names, endpoint soundness, measure decrease, the extension rules' seven-rule
 witnesses, and the rendered derivations."""
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from pathrw.oracle import enumerate_terms
 from pathrw.rules import (
     GROUPOID_COMPLETE,
     PAPER7,
+    TRR,
+    TSR,
     TT,
     PRefl,
     PSym,
@@ -31,9 +33,9 @@ from pathrw.rules import (
     build_template,
     contractions,
     explain_rule,
-    instantiate_at_level,
     match_redexes,
     rule_set,
+    step_name,
 )
 from pathrw.terms import (
     Atom,
@@ -122,15 +124,15 @@ def test_seven_rules_strictly_decrease_measure(ctx_rs):
                 assert mu_measure(contractum)[0] == mu[0]
 
 
-def test_instantiate_identity_at_level_1():
-    for schema in PAPER7.schemas:
-        assert instantiate_at_level(schema, 1) == schema
+def test_find_returns_the_rule_sets_own_schema_at_every_level():
+    for schema in GROUPOID_COMPLETE.schemas:
+        for lv in (1, 2, 3, 2000):
+            assert GROUPOID_COMPLETE.find(schema.name, lv) is schema
+            assert GROUPOID_COMPLETE.find(step_name(schema.name, lv), lv) is schema
 
 
-def test_instantiate_names_carry_level():
-    tt = PAPER7.find("tt", 1)
-    assert instantiate_at_level(tt, 2).display_name == "tt2"
-    assert instantiate_at_level(tt, 3).display_name == "tt3"
+def test_step_names_carry_level():
+    assert [step_name("tt", lv) for lv in (1, 2, 3, 2000)] == ["tt", "tt2", "tt3", "tt2000"]
 
 
 def test_find_rejects_wrong_level_suffix():
@@ -140,7 +142,7 @@ def test_find_rejects_wrong_level_suffix():
 
 def test_find_error_messages():
     for lv in (1, 2, 3):
-        PAPER7.find("tt", lv)  # fill the per-level cache first
+        PAPER7.find("tt", lv)  # fill the memo first
     with pytest.raises(UnknownRule, match="'tt02' is pinned to level 2, not 1"):
         PAPER7.find("tt02", 1)
     for name in ("", "Tt", "t-t", "2", "t2t", "tt\n"):
@@ -148,26 +150,26 @@ def test_find_error_messages():
             PAPER7.find(name, 1)
     with pytest.raises(UnknownRule, match="no rule named 'st2' in rule set 'paper7'"):
         PAPER7.find("st2", 2)
-    assert PAPER7.find("tt02", 2).display_name == "tt2"
+    assert PAPER7.find("tt02", 2) is TT
     with pytest.raises(ValueError, match="levels start at 1"):
         PAPER7.find("tt", 0)
 
 
 def test_find_returns_one_cached_instance_per_level():
-    assert PAPER7.find("tt", 2) is PAPER7.find("tt2", 2)
+    assert PAPER7.find("tt", 2) is PAPER7.find("tt2", 2) is TT
     assert PAPER7.find("tt", 1) is TT
-    assert PAPER7.find("tt", 3) == instantiate_at_level(TT, 3)
+    assert PAPER7.find("tt", 3) is TT
 
 
 def test_derived_fields_leave_identity_unchanged():
     for schema in GROUPOID_COMPLETE.schemas:
-        fields = (schema.name, schema.lhs, schema.rhs, schema.level, schema.witness)
+        fields = (schema.name, schema.lhs, schema.rhs, schema.witness)
         copy = RuleSchema(*fields)
         assert copy.match is not schema.match
         assert copy == schema and hash(copy) == hash(schema) == hash(fields)
         assert repr(copy) == repr(schema) == (
             f"RuleSchema(name={schema.name!r}, lhs={schema.lhs!r}, rhs={schema.rhs!r}, "
-            f"level=1, witness={schema.witness!r})"
+            f"witness={schema.witness!r})"
         )
     fresh = RuleSet("paper7", PAPER7.schemas)
     for lv in (1, 2, 4):
@@ -177,6 +179,7 @@ def test_derived_fields_leave_identity_unchanged():
     loaded = pickle.loads(pickle.dumps(GROUPOID_COMPLETE))
     assert loaded == GROUPOID_COMPLETE
     assert loaded.find("tt", 2).match(Trans(Trans(Atom("r"), Atom("s")), Atom("u")))
+    assert loaded.first_match(Trans(Trans(Atom("r"), Atom("s")), Atom("u")))[0] is loaded.find("tt", 1)
 
 
 def test_schemas_sharing_a_name_are_rejected(ctx_r):
@@ -187,21 +190,33 @@ def test_schemas_sharing_a_name_are_rejected(ctx_r):
         RuleSet("twins", (unwrap, rewrap))
     with pytest.raises(PathRwError, match="rule set 'more' has two schemas named 'sr'"):
         RuleSet("more", PAPER7.schemas + (PAPER7.schemas[0],))
-    # Under distinct names, each level's instances keep their own schema's rhs.
+    # Under distinct names, each fires as itself at every level; the step names carry the level.
     rewrap = RuleSchema("y", rewrap.lhs, rewrap.rhs)
     rs = RuleSet("pair", (unwrap, rewrap))
     _, d = normalize(Trans(Atom("r"), Refl(el("b"))), PAPER7, ctx_r)
     leaves = [(Atom("r"), Refl(el("b"))), (StepAtom(d.steps[0]), Refl(Object(1, Atom("r"))))]
-    for lv, (leaf, refl) in enumerate(leaves, start=1):
+    for (leaf, refl), names in zip(leaves, (["y", "x"], ["y2", "x2"])):
         fired = list(contractions(Trans(leaf, refl), rs, ctx_r))
-        assert [(s.lhs, s.rhs, s.level) for s, *_ in fired] == [
-            (rewrap.lhs, rewrap.rhs, lv),
-            (unwrap.lhs, unwrap.rhs, lv),
-        ]
+        assert [s for s, *_ in fired] == [rewrap, unwrap]
+        assert fired[0][0] is rewrap and fired[1][0] is unwrap
         assert [after for *_, after in fired] == [Sym(Sym(leaf)), leaf]
-    _, d = normalize(Trans(Atom("r"), Refl(el("b"))), rs, ctx_r)
-    assert [step.rule for step in d.steps] == ["y", "x"]
-    assert replay_derivation(d, rs, ctx_r)
+        _, d = normalize(Trans(leaf, refl), rs, ctx_r)
+        assert [step.rule for step in d.steps] == names
+        assert replay_derivation(d, rs, ctx_r)
+
+
+def test_contractions_at_level_three_yield_the_rule_sets_own_schemas(ctx_r):
+    _, p = contract_once(Trans(Atom("r"), Refl(el("b"))), "trr", (), PAPER7, ctx_r)
+    _, q = contract_once(Trans(StepAtom(p), Refl(Object(1, Atom("r")))), "trr2", (), PAPER7, ctx_r)
+    u = StepAtom(q)
+    t = Trans(Trans(u, Sym(u)), u)
+    fired = list(contractions(t, PAPER7, ctx_r, "leftmost-outermost"))
+    assert [schema for schema, *_ in fired] == [TT, TSR, TRR]
+    assert all(schema is own for (schema, *_), own in zip(fired, (TT, TSR, TRR)))
+    nf, d = normalize(t, PAPER7, ctx_r, "leftmost-outermost")
+    assert nf == u and d.level == 3
+    assert [(step.rule, step.position) for step in d.steps] == [("tt3", ()), ("tsr3", (1,)), ("trr3", ())]
+    assert replay_derivation(d, PAPER7, ctx_r)
 
 
 def _extension_redexes(ctx):
@@ -218,13 +233,14 @@ def _extension_redexes(ctx):
         }
         for schema in GROUPOID_COMPLETE.schemas:
             if schema.extension:
-                yield lv, GROUPOID_COMPLETE.find(schema.name, lv), bindings[schema.name]
+                assert GROUPOID_COMPLETE.find(step_name(schema.name, lv), lv) is schema
+                yield lv, schema, bindings[schema.name]
 
 
 def test_extension_witnesses_replay_under_the_seven_rules(ctx_rs):
     seen = []
     for lv, schema, binding in _extension_redexes(ctx_rs):
-        seven = {instantiate_at_level(s, lv).display_name for s in PAPER7.schemas}
+        seven = {step_name(s.name, lv) for s in PAPER7.schemas}
         redex = build_template(schema.lhs, binding, ctx_rs)
         assert schema.match(redex) == binding
         contractum = build_template(schema.rhs, binding, ctx_rs)

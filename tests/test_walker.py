@@ -32,7 +32,7 @@ from pathrw.rules import (
     PTrans,
     PVar,
     build_template,
-    instantiate_at_level,
+    step_name,
 )
 from pathrw.terms import (
     Atom,
@@ -184,14 +184,13 @@ def reference_trace(t, rs, ctx, strategy, replay_rs):
     trace, cur = [], t
     while found := first(cur):
         schema, binding, pos = found
-        schema = instantiate_at_level(schema, level(t))
         after = replace_at(cur, pos, build_template(schema.rhs, binding, ctx))
         if schema.extension and schema.name not in available:
             simulated = _simulate_extension(cur, schema, pos, ctx)
             assert simulated[-1].after == after
             trace += [(s.rule, s.position, s.direction, s.after) for s in simulated]
         else:
-            trace.append((schema.display_name, pos, FORWARD, after))
+            trace.append((_suffixed(schema.name, level(t)), pos, FORWARD, after))
         cur = after
     return trace
 
@@ -281,8 +280,8 @@ def _agree(terms, lv=1):
     """Every schema's compiled matcher binds what the interpreter binds."""
     hits = dict.fromkeys((s.name for s in GROUPOID_COMPLETE.schemas), 0)
     for schema in GROUPOID_COMPLETE.schemas:
-        compiled = GROUPOID_COMPLETE.find(schema.name, lv)
-        assert compiled.lhs == schema.lhs and compiled.level == lv
+        compiled = GROUPOID_COMPLETE.find(step_name(schema.name, lv), lv)
+        assert compiled is schema
         for t in terms:
             expected = match_pattern(schema.lhs, t)
             assert compiled.match(t) == expected, (schema.name, t)
