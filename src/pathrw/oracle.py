@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import PathRwError, UnresolvedLambda
-from .rules import PSym, PTrans, PVar, RuleSet, Template, _contract_from, build_template, step_name
+from .rules import PSym, PTrans, PVar, RuleSet, Template, _innermost, build_template, step_name, walk_end
 from .terms import (
     Atom,
     Context,
@@ -244,9 +244,7 @@ def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
         raise PathRwError("max size must be at least 1")
 
     def walked(node: PathTerm, template: Template) -> PathTerm:
-        for _, _, _, node in _contract_from(node, template, rs, ctx):
-            pass
-        return node
+        return walk_end(_innermost(node, template, rs, ctx))
 
     joined: dict[tuple[type, int, int], tuple] = {}  # also holds the children, so no id is reused
 

@@ -16,21 +16,24 @@ right-hand side, each step given by the template of the whole redex after it.
 ``contractions`` is the one rewrite walker. It keeps the path to the current
 node on an explicit stack and never rescans what it has shown normal:
 innermost order walks post-order and, after a contraction, re-walks only the
-nodes the right-hand side built; outermost order walks pre-order and
-rechecks only the ancestors of the contracted position. A rule set finds a
-node's candidate schemas by its shape, its class and, for a Trans or Sym, its
-children's classes: on first use each shape gets the schemas whose left-hand
-side admits it, in order (an index on the symbols near the root, as in Graf,
-*Term Indexing*, 1996). Only those candidates run their matchers, which test
-the rest. So a step costs O(depth) to rebuild the spine, plus per node visited
-or built one shape lookup and, on the ``deep-terms`` benchmark, 0.6 matches on
-average; matchers, templates and the term primitives dispatch on exact type.
+nodes the right-hand side built, rebuilding a parent once, when the walk
+leaves a changed child; outermost order walks pre-order and rechecks only
+the ancestors of the contracted position, which it rebuilds to do so. It
+yields each contraction's redex and contractum, not whole terms, and returns
+the normal form. A rule set finds a node's candidate schemas by its shape,
+its class and, for a Trans or Sym, its children's classes: on first use each
+shape gets the schemas whose left-hand side admits it, in order (an index on
+the symbols near the root, as in Graf, *Term Indexing*, 1996). Only those
+candidates run their matchers, which test the rest. So an innermost step
+costs, per node visited or built, one shape lookup and, on the ``deep-terms``
+benchmark, 0.6 matches on average, and no spine; matchers, templates and the
+term primitives dispatch on exact type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TypeAlias, Union
+from typing import Callable, Generator, Iterator, TypeAlias, Union
 
 from .errors import PathRwError, UnknownRule
 from .terms import (
@@ -344,9 +347,9 @@ def rule_set(name: str) -> RuleSet:
         raise UnknownRule(f"no rule set named '{name}'") from None
 
 
-# A walk keeps the path from the root to the current node as frames
-# [node, template, children started]; ``template`` is the right-hand-side
-# part that built the node in the last contraction, or None.
+# A walk keeps the path from the root to the current node as frames whose
+# first two entries are [node, children started]; the child being walked
+# under a frame is its count minus one.
 
 
 def _subtemplate(template: Template | None, i: int) -> Template | None:
@@ -359,41 +362,23 @@ def _subtemplate(template: Template | None, i: int) -> Template | None:
 
 
 def _position(path: list) -> Position:
-    return tuple([frame[2] - 1 for frame in path[:-1]])
-
-
-def _visits(path: list, innermost: bool) -> Iterator[list]:
-    """Walk the subtree at the top of ``path``, yielding its frames in order.
-
-    Innermost order yields a frame after its children (post-order), outermost
-    order before them (pre-order). A consumer that replaces the top frame
-    with a new one has that subtree walked afresh; a node built from a
-    metavariable of an innermost contraction is already normal and skipped.
-    """
-    while path:
-        frame = path[-1]
-        node, template, i = frame
-        if type(template) is PVar:
-            path.pop()
-            continue
-        children = path_children(node)
-        if i == (len(children) if innermost else 0):
-            yield frame
-            if path[-1] is not frame:
-                continue
-        if i < len(children):
-            frame[2] = i + 1
-            path.append([children[i], _subtemplate(template, i), 0])
-        else:
-            path.pop()
+    return tuple([frame[1] - 1 for frame in path[:-1]])
 
 
 def redexes(rs: RuleSet, t: PathTerm) -> Iterator[tuple[RuleSchema, Binding, Position]]:
-    """(schema, binding, position) per match, in ``match_redexes`` order."""
-    path = [[t, None, 0]]
-    for frame in _visits(path, innermost=True):
-        for schema, binding in rs.matches(frame[0]):
+    """(schema, binding, position) per match, in ``match_redexes`` order: a post-order walk."""
+    path = [[t, 0]]
+    while path:
+        frame = path[-1]
+        node, i = frame
+        children = path_children(node)
+        if i < len(children):
+            frame[1] = i + 1
+            path.append([children[i], 0])
+            continue
+        for schema, binding in rs.matches(node):
             yield schema, binding, _position(path)
+        path.pop()
 
 
 def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
@@ -407,50 +392,106 @@ def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
     return [(step_name(schema.name, lv), pos) for schema, _, pos in redexes(rs, t)]
 
 
-def contractions(
-    t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = "leftmost-innermost"
-) -> Iterator[tuple[RuleSchema, Position, PathTerm, PathTerm]]:
+Walk: TypeAlias = Generator[tuple[RuleSchema, Position, PathTerm, PathTerm], None, PathTerm]
+
+
+def contractions(t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = "leftmost-innermost") -> Walk:
     """Contract redexes of ``t`` in ``strategy`` order until none remains.
 
-    Yields (schema, position, before, after) per contraction, the schema one
-    of ``rs.schemas`` at every level of ``t``. Whether a node is a redex
-    depends only on its subtree, so a node the walk has shown normal stays
-    normal until a contraction inside its subtree.
+    Yields (schema, position, redex, contractum) per contraction, the schema
+    one of ``rs.schemas`` at every level of ``t``, and returns the normal
+    form (see ``walk_end``). Whether a node is a redex depends only on its
+    subtree, so a node the walk has shown normal stays normal until a
+    contraction inside its subtree.
     """
-    innermost = strategy == "leftmost-innermost"
-    if not innermost and strategy != "leftmost-outermost":
-        raise ValueError(f"unknown strategy '{strategy}'")
-    return _contract_from(t, None, rs, ctx, innermost)
+    if strategy == "leftmost-innermost":
+        return _innermost(t, None, rs, ctx)
+    if strategy == "leftmost-outermost":
+        return _outermost(t, rs, ctx)
+    raise ValueError(f"unknown strategy '{strategy}'")
 
 
-def _contract_from(
-    t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context, innermost: bool = True
-) -> Iterator[tuple[RuleSchema, Position, PathTerm, PathTerm]]:
-    """``contractions`` from a root frame whose node ``template`` built.
+def walk_end(walk: Walk) -> PathTerm:
+    """Run a walk of ``contractions`` to its end; the normal form it returns."""
+    while True:
+        try:
+            next(walk)
+        except StopIteration as done:
+            return done.value
 
-    Innermost, the parts of ``t`` at the template's metavariables are taken
-    as normal and never visited: from ``PTrans(PVar, PVar)`` only the root
-    and what contracting it builds are walked.
+
+def _innermost(t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context) -> Walk:
+    """Innermost ``contractions`` from a root that ``template`` built.
+
+    The walk is post-order, on frames [node, children started, template,
+    changed]. A contraction replaces only its own frame, which is then
+    walked afresh; its parent is rebuilt once, when the walk leaves the
+    changed child. The parts of a contractum at the template's
+    metavariables are normal and never visited: from ``PTrans(PVar, PVar)``
+    only the root and what contracting it builds are walked.
     """
-    path = [[t, template, 0]]
-    for frame in _visits(path, innermost):
-        found = rs.first_match(frame[0])
-        while found is not None:
+    path = [[t, 0, template, False]]
+    while True:
+        frame = path[-1]
+        node, i, template, changed = frame
+        if type(template) is not PVar:
+            children = path_children(node)
+            if i < len(children):
+                frame[1] = i + 1
+                path.append([children[i], 0, _subtemplate(template, i), False])
+                continue
+            found = rs.first_match(node)
+            if found is not None:
+                schema, binding = found
+                new = build_template(schema.rhs, binding, ctx)
+                yield schema, _position(path), node, new
+                path[-1] = [new, 0, schema.rhs, True]
+                continue
+        path.pop()
+        if not path:
+            return node
+        if changed:
+            parent = path[-1]
+            parent[0] = with_child(parent[0], parent[1] - 1, node)
+            parent[3] = True
+
+
+def _outermost(t: PathTerm, rs: RuleSet, ctx: Context) -> Walk:
+    """Outermost ``contractions``: pre-order on frames [node, children started].
+
+    After a contraction every ancestor is rebuilt, since each is rechecked,
+    outermost first; the walk goes on from the first one that matches, or
+    else from the contractum.
+    """
+    path = [[t, 0]]
+    found = None
+    while True:
+        frame = path[-1]
+        node, i = frame
+        if found is None and i == 0:
+            found = rs.first_match(node)
+        if found is not None:
             schema, binding = found
-            before = path[0][0]
-            pos = _position(path)
             new = build_template(schema.rhs, binding, ctx)
-            path[-1] = [new, schema.rhs if innermost else None, 0]
+            yield schema, _position(path), node, new
+            path[-1] = [new, 0]
             for parent in reversed(path[:-1]):
-                parent[0] = new = with_child(parent[0], parent[2] - 1, new)
-            yield schema, pos, before, new
+                parent[0] = new = with_child(parent[0], parent[1] - 1, new)
             found = None
-            if not innermost:
-                for k in range(len(path) - 1):
-                    found = rs.first_match(path[k][0])
-                    if found is not None:
-                        del path[k + 1 :]
-                        break
+            for k in range(len(path) - 1):
+                found = rs.first_match(path[k][0])
+                if found is not None:
+                    del path[k + 1 :]
+                    break
+            continue
+        children = path_children(node)
+        if i < len(children):
+            frame[1] = i + 1
+            path.append([children[i], 0])
+            continue
+        path.pop()
+        if not path:
+            return node
 
 
 _EXPLANATIONS = {

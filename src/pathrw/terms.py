@@ -236,13 +236,19 @@ def replace_at(t: PathTerm, pos: Position, new: PathTerm) -> PathTerm:
     """``t`` with the subterm at ``pos`` replaced: the spine above it is rebuilt."""
     spine = []
     for i in pos:
-        children = path_children(t)
-        if type(i) is not int or not 0 <= i < len(children):
-            raise PathRwError(f"no subterm at position {fmt_position(pos)}")
         spine.append(t)
-        t = children[i]
+        tp = type(t)
+        if tp is Trans and (i == 0 or i == 1) and type(i) is int:
+            t = t.right if i else t.left
+        elif i == 0 and type(i) is int and (tp is Sym or tp is Xi or tp is Mu or tp is Nu):
+            t = t.body
+        else:
+            raise PathRwError(f"no subterm at position {fmt_position(pos)}")
     for node, i in zip(reversed(spine), reversed(pos)):
-        new = with_child(node, i, new)
+        if type(node) is Trans:
+            new = Trans(node.left, new) if i else Trans(new, node.right)
+        else:
+            new = with_child(node, i, new)
     return new
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from pathrw.lam import Abs, App, Var
-from pathrw.terms import Atom, AtomDecl, Context, Object, Refl, Sym, Trans, endpoints
+from pathrw.terms import Atom, AtomDecl, Context, Object, Refl, Sym, Trans, endpoints, subterms
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -122,3 +122,99 @@ def _lam_depth(t) -> int:
         case App(func, arg):
             return 1 + max(_lam_depth(func), _lam_depth(arg))
     raise TypeError
+
+
+def large_term_strategy(ctx: Context, min_size: int = 50, max_size: int = 500):
+    """Hypothesis strategy for well-formed level-1 terms of ``min_size``-``max_size`` nodes over ``ctx``.
+
+    A seeded builder grows a path from a random element. Compositions split
+    the node budget; the other pieces wrap a sub-path in redundancy (units,
+    inverse pairs, double inverses, an inverted composition) or are
+    alternating Sym/Trans nests ``sigma(tau(…sigma(tau(p, q))…, q'))``.
+    """
+    sizes = st.integers(min_size, max_size)
+    return st.builds(_large_term, st.just(ctx), sizes, st.just(max_size), st.randoms(use_true_random=False))
+
+
+def _large_term(ctx: Context, target: int, max_size: int, rng):
+    letters = {x: [] for x in ctx.elements}
+    for name, decl in ctx.atoms.items():
+        letters[decl.source].append((Atom(name), decl.target))
+        letters[decl.target].append((Sym(Atom(name)), decl.source))
+
+    def leaf(x):
+        options = letters[x] + [(Refl(Object(0, x)), x)]
+        return rng.choice(options)
+
+    def path(x, budget, depth):
+        if budget <= 2 or depth > 40:
+            return leaf(x)
+        kind = rng.choice(("trans", "trans", "trans", "unit", "double", "invert", "cancel", "nest"))
+        if kind == "trans":
+            a = rng.randint(1, budget - 2)
+            left, y = path(x, a, depth + 1)
+            right, z = path(y, budget - 1 - a, depth + 1)
+            return Trans(left, right), z
+        if kind == "unit":
+            p, y = path(x, budget - 2, depth + 1)
+            return (Trans(Refl(Object(0, x)), p) if rng.random() < 0.5 else Trans(p, Refl(Object(0, y)))), y
+        if kind == "double":
+            p, y = path(x, budget - 2, depth + 2)
+            return Sym(Sym(p)), y
+        if kind == "invert":  # sigma of the path's structural inverse: a Sym over compositions
+            p, y = path(x, budget - 1, depth + 1)
+            return Sym(inverse(p)), y
+        if kind == "cancel":  # an inverse pair, then the rest of the budget
+            a = max(1, (budget - 3) // 3)
+            p, y = path(x, a, depth + 2)
+            pair = Trans(p, Sym(p)) if rng.random() < 0.5 else Trans(Sym(inverse(p)), inverse(p))
+            rest, z = path(x, budget - 3 - 2 * a, depth + 1)
+            return Trans(pair, rest), z
+        return nest(x, budget, depth)
+
+    def inverse(p):
+        tp = type(p)
+        if tp is Trans:
+            return Trans(inverse(p.right), inverse(p.left))
+        if tp is Sym:
+            return p.body
+        return Sym(p)
+
+    def nest(x, budget, depth):
+        """sigma(tau(sigma(tau(p0, q0)), q1)...), leaving ``x``: each level goes from its q's end to its p's start."""
+        levels = min(rng.randint(2, max(2, budget // 8)), (60 - depth) // 2, 20)
+        if levels < 1:
+            return leaf(x)
+        small = max(1, budget // (levels + 1) - 2)
+        start = rng.choice(sorted(letters))
+        p, end = path(start, small, depth + 2 * levels)
+        for k in range(levels):
+            q, end2 = path(end, small, depth + 2 * levels)
+            if k == levels - 1:  # the outermost level must leave x
+                q = Trans(q, connect(end2, x))
+            p, end = Sym(Trans(p, q)), start
+            start = x if k == levels - 1 else end2
+        return p, end
+
+    def connect(a, b):
+        """A shortest letter walk from a to b, or rho(a)."""
+        seen, todo = {a: Refl(Object(0, a))}, [a]
+        while todo:
+            y = todo.pop(0)
+            for letter, z in letters[y]:
+                if z not in seen:
+                    seen[z] = letter if y == a else Trans(seen[y], letter)
+                    todo.append(z)
+        return seen[b]
+
+    x = rng.choice(sorted(letters))
+    budget = target
+    while True:
+        t, y = path(x, budget, 0)
+        n = sum(1 for _ in subterms(t))
+        while n < target:
+            more, y = path(y, target - n + 1, 1)
+            t, n = Trans(t, more), n + 1 + sum(1 for _ in subterms(more))
+        if n <= max_size:
+            return t
+        budget = max(1, budget * 3 // 4)

@@ -72,6 +72,14 @@ def test_contract_no_redex(ctx_r):
         contract_once(Atom("r"), "tr", (), PAPER7, ctx_r)
 
 
+@pytest.mark.parametrize("pos", [None, 5, [0]], ids=repr)
+def test_contract_rejects_a_position_that_is_not_a_tuple(ctx_r, pos):
+    """None and 5 used to raise TypeError; [0] returned a step whose position was a list."""
+    t = Sym(Trans(Refl(el("a")), Atom("r")))
+    with pytest.raises(PathRwError, match="position must be a tuple of child indices"):
+        contract_once(t, "tlr", pos, PAPER7, ctx_r)
+
+
 # --- normalize ---------------------------------------------------------------
 
 
@@ -380,6 +388,18 @@ def test_bad_hand_built_step_fields_fail_cleanly(ctx_r, field, value):
         ):
             with pytest.raises(PathRwError, match="no subterm at position"):
                 call()
+
+
+def test_replay_rejects_a_malformed_hand_built_derivation(ctx_r):
+    """A step that is not a RewriteStep, and a start that is not a path term, used to raise."""
+    t = Trans(Refl(el("a")), Atom("r"))
+    _, step = contract_once(t, "tlr", (), PAPER7, ctx_r)
+    assert replay_derivation(Derivation(t, (step,), 1), PAPER7, ctx_r)
+    for steps in ((None,), (step, None), ((step.rule, step.position, step.direction, t, step.after, 1),)):
+        assert replay_derivation(Derivation(t, steps, 1), PAPER7, ctx_r) is False
+    for start in ("x", None, Trans(Atom("r"), 42)):
+        assert replay_derivation(Derivation(start, (), 1), PAPER7, ctx_r) is False
+        assert replay_derivation(Derivation(start, (step,), 1), PAPER7, ctx_r) is False
 
 
 def test_replay_rejects_an_unknown_direction(ctx_r):

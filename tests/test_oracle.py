@@ -19,7 +19,7 @@ from pathrw.engine import (
     normalize,
     replay_derivation,
 )
-from pathrw.rules import GROUPOID_COMPLETE, PAPER7, contractions, match_redexes
+from pathrw.rules import GROUPOID_COMPLETE, PAPER7, contractions, match_redexes, walk_end
 from pathrw.errors import EndpointMismatch, PathRwError, UnknownAtom, UnknownElement
 from pathrw.oracle import (
     Letter,
@@ -369,10 +369,7 @@ def ref_check_confluence(rs, ctx, max_size):
     def nf(t):
         cached = nf_cache.get(t)
         if cached is None:
-            cached = t
-            for _, _, _, cached in contractions(t, rs, ctx):
-                pass
-            nf_cache[t] = cached
+            cached = nf_cache[t] = walk_end(contractions(t, rs, ctx))
         return cached
 
     peaks = []

@@ -47,6 +47,7 @@ from pathrw.terms import (
     endpoints,
     path_children,
     replace_at,
+    subterm_at,
 )
 
 
@@ -246,11 +247,13 @@ def test_extension_witnesses_replay_under_the_seven_rules(ctx_rs):
         contractum = build_template(schema.rhs, binding, ctx_rs)
         _, tgt = endpoints(redex, ctx_rs)
         for term, pos in ((redex, ()), (Sym(Trans(redex, Refl(tgt))), (0, 0))):
-            d = Derivation(term, tuple(_expand(schema, pos, term, ctx_rs, lv)), lv)
+            end = replace_at(term, pos, contractum)
+            edits = tuple(_expand(schema, pos, subterm_at(term, pos), ctx_rs, lv))
+            d = Derivation._from_edits(term, edits, end, lv)
             assert len(d.steps) == len(schema.witness)
             assert {step.rule for step in d.steps} <= seven
             assert replay_derivation(d, PAPER7, ctx_rs)
-            assert d.end == replace_at(term, pos, contractum)
+            assert d.steps[-1].after == end
         seen.append((schema.name, lv))
     assert seen == [(name, lv) for lv in (1, 2) for name in ("st", "trc", "tsrc")]
 

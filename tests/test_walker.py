@@ -21,6 +21,7 @@ from pathrw.engine import (
     RewriteStep,
     canonical_derivation,
     derivation_to_path,
+    invert_derivation,
     normalize,
 )
 from pathrw.oracle import enumerate_terms
@@ -237,6 +238,7 @@ def test_walk_leaves_no_reference_cycles():
     try:
         normalize(t, PAPER7, TRIANGLE, "leftmost-outermost")
         canonical_derivation(t, PAPER7, TRIANGLE)
+        assert len(invert_derivation(canonical_derivation(t, PAPER7, TRIANGLE)).steps) > 0  # built on this read
         assert gc.collect() == 0
     finally:
         gc.enable()
