@@ -164,10 +164,10 @@ def contract_once(
         raise PathRwError(f"position must be a tuple of child indices, not {pos!r}")
     lv = level(t)
     schema = rs.find(rule, lv)
-    binding = schema.match(subterm_at(t, pos))
-    if binding is None:
+    built = schema.contract(subterm_at(t, pos), ctx)
+    if built is None:
         raise NoRedex(f"rule '{rule}' does not match at position {pos}")
-    after = replace_at(t, pos, build_template(schema.rhs, binding, ctx))
+    after = replace_at(t, pos, built)
     return after, RewriteStep(step_name(schema.name, lv), pos, FORWARD, t, after, lv)
 
 
@@ -317,14 +317,10 @@ def _legal(edit: Edit, lv: int, rs: RuleSet, ctx: Context) -> bool:
     else:
         return False
     try:
-        schema = rs.find(rule, lv)
-        binding = schema.match(redex)
-        if binding is None:
-            return False
-        built = build_template(schema.rhs, binding, ctx)
+        built = rs.find(rule, lv).contract(redex, ctx)
     except (PathRwError, TypeError):  # TypeError: a non-term bound where endpoints are read
         return False
-    return built is contractum or built == contractum
+    return built is not None and (built is contractum or built == contractum)
 
 
 def _follow(t: PathTerm, edits, lv: int, rs: RuleSet, ctx: Context) -> bool:

@@ -1,33 +1,26 @@
-"""Rewrite-rule schemas as data.
+"""Rewrite-rule schemas as data, and their matchers generated as code.
 
 The seven redundancy-removal rules over rho/sigma/tau, pattern matching
 against subterms, and a printable natural-deduction derivation for each rule.
 The schemas are level-uniform: one schema rewrites terms at every tower
 level, and only a step's name, built by ``step_name``, says which level it is
-at. Each schema compiles its left pattern once into a matcher closure
-(``RuleSchema.match``) that recurses only as deep as the pattern.
-
-The optional "groupoid-complete" set adds three derivable rules so that
+at. The optional "groupoid-complete" set adds three derivable rules so that
 normal forms become canonical; the seven alone are not confluent. Each of
 the three carries its derivation as data: a witness, the fixed sequence of
 seven-rule forward and reverse steps that takes its left-hand side to its
 right-hand side, each step given by the template of the whole redex after it.
 
-``contractions`` is the one rewrite walker. It keeps the path to the current
-node on an explicit stack and never rescans what it has shown normal:
-innermost order walks post-order and, after a contraction, re-walks only the
-nodes the right-hand side built, rebuilding a parent once, when the walk
+A rule set compiles its schemas once into one function (Augustsson, FPCA
+1985; Maranget, ML 2008). It dispatches on a node's class, tests each schema
+in order by exact class and ``==``, and builds the first match's contractum
+in place; ``print(PAPER7.source)`` shows it. ``contractions``, the one
+rewrite walker, calls it per node visited or built and never rescans what it
+has shown normal: innermost order walks post-order and re-walks only the
+nodes a right-hand side built, rebuilding a parent once, when the walk
 leaves a changed child; outermost order walks pre-order and rechecks only
-the ancestors of the contracted position, which it rebuilds to do so. It
-yields each contraction's redex and contractum, not whole terms, and returns
-the normal form. A rule set finds a node's candidate schemas by its shape,
-its class and, for a Trans or Sym, its children's classes: on first use each
-shape gets the schemas whose left-hand side admits it, in order (an index on
-the symbols near the root, as in Graf, *Term Indexing*, 1996). Only those
-candidates run their matchers, which test the rest. So an innermost step
-costs, per node visited or built, one shape lookup and, on the ``deep-terms``
-benchmark, 0.6 matches on average, and no spine; matchers, templates and the
-term primitives dispatch on exact type.
+the ancestors of the contracted position, rebuilding them. It yields each
+contraction's redex and contractum, not whole terms, and returns the normal
+form.
 """
 
 from __future__ import annotations
@@ -110,10 +103,8 @@ def build_template(template: Template, binding: Binding, ctx: Context) -> PathTe
         return Sym(build_template(template.body, binding, ctx))
     if tp is PRefl:
         return Refl(binding[template.obj_var])
-    if tp is RReflAtSource:
-        return Refl(endpoints(binding[template.var], ctx)[0])
-    if tp is RReflAtTarget:
-        return Refl(endpoints(binding[template.var], ctx)[1])
+    if tp is RReflAtSource or tp is RReflAtTarget:
+        return Refl(endpoints(binding[template.var], ctx)[tp is RReflAtTarget])
     raise TypeError(f"not a template: {template!r}")
 
 
@@ -122,11 +113,12 @@ class RuleSchema:
     """One rewrite rule: a left pattern and a right template, at every level.
 
     The schema rewrites terms of every level alike; ``step_name`` names a
-    step of it at a given level. ``match`` is the left pattern compiled
-    once: it maps a term to the binding, or None. A derivable rule's
-    ``witness`` holds its seven-rule steps as (rule, position relative to the
-    redex, direction, template of the whole redex after the step); it is
-    empty for the seven rules.
+    step of it at a given level. ``match`` and ``contract`` are generated
+    once from the patterns (see ``_generate``): ``match(t)`` gives a fresh
+    binding or None, ``contract(t, ctx)`` the contractum or None. A derivable
+    rule's ``witness`` holds its seven-rule steps as (rule, position relative
+    to the redex, direction, template of the whole redex after the step); it
+    is empty for the seven rules.
     """
 
     name: str
@@ -134,17 +126,13 @@ class RuleSchema:
     rhs: Template
     witness: tuple[tuple[str, Position, str, Template], ...] = ()
     match: Callable[[PathTerm], Binding | None] = field(init=False, repr=False, compare=False)
+    contract: Callable[[PathTerm, Context], PathTerm | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        test = _compile(self.lhs, set())
+        for name, fn in zip(("match", "contract"), _generate(f"rule {self.name!r}", (self,), _SCHEMA_FUNCTIONS)[1]):
+            object.__setattr__(self, name, fn)
 
-        def match(t: PathTerm) -> Binding | None:
-            binding: Binding = {}
-            return binding if test(t, binding) else None
-
-        object.__setattr__(self, "match", match)
-
-    def __reduce__(self):  # the matcher is a closure: pickle the fields, recompile on load
+    def __reduce__(self):  # the matchers are generated: pickle the fields, generate them again on load
         return RuleSchema, (self.name, self.lhs, self.rhs, self.witness)
 
     @property
@@ -157,66 +145,87 @@ def step_name(name: str, lv: int) -> str:
     return name if lv == 1 else f"{name}{lv}"
 
 
-def _compile(pattern: Pattern, bound: set[str]) -> Callable[[PathTerm, Binding], bool]:
-    """A test that ``pattern`` matches a term, filling in the binding.
+# A generated function: (signature, statement per match, what it returns
+# after the last schema). The statement is formatted with the schema's index
+# k, its ``binding`` and its ``contractum`` built in place.
+_SCHEMA_FUNCTIONS = (("match(node)", "return {binding}", None), ("contract(node, ctx)", "return {contractum}", None))
+_SET_FUNCTIONS = (
+    ("contract(node, ctx)", "return s{k}, {contractum}", None),
+    ("matches(node)", "found.append((s{k}, {binding}))", "found"),
+)
+_HEADS = {PTrans: "Trans", PSym: "Sym", PRefl: "Refl"}
+_FIELDS = {PTrans: ("left", "right"), PSym: ("body",), PRefl: ()}
+# A branch names the root's children x0 and x1 and their classes t0 and t1.
+_PREAMBLE = {"Trans": ["x0 = node.left", "x1 = node.right", "t0 = type(x0)", "t1 = type(x1)"]}
+_PREAMBLE["Sym"] = ["x0 = node.body", "t0 = type(x0)"]
 
-    Tests run left to right and stop at the first failure, so the first
-    occurrence of a metavariable binds it and a later one, already in
-    ``bound`` when compiled, compares with ``==``. Node tests are exact-type.
+
+def _tests(pattern: Pattern, at: str, tests: list[str], bound: dict[str, str]) -> None:
+    """Add the tests, left to right, that ``pattern`` matches the term at expression ``at``.
+
+    The root's class is its branch's. ``bound`` maps each metavariable to the
+    expression of its first occurrence; a later occurrence is tested equal to
+    it with ``==``, the first on the left. Class tests are exact.
     """
-    match pattern:
-        case PSym(body):
-            inner = _compile(body, bound)
-            return lambda t, b: type(t) is Sym and inner(t.body, b)
-        case PTrans(left, right):
-            first = _compile(left, bound)
-            second = _compile(right, bound)
-            return lambda t, b: type(t) is Trans and first(t.left, b) and second(t.right, b)
-        case PRefl(obj_var):
-            obj = _compile(PVar(obj_var), bound)
-            return lambda t, b: type(t) is Refl and obj(t.obj, b)
-        case PVar(name) if name in bound:
-            return lambda t, b: b[name] == t
-        case PVar(name):
-            bound.add(name)
-            return lambda t, b: b.setdefault(name, t) is t  # unbound here: binds t
-    raise TypeError(f"not a pattern: {pattern!r}")
+    tp = type(pattern)
+    if tp is PVar:
+        if at == "node":  # it would match every term: no rewrite system has such a rule
+            raise PathRwError(f"a left-hand side must not be a metavariable: {pattern!r}")
+        first = bound.setdefault(pattern.name, at)
+        if first != at:
+            tests.append(f"{first} == {at}")
+        return
+    if tp not in _HEADS:
+        raise TypeError(f"not a pattern: {pattern!r}")
+    if at != "node":
+        tests.append(f"{f't{at[1]}' if at in ('x0', 'x1') else f'type({at})'} is {_HEADS[tp]}")
+    if tp is PRefl:
+        _tests(PVar(pattern.obj_var), f"{at}.obj", tests, bound)
+    for i, name in enumerate(_FIELDS[tp]):
+        _tests(getattr(pattern, name), f"x{i}" if at == "node" else f"{at}.{name}", tests, bound)
 
 
-_HEADS = {PSym: Sym, PTrans: Trans, PRefl: Refl}
+def _built(template: Template, bound: dict[str, str]) -> str:
+    """An expression that builds ``template`` as ``build_template`` does; a KeyError if a metavariable is unbound."""
+    tp = type(template)
+    if tp is PVar:
+        return bound[template.name]
+    if tp is PTrans:
+        return f"Trans({_built(template.left, bound)}, {_built(template.right, bound)})"
+    if tp is PSym:
+        return f"Sym({_built(template.body, bound)})"
+    if tp is PRefl:
+        return f"Refl({bound[template.obj_var]})"
+    if tp is RReflAtSource or tp is RReflAtTarget:
+        return f"Refl(endpoints({bound[template.var]}, ctx)[{int(tp is RReflAtTarget)}])"
+    raise TypeError(f"not a template: {template!r}")
 
 
-def _shape(node: PathTerm) -> tuple | type:
-    """A node's key in the shape index: its class, with its children's if it is a Trans or Sym."""
-    tp = type(node)
-    if tp is Trans:
-        return tp, type(node.left), type(node.right)
-    if tp is Sym:
-        return tp, type(node.body)
-    return tp
+def _generate(title: str, schemas, functions) -> tuple[str, tuple]:
+    """The source of ``bind(s0, s1, ...)`` and the ``functions`` it returns, run with this module's globals.
 
-
-def _admits(pattern: Pattern, shape: tuple | type) -> bool:
-    """Whether ``pattern`` can match at a node of this shape."""
-    tp, *kids = shape if type(shape) is tuple else (shape,)
-    ptp = type(pattern)
-    if ptp is PVar:
-        return True
-    if _HEADS[ptp] is not tp:
-        return False
-    subs = (pattern.left, pattern.right) if ptp is PTrans else (pattern.body,) if ptp is PSym else ()
-    return all(_admits(p, k) for p, k in zip(subs, kids))
-
-
-class _ShapeIndex(dict):
-    """Shape -> the schemas whose left-hand side admits it, in rule-set order; filled on first use."""
-
-    def __init__(self, schemas: tuple[RuleSchema, ...]) -> None:
-        self.schemas = schemas
-
-    def __missing__(self, shape: tuple | type) -> tuple[RuleSchema, ...]:
-        found = self[shape] = tuple(s for s in self.schemas if _admits(s.lhs, shape))
-        return found
+    Each function has a branch per class at a left-hand side's root, which tests its schemas in order.
+    """
+    lines = [f"def bind({', '.join(f's{k}' for k in range(len(schemas)))}):"]
+    lines.append(f"    # {title}: " + ", ".join(f"s{k} {s.name}" for k, s in enumerate(schemas)))
+    for signature, on_match, fail in functions:
+        lines += [f"    def {signature}:", *([f"        {fail} = []"] if fail else []), "        tp = type(node)"]
+        for head in dict.fromkeys(_HEADS.get(type(s.lhs)) for s in schemas):
+            lines += [f"        if tp is {head}:", *(f"            {line}" for line in _PREAMBLE.get(head, ()))]
+            for k, s in enumerate(schemas):
+                if _HEADS.get(type(s.lhs)) == head:
+                    tests, bound = [], {}
+                    _tests(s.lhs, "node", tests, bound)
+                    binding = "{" + ", ".join(f"{name!r}: {at}" for name, at in bound.items()) + "}"
+                    act = on_match.format(k=k, binding=binding, contractum=_built(s.rhs, bound))
+                    lines += [f"            if {' and '.join(tests) or True}:  # {s.name}", f"                {act}"]
+            lines.append(f"            return {fail}")
+        lines.append(f"        return {fail}")
+    lines.append("    return " + ", ".join(signature.split("(")[0] for signature, _, _ in functions))
+    source = "\n".join(lines) + "\n"
+    namespace: dict = {}
+    exec(source, globals(), namespace)
+    return source, namespace["bind"](*schemas)
 
 
 _R, _S, _T = PVar("r"), PVar("s"), PVar("t")
@@ -274,15 +283,22 @@ TSRC = RuleSchema(
 
 @dataclass(frozen=True, slots=True)
 class RuleSet:
-    """An ordered collection of rule schemas."""
+    """An ordered collection of rule schemas, with its matchers generated as one function each.
+
+    ``contract(node, ctx)`` gives the first schema, in order, that matches at
+    ``node``, with the contractum built in place, or None. ``matches(node)``
+    gives every schema that matches, in order, each with a fresh binding.
+    ``source`` is their generated Python source: ``print(PAPER7.source)``.
+    """
 
     name: str
     schemas: tuple[RuleSchema, ...]
-    # Derived: the schema of each name; the shape index; and the schema
-    # ``find`` resolved for each (rule name, level) it has succeeded on.
+    # Derived: the schema of each name, of each (name, level) ``find`` resolved, and the generated code.
     _by_name: dict = field(init=False, repr=False, compare=False)
-    _index: _ShapeIndex = field(init=False, repr=False, compare=False)
     _found: dict = field(init=False, repr=False, compare=False)
+    source: str = field(init=False, repr=False, compare=False)
+    contract: Callable[[PathTerm, Context], tuple | None] = field(init=False, repr=False, compare=False)
+    matches: Callable[[PathTerm], list[tuple[RuleSchema, Binding]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A witness records each step's rule by name, so a name picks one schema.
@@ -291,9 +307,13 @@ class RuleSet:
             if schema.name in by_name:
                 raise PathRwError(f"rule set '{self.name}' has two schemas named '{schema.name}'")
             by_name[schema.name] = schema
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_index", _ShapeIndex(self.schemas))
-        object.__setattr__(self, "_found", {})
+        source, (contract, matches) = _generate(f"rule set {self.name!r}", self.schemas, _SET_FUNCTIONS)
+        derived = dict(_by_name=by_name, _found={}, source=source, contract=contract, matches=matches)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # the matchers are generated: pickle the fields, generate them again on load
+        return RuleSet, (self.name, self.schemas)
 
     def find(self, rule_name: str, at_level: int) -> RuleSchema:
         """The schema a step name, bare or level-suffixed (see ``step_name``), names at the given level."""
@@ -317,21 +337,9 @@ class RuleSet:
         return schema
 
     def first_match(self, node: PathTerm) -> tuple[RuleSchema, Binding] | None:
-        """The first schema, in rule-set order, that matches at ``node``."""
-        for schema in self._index[_shape(node)]:
-            binding = schema.match(node)
-            if binding is not None:
-                return schema, binding
-        return None
-
-    def matches(self, node: PathTerm) -> list[tuple[RuleSchema, Binding]]:
-        """Every schema that matches at ``node``, in rule-set order, with its binding."""
-        found = []
-        for schema in self._index[_shape(node)]:
-            binding = schema.match(node)
-            if binding is not None:
-                found.append((schema, binding))
-        return found
+        """The first schema, in rule-set order, that matches at ``node``, with its binding."""
+        found = self.matches(node)
+        return found[0] if found else None
 
 
 PAPER7 = RuleSet("paper7", (SR, SS, TR, TSR, TLR, TRR, TT))
@@ -353,12 +361,8 @@ def rule_set(name: str) -> RuleSet:
 
 
 def _subtemplate(template: Template | None, i: int) -> Template | None:
-    tp = type(template)
-    if tp is PTrans:
-        return template.right if i else template.left
-    if tp is PSym:
-        return template.body
-    return None
+    fields = _FIELDS.get(type(template))
+    return getattr(template, fields[i]) if fields else None
 
 
 def _position(path: list) -> Position:
@@ -430,6 +434,7 @@ def _innermost(t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context
     metavariables are normal and never visited: from ``PTrans(PVar, PVar)``
     only the root and what contracting it builds are walked.
     """
+    contract = rs.contract
     path = [[t, 0, template, False]]
     while True:
         frame = path[-1]
@@ -440,10 +445,9 @@ def _innermost(t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context
                 frame[1] = i + 1
                 path.append([children[i], 0, _subtemplate(template, i), False])
                 continue
-            found = rs.first_match(node)
+            found = contract(node, ctx)
             if found is not None:
-                schema, binding = found
-                new = build_template(schema.rhs, binding, ctx)
+                schema, new = found
                 yield schema, _position(path), node, new
                 path[-1] = [new, 0, schema.rhs, True]
                 continue
@@ -463,23 +467,23 @@ def _outermost(t: PathTerm, rs: RuleSet, ctx: Context) -> Walk:
     outermost first; the walk goes on from the first one that matches, or
     else from the contractum.
     """
+    contract = rs.contract
     path = [[t, 0]]
     found = None
     while True:
         frame = path[-1]
         node, i = frame
         if found is None and i == 0:
-            found = rs.first_match(node)
+            found = contract(node, ctx)
         if found is not None:
-            schema, binding = found
-            new = build_template(schema.rhs, binding, ctx)
+            schema, new = found
             yield schema, _position(path), node, new
             path[-1] = [new, 0]
             for parent in reversed(path[:-1]):
                 parent[0] = new = with_child(parent[0], parent[1] - 1, new)
             found = None
             for k in range(len(path) - 1):
-                found = rs.first_match(path[k][0])
+                found = contract(path[k][0], ctx)
                 if found is not None:
                     del path[k + 1 :]
                     break

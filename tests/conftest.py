@@ -7,8 +7,10 @@ import itertools
 import pytest
 from hypothesis import settings, strategies as st
 
+from pathrw.engine import Derivation, contract_once, derivation_to_path, invert_derivation
 from pathrw.lam import Abs, App, Var
-from pathrw.terms import Atom, AtomDecl, Context, Object, Refl, Sym, Trans, endpoints, subterms
+from pathrw.rules import PAPER7, match_redexes
+from pathrw.terms import Atom, AtomDecl, Context, Mu, Nu, Object, Refl, Sym, Trans, Xi, endpoints, subterms
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -218,3 +220,92 @@ def _large_term(ctx: Context, target: int, max_size: int, rng):
         if n <= max_size:
             return t
         budget = max(1, budget * 3 // 4)
+
+
+def former_term_strategy(ctx: Context, min_size: int = 20, max_size: int = 150):
+    """Hypothesis strategy for well-formed level-1 terms with paths under nested xi/mu/nu formers.
+
+    ``ctx`` needs lambda-valued elements, as ``ctx_lam`` has. Up to three
+    formers nest over element paths drawn as in ``large_term_strategy``;
+    each layer is dressed in redundancy whose redexes hold formers: units at
+    lambda endpoints, double inverses, inverse pairs built apart, and a
+    former over a path followed by the same former over its inverse.
+    """
+    sizes = st.integers(min_size, max_size)
+    return st.builds(_former_term, st.just(ctx), sizes, st.randoms(use_true_random=False))
+
+
+def _former_term(ctx: Context, target: int, rng):
+    names = sorted(ctx.lambda_elements)
+
+    def build(budget, depth):
+        if budget < 12 or depth == 3:
+            return _large_term(ctx, max(1, budget), max(1, budget) + 20, rng)
+        kind = rng.choice(("xi", "mu", "nu"))
+        label = rng.choice(("v", "w")) if kind == "xi" else rng.choice(names)
+
+        def wrap(p):  # the same former, built afresh per call
+            return Xi(label, p) if kind == "xi" else Mu(label, p) if kind == "mu" else Nu(p, label)
+
+        p = build(budget // 2, depth + 1)
+        t = wrap(p)
+        src, tgt = endpoints(t, ctx)
+        dress = rng.choice(("bare", "unit", "double", "cancel", "inverse", "invert"))
+        if dress == "unit":
+            t = Trans(Refl(src), t) if rng.random() < 0.5 else Trans(t, Refl(tgt))
+        elif dress == "double":
+            t = Sym(Sym(t))
+        elif dress == "cancel":  # an inverse pair whose halves are equal but built apart
+            t = Trans(Trans(t, Sym(wrap(p))), wrap(p))
+        elif dress == "inverse":  # a former over p, then over p's inverse, then p again
+            t = Trans(t, Trans(wrap(Sym(p)), wrap(p)))
+        elif dress == "invert":
+            t = Sym(Trans(Sym(t), Refl(src)))
+        return t
+
+    return build(target, 0)
+
+
+def lifted_term_strategy(ctx: Context, max_depth: int = 4):
+    """Hypothesis strategy for well-formed level-2 terms over ``ctx``, lifted from random derivations.
+
+    Random paper7 contraction chains from a ``term_strategy`` term, read
+    forward or inverted, become level-2 paths through ``derivation_to_path``.
+    Up to four chained ones are composed, each dressed in level-2 redundancy
+    (units, double inverses, inverse pairs, an inverted composition).
+    """
+    return st.builds(_lifted_term, st.just(ctx), term_strategy(ctx, max_depth), st.randoms(use_true_random=False))
+
+
+def _lifted_term(ctx: Context, u, rng):
+    def walk(start):
+        cur, steps = start, []
+        for _ in range(rng.randint(0, 3)):
+            found = match_redexes(PAPER7, cur)
+            if not found:
+                break
+            rule, pos = rng.choice(found)
+            cur, step = contract_once(cur, rule, pos, PAPER7, ctx)
+            steps.append(step)
+        return Derivation(start, tuple(steps), 1)
+
+    pieces, d = [], None
+    for _ in range(rng.randint(1, 4)):
+        # the last chain read backwards, or a fresh one from where it ended
+        d = invert_derivation(d) if d is not None and d.steps and rng.random() < 0.3 else walk(d.end if d else u)
+        src, tgt = Object(1, d.start), Object(1, d.end)
+        p = derivation_to_path(d)
+        dress = rng.choice(("bare", "unit", "double", "cancel", "invert"))
+        if dress == "unit":
+            p = Trans(Refl(src), p) if rng.random() < 0.5 else Trans(p, Refl(tgt))
+        elif dress == "double":
+            p = Sym(Sym(p))
+        elif dress == "cancel":
+            p = Trans(Trans(p, Sym(p)), p)
+        elif dress == "invert":
+            p = Sym(Trans(Sym(p), Refl(src)))
+        pieces.append(p)
+    t = pieces[0]
+    for p in pieces[1:]:
+        t = Trans(t, p) if rng.random() < 0.5 or type(t) is not Trans else Trans(t.left, Trans(t.right, p))
+    return t

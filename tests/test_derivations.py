@@ -13,6 +13,9 @@ both strategies:
   rule, shifted position, wrong contractum, flipped direction) is rejected
   in both forms whenever the reference judges the corrupted step illegal.
 
+The traces are also compared on terms with paths under nested xi/mu/nu
+formers and on level-2 terms lifted from random derivations.
+
 Also the long chain ``tau(…tau(r, rho(b))…, rho(b))``: it is walked, and its
 witness replayed, without building a single step.
 """
@@ -40,26 +43,64 @@ from pathrw.engine import (
     normalize,
     replay_derivation,
 )
+from pathrw.lam import Abs, Var
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, build_template, step_name
-from pathrw.terms import Atom, Object, Refl, Sym, Trans, path_children, replace_at
+from pathrw.terms import (
+    Atom,
+    AtomDecl,
+    Context,
+    Mu,
+    Nu,
+    Object,
+    Refl,
+    Sym,
+    Trans,
+    Xi,
+    level,
+    path_children,
+    replace_at,
+    subterms,
+)
 
-from conftest import large_term_strategy
+from conftest import former_term_strategy, large_term_strategy, lifted_term_strategy
 from test_walker import STRATEGIES, TRIANGLE, _trace, match_pattern, reference_trace
 
 RULE_SETS = (PAPER7, GROUPOID_COMPLETE)
 LARGE = large_term_strategy(TRIANGLE)
+# Lambda-valued elements, as the ``ctx_lam`` fixture has.
+LAM = Context(
+    ("F",), {"m": "F", "n": "F"}, {"m": Abs("x", Var("x")), "n": Abs("y", Var("y"))}, {"al": AtomDecl("m", "n", "F")}
+)
+
+
+def _traces_match_reference(t, ctx):
+    for rs in RULE_SETS:
+        for strategy in STRATEGIES:
+            nf, d = normalize(t, rs, ctx, strategy)
+            assert _trace(d) == reference_trace(t, rs, ctx, strategy, rs)
+            assert nf == d.end == (d.steps[-1].after if d.steps else t)
+        d = canonical_derivation(t, rs, ctx)
+        assert _trace(d) == reference_trace(t, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)
 
 
 @settings(max_examples=5)
 @given(LARGE)
 def test_traces_of_large_terms_match_reference(t):
-    for rs in RULE_SETS:
-        for strategy in STRATEGIES:
-            nf, d = normalize(t, rs, TRIANGLE, strategy)
-            assert _trace(d) == reference_trace(t, rs, TRIANGLE, strategy, rs)
-            assert nf == d.end == (d.steps[-1].after if d.steps else t)
-        d = canonical_derivation(t, rs, TRIANGLE)
-        assert _trace(d) == reference_trace(t, GROUPOID_COMPLETE, TRIANGLE, "leftmost-innermost", rs)
+    _traces_match_reference(t, TRIANGLE)
+
+
+@settings(max_examples=40)
+@given(former_term_strategy(LAM))
+def test_traces_under_formers_match_reference(t):
+    assert any(type(node) in (Xi, Mu, Nu) for node in subterms(t))
+    _traces_match_reference(t, LAM)
+
+
+@settings(max_examples=60)
+@given(lifted_term_strategy(TRIANGLE))
+def test_traces_of_lifted_terms_match_reference(t):
+    assert level(t) == 2
+    _traces_match_reference(t, TRIANGLE)
 
 
 def _witnesses(t):

@@ -7,8 +7,9 @@ every term set here both must return equal results, and raise the same error
 type with the same text and position.
 
 Two more references cover the rewrite kernel: candidate schemas chosen by the
-root class alone, against the shape index, and replay that contracts the redex
-side and compares the whole result, against replay that builds no spine.
+root class alone, against the generated per-rule-set matchers, and replay that
+contracts the redex side and compares the whole result, against replay that
+builds no spine.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -503,7 +505,7 @@ def ref_replay(d, rs, ctx):
     return True
 
 
-# --- the shape index ----------------------------------------------------------------
+# --- the generated matchers ---------------------------------------------------------
 
 
 def check_candidates(terms):
@@ -530,14 +532,26 @@ def test_shape_index_agrees_on_lifted_terms():
     check_candidates(_lifted_terms())
 
 
-def test_shape_index_prunes_by_children():
-    index = PAPER7._index
-    assert index[Trans, Atom, Atom] == ()
-    assert [s.name for s in index[Trans, Trans, Refl]] == ["trr", "tt"]
-    assert [s.name for s in index[Sym, Sym]] == ["ss"]
-    (st,) = GROUPOID_COMPLETE._index[Sym, Trans]
-    assert st is GROUPOID_COMPLETE.find("st2", 2)
-    assert index[Atom] == index[Refl] == ()
+def test_generated_contract_tries_schemas_by_class():
+    """One generated function per rule set: a branch per root class, each schema's tests in rule-set order."""
+    r, s, rho_b = Atom("r"), Atom("s"), Refl(Object(0, "b"))
+    _, step = contract_once(Trans(r, rho_b), "trr", (), PAPER7, TRIANGLE)
+    none = [Trans(r, s), r, rho_b, Xi("v", r), Mu("m", r), Nu(r, "n"), StepAtom(step), 5, None, "r"]
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        for node in none:
+            assert rs.contract(node, TRIANGLE) is None and rs.matches(node) == [] and rs.first_match(node) is None
+        t = Trans(Trans(r, s), rho_b)
+        assert rs.contract(t, TRIANGLE) == (rs.find("trr", 1), Trans(r, s))
+        assert [schema.name for schema, _ in rs.matches(t)] == ["trr", "tt"]
+        assert [schema.name for schema, _ in rs.matches(Sym(Sym(r)))] == ["ss"]
+        header = ", ".join(f"s{k} {schema.name}" for k, schema in enumerate(rs.schemas))
+        assert f"# rule set {rs.name!r}: {header}\n" in rs.source
+        by_class = [[schema.name for schema in rs.schemas if type(schema.lhs) is head] for head in (PSym, PTrans)]
+        assert re.findall(r"  # (\w+)$", rs.source, re.M) == 2 * (by_class[0] + by_class[1])
+    lifted = Sym(Trans(StepAtom(step), StepAtom(step)))
+    assert PAPER7.contract(lifted, TRIANGLE) is None and PAPER7.contract(Sym(Trans(r, s)), TRIANGLE) is None
+    st, built = GROUPOID_COMPLETE.contract(lifted, TRIANGLE)
+    assert st is GROUPOID_COMPLETE.find("st2", 2) and built == Trans(Sym(StepAtom(step)), Sym(StepAtom(step)))
 
 
 # --- replay without rebuilding ------------------------------------------------------

@@ -206,6 +206,16 @@ def test_schemas_sharing_a_name_are_rejected(ctx_r):
         assert replay_derivation(d, rs, ctx_r)
 
 
+def test_malformed_schemas_are_rejected_when_built():
+    """A bare metavariable would match every term, and a template may build only what the pattern binds."""
+    with pytest.raises(PathRwError, match="a left-hand side must not be a metavariable"):
+        RuleSchema("v", PVar("r"), PSym(PVar("r")))
+    with pytest.raises(KeyError, match="'q'"):
+        RuleSchema("v", PSym(PVar("r")), PTrans(PVar("r"), PVar("q")))
+    with pytest.raises(TypeError, match="not a pattern"):
+        RuleSchema("v", Sym(PVar("r")), PVar("r"))
+
+
 def test_contractions_at_level_three_yield_the_rule_sets_own_schemas(ctx_r):
     _, p = contract_once(Trans(Atom("r"), Refl(el("b"))), "trr", (), PAPER7, ctx_r)
     _, q = contract_once(Trans(StepAtom(p), Refl(Object(1, Atom("r")))), "trr2", (), PAPER7, ctx_r)

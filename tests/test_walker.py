@@ -20,10 +20,12 @@ from pathrw.engine import (
     REVERSE,
     RewriteStep,
     canonical_derivation,
+    contract_once,
     derivation_to_path,
     invert_derivation,
     normalize,
 )
+from pathrw.errors import EndpointMismatch, UnknownAtom, UnknownElement
 from pathrw.oracle import enumerate_terms
 from pathrw.rules import (
     GROUPOID_COMPLETE,
@@ -354,3 +356,111 @@ def test_nonlinear_matchers_compare_with_equality():
             ]
     hits = _agree(candidates)
     assert all(hits[name] for name in ("tr", "tsr", "trc", "tsrc")), hits
+
+
+def test_generated_contract_agrees_with_match_and_build():
+    """A rule set's ``contract`` and each schema's ``contract`` build what ``match`` and ``build_template`` build."""
+    subterms = {node for t in TERMS for node in _subterms(t)}
+    contracted = 0
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        for node in subterms:
+            found = rs.first_match(node)
+            expected = found and (found[0], build_template(found[0].rhs, found[1], TRIANGLE))
+            assert rs.contract(node, TRIANGLE) == expected, node
+            for schema in rs.schemas:
+                binding = schema.match(node)
+                built = binding and build_template(schema.rhs, binding, TRIANGLE)
+                assert schema.contract(node, TRIANGLE) == built, (schema.name, node)
+            contracted += found is not None
+    assert contracted > len(subterms)
+
+
+def test_bindings_are_fresh_per_call():
+    """A caller may mutate a binding it got (``check_confluence`` does); the next call is unchanged."""
+    t = Trans(Trans(Atom("r"), Atom("s")), Refl(Object(0, "c")))
+    tt = {"t": Atom("r"), "r": Atom("s"), "s": Refl(Object(0, "c"))}
+    trr = {"r": Trans(Atom("r"), Atom("s")), "x": Object(0, "c")}
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        for _ in range(2):
+            found = rs.matches(t)
+            assert [(schema.name, binding) for schema, binding in found] == [("trr", trr), ("tt", tt)]
+            for _, binding in found:
+                binding.clear()
+                binding["r"] = Atom("u")
+            schema, binding = rs.first_match(t)
+            assert (schema.name, binding) == ("trr", trr)
+            binding["x"] = None
+            binding = rs.find("tt", 1).match(t)
+            assert binding == tt
+            binding.pop("s")
+
+
+class _Probe:
+    """A stand-in metavariable value that records each ``==`` asked of it and answers ``verdict``."""
+
+    def __init__(self, name, calls, verdict):
+        self.name, self.calls, self.verdict = name, calls, verdict
+
+    def __eq__(self, other):
+        self.calls.append((self.name, getattr(other, "name", type(other).__name__)))
+        return self.verdict
+
+    __hash__ = None
+
+
+def test_nonlinear_check_is_equality_with_the_first_occurrence_on_the_left():
+    tail = Atom("s")
+    for verdict in (True, False):
+        calls = []
+        first, later = _Probe("first", calls, verdict), _Probe("later", calls, verdict)
+        for rule, t in (
+            ("tr", Trans(first, Sym(later))),
+            ("tsr", Trans(Sym(first), later)),
+            ("trc", Trans(first, Trans(Sym(later), tail))),
+            ("tsrc", Trans(Sym(first), Trans(later, tail))),
+        ):
+            schema = GROUPOID_COMPLETE.find(rule, 1)
+            calls.clear()
+            binding = schema.match(t)
+            assert calls == [("first", "later")]
+            assert binding is None if not verdict else binding["r"] is first
+            calls.clear()
+            found = [(s.name, b) for s, b in GROUPOID_COMPLETE.matches(t)]
+            assert ("first", "later") in calls and all(left == "first" for left, _ in calls)
+            assert (rule in dict(found)) is verdict
+            if verdict:
+                assert dict(found)[rule]["r"] is first
+            else:
+                calls.clear()
+                assert schema.contract(t, TRIANGLE) is None and calls == [("first", "later")]
+    twin, other = Trans(Atom("r"), Atom("s")), Trans(Atom("r"), Atom("s"))
+    assert twin is not other
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        assert rs.contract(Trans(twin, Sym(other)), TRIANGLE) == (rs.find("tr", 1), Refl(Object(0, "a")))
+        assert rs.contract(Trans(Sym(twin), other), TRIANGLE) == (rs.find("tsr", 1), Refl(Object(0, "c")))
+        assert rs.first_match(Trans(twin, Sym(other)))[1]["r"] is twin
+
+
+# Per ill-formed r: the error that contracting a tr or tsr redex over it
+# raises, with its text and position, as recorded before the matchers were
+# generated.
+R, S = Atom("r"), Atom("s")
+ILL_FORMED_R = {
+    "r.r": (Trans(R, R), EndpointMismatch, "endpoint mismatch at position root: {b} != {a}", ()),
+    "zap": (Atom("zap"), UnknownAtom, "unknown atom 'zap' at position root", ()),
+    "s.(r.s-)": (Trans(S, Trans(R, Sym(S))), EndpointMismatch, "endpoint mismatch at position 1: {b} != {c}", (1,)),
+    "rho(q)": (Refl(Object(0, "q")), UnknownElement, "unknown element 'q' at position root", ()),
+    "(r.(s.s))-": (Sym(Trans(R, Trans(S, S))), EndpointMismatch, "endpoint mismatch at position 0.1: {c} != {b}", (0, 1)),
+}
+
+
+@pytest.mark.parametrize("bad, error, text, position", ILL_FORMED_R.values(), ids=ILL_FORMED_R)
+def test_contracting_over_an_ill_formed_r_raises_as_before(bad, error, text, position):
+    objects = {x: repr(Object(0, x)) for x in "abc"}
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        for rule, redex in (("tr", Trans(bad, Sym(bad))), ("tsr", Trans(Sym(bad), bad))):
+            for pos, t in (((), redex), ((0, 1), Sym(Trans(R, redex)))):
+                with pytest.raises(error) as exc:
+                    contract_once(t, rule, pos, rs, TRIANGLE)
+                assert type(exc.value) is error
+                assert str(exc.value) == text.format(**objects) and exc.value.position == position
