@@ -16,9 +16,10 @@ rules, each extension contraction is expanded in place into the edits of
 the seven-rule witness its schema carries, so the witness always replays
 against the requested rules.
 
-Replay is one loop over edits that moves a zipper from position to position
-(Huet, "The Zipper", JFP 1997). A derivation built by hand, or read from a
-document, is first checked to link and reduced to edits.
+Replay moves the zipper of ``terms.move`` from edit to edit of a derivation
+the engine built. Steps built by hand, or read from a document, are checked
+one at a time: each must link to the one before, and its edit must be a
+legal contraction.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .terms import (
     endpoints,
     format_term,
     level,
+    move,
     replace_at,
     subterm_at,
-    with_child,
 )
 from .rules import (
     FORWARD,
@@ -241,37 +242,31 @@ def replay_derivation(d: Derivation, rs: RuleSet, ctx: Context) -> bool:
     """True iff every step is a legal contraction where recorded and the chain links.
 
     Replay returns False if the start is ill-formed (``endpoints`` raises) or
-    not a path term. A derivation built by hand or read from a document is
-    first reduced to edits (see ``Edit``): False at the first step that is not
-    a ``RewriteStep``, does not link to the one before or is at another level,
-    whose direction is neither forward nor reverse, or whose position is not a
-    tuple of child indices on which ``before`` and ``after`` agree off the
-    path. Then one zipper walks the edits from the start, resolving every
-    rule at the start's level: False at the first edit whose position has no
-    subterm or holds another one, whose rule is unknown or pinned to another
-    level, or where the rule does not match or produces another subterm.
+    not a path term, and resolves every rule at the start's level. Steps built
+    by hand, or read from a document, are checked one at a time: False at the
+    first that is not a ``RewriteStep``, does not link to the one before or is
+    at another level, whose direction is neither forward nor reverse, whose
+    position is not a tuple of child indices on which ``before`` and ``after``
+    agree off the path, or whose edit (see ``Edit``) is not ``_legal``. The
+    edits of a derivation the engine built are followed by a zipper from the
+    start instead (see ``_follow``).
     """
     try:
         endpoints(d.start, ctx)
     except (PathRwError, TypeError):  # TypeError: not a path term
         return False
-    edits = _edits_of(d) if d._edits is None else d._edits
-    return edits is not None and _follow(d.start, edits, level(d.start), rs, ctx)
-
-
-def _edits_of(d: Derivation) -> list[Edit] | None:
-    """The edits of hand-built steps that link, or None."""
-    edits = []
+    lv = level(d.start)
+    if d._edits is not None:
+        return _follow(d.start, d._edits, lv, rs, ctx)
     cur = d.start
     for step in d.steps:
         if type(step) is not RewriteStep or step.level != d.level or step.before is not cur and step.before != cur:
-            return None
+            return False
         edit = _edit(step)
-        if edit is None:
-            return None
-        edits.append(edit)
+        if edit is None or not _legal(edit, lv, rs, ctx):
+            return False
         cur = step.after
-    return edits
+    return True
 
 
 def _edit(step: RewriteStep) -> Edit | None:
@@ -301,12 +296,6 @@ def _edit(step: RewriteStep) -> Edit | None:
     return step.rule, pos, step.direction, old, new
 
 
-def _replays(step: RewriteStep, rs: RuleSet, ctx: Context) -> bool:
-    """Whether one hand-built step is a legal contraction where recorded; ``before`` is taken as well formed."""
-    edit = _edit(step)
-    return edit is not None and _legal(edit, level(step.before), rs, ctx)
-
-
 def _legal(edit: Edit, lv: int, rs: RuleSet, ctx: Context) -> bool:
     """Whether the edit's rule, resolved at level ``lv``, relates its two subterms in its direction."""
     rule, _, direction, old, new = edit
@@ -323,17 +312,15 @@ def _legal(edit: Edit, lv: int, rs: RuleSet, ctx: Context) -> bool:
     return built is not None and (built is contractum or built == contractum)
 
 
-def _follow(t: PathTerm, edits, lv: int, rs: RuleSet, ctx: Context) -> bool:
+def _follow(t: PathTerm, edits: tuple[Edit, ...], lv: int, rs: RuleSet, ctx: Context) -> bool:
     """Whether each edit in turn is ``_legal`` and has its old subterm where it says, moving a zipper over ``t``.
 
-    The zipper is the focus, the subterm at position ``here``, and a stack of
-    (node, child index, changed) per ancestor, whose node is current but for
-    that child. It climbs to where the next edit's position leaves ``here``,
-    rebuilding only ancestors with a changed child, and descends from there.
+    Before each edit the zipper climbs to the longest prefix its position
+    shares with the one before (see ``terms.move``).
     """
-    stack: list[tuple[PathTerm, int, bool]] = []
+    stack: list[PathTerm] = []
     here: Position = ()
-    focus, changed = t, False
+    focus = t
     for edit in edits:
         _, pos, _, old, new = edit
         if type(pos) is not tuple:
@@ -346,28 +333,13 @@ def _follow(t: PathTerm, edits, lv: int, rs: RuleSet, ctx: Context) -> bool:
             k = 0
             while here[k] == pos[k]:
                 k += 1
-        while len(stack) > k:
-            node, i, up = stack.pop()
-            if changed:
-                focus = with_child(node, i, focus)
-            else:
-                focus, changed = node, up
-        for i in pos[k:]:
-            tp = type(focus)
-            if type(i) is not int:
-                return False
-            if tp is Trans and (i == 0 or i == 1):
-                child = focus.right if i else focus.left
-            elif i == 0 and (tp is Sym or tp is Xi or tp is Mu or tp is Nu):
-                child = focus.body
-            else:
-                return False
-            stack.append((focus, i, changed))
-            focus, changed = child, False
-        here = pos
+        try:
+            focus = move(stack, focus, here, pos, k)
+        except PathRwError:
+            return False
         if focus is not old and focus != old or not _legal(edit, lv, rs, ctx):
             return False
-        focus, changed = new, True
+        focus, here = new, pos
     return True
 
 

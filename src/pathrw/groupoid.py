@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import EndpointMismatch, LevelMismatch, PathRwError
-from .engine import Derivation, RewriteStep, _replays, derivation_to_path
+from .engine import Derivation, RewriteStep, _legal, derivation_to_path
 from .rules import FORWARD, PAPER7, REVERSE, build_template, redexes, step_name
 from .terms import (
     Atom,
@@ -109,7 +109,8 @@ def _require_level(terms: tuple[PathTerm, ...], lv: int) -> None:
 def _law(law: str, rule: str, lhs: PathTerm, rhs: PathTerm, inputs: tuple, lv: int, ctx: Context) -> LawReport:
     """A law on well-formed, composable inputs: ``lhs`` to ``rhs`` by ``rule`` at the root; the step is replayed."""
     step = RewriteStep(step_name(rule, lv), (), FORWARD, lhs, rhs, lv)
-    return LawReport(law, lv, inputs, Derivation(lhs, (step,), lv), _replays(step, PAPER7, ctx))
+    legal = _legal((step.rule, (), FORWARD, lhs, rhs), lv, PAPER7, ctx)
+    return LawReport(law, lv, inputs, Derivation(lhs, (step,), lv), legal)
 
 
 def _assoc(s: PathTerm, r: PathTerm, t: PathTerm, lv: int, ctx: Context) -> LawReport:

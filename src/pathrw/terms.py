@@ -10,7 +10,8 @@ dispatches on exact type (``type(t) is Trans``), which costs a fraction of a
 class-pattern ``match`` case. No traversal recurses: ``endpoints`` and
 ``validate`` share one post-order fold on an explicit stack, and ``size``
 and ``format_term`` walk pre-order on one, so terms of any depth work at the
-default recursion limit.
+default recursion limit. Positions are walked in one place, the zipper of
+``move``: ``subterm_at``, ``replace_at`` and the engine's replay call it.
 """
 
 from __future__ import annotations
@@ -204,12 +205,7 @@ def path_children(t: PathTerm) -> tuple[PathTerm, ...]:
 
 
 def subterm_at(t: PathTerm, pos: Position) -> PathTerm:
-    for i in pos:
-        children = path_children(t)
-        if type(i) is not int or not 0 <= i < len(children):
-            raise PathRwError(f"no subterm at position {fmt_position(pos)}")
-        t = children[i]
-    return t
+    return move([], t, (), pos, 0)
 
 
 def with_child(t: PathTerm, i: int, child: PathTerm) -> PathTerm:
@@ -234,22 +230,41 @@ def with_child(t: PathTerm, i: int, child: PathTerm) -> PathTerm:
 
 def replace_at(t: PathTerm, pos: Position, new: PathTerm) -> PathTerm:
     """``t`` with the subterm at ``pos`` replaced: the spine above it is rebuilt."""
-    spine = []
-    for i in pos:
-        spine.append(t)
-        tp = type(t)
+    stack: list[PathTerm] = []
+    move(stack, t, (), pos, 0)
+    return move(stack, new, pos, (), 0)
+
+
+def move(stack: list, focus: PathTerm, here: Position, pos: Position, k: int) -> PathTerm:
+    """Move a zipper's focus from ``here`` to ``pos``; returns the subterm there.
+
+    The zipper (Huet, "The Zipper", JFP 1997) is ``focus``, the subterm at
+    ``here``, and ``stack``, its ancestors from the root down, each current but
+    for its child on ``here``. The focus climbs to depth ``k``, the length of a
+    prefix that ``here`` and ``pos`` share, rebuilding every ancestor it
+    leaves; callers climb only from a focus they replaced, so no unchanged
+    node is rebuilt. Then it descends along ``pos[k:]``, pushing the nodes it
+    passes, and raises ``PathRwError`` where ``pos`` names no subterm.
+    """
+    depth = len(stack)  # of the focus
+    while depth > k:
+        depth -= 1
+        node = stack.pop()
+        i = here[depth]
+        if type(node) is Trans:
+            focus = Trans(node.left, focus) if i else Trans(focus, node.right)
+        else:
+            focus = with_child(node, i, focus)
+    for i in pos[k:]:
+        stack.append(focus)
+        tp = type(focus)
         if tp is Trans and (i == 0 or i == 1) and type(i) is int:
-            t = t.right if i else t.left
+            focus = focus.right if i else focus.left
         elif i == 0 and type(i) is int and (tp is Sym or tp is Xi or tp is Mu or tp is Nu):
-            t = t.body
+            focus = focus.body
         else:
             raise PathRwError(f"no subterm at position {fmt_position(pos)}")
-    for node, i in zip(reversed(spine), reversed(pos)):
-        if type(node) is Trans:
-            new = Trans(node.left, new) if i else Trans(new, node.right)
-        else:
-            new = with_child(node, i, new)
-    return new
+    return focus
 
 
 def _resolve_lambda(obj: Object, ctx: Context, pos: Position) -> LambdaTerm:

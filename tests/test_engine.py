@@ -402,6 +402,17 @@ def test_replay_rejects_a_malformed_hand_built_derivation(ctx_r):
         assert replay_derivation(Derivation(start, (step,), 1), PAPER7, ctx_r) is False
 
 
+def test_replay_rejects_a_hand_built_step_that_does_not_link(ctx_rs):
+    """The second step is legal and its subterm at its position is the one there, but its term differs elsewhere."""
+    r, ssr, sss = Atom("r"), Sym(Sym(Atom("r"))), Sym(Sym(Atom("s")))
+    t = Trans(Trans(r, Refl(el("b"))), sss)
+    after, first = contract_once(t, "trr", (0,), PAPER7, ctx_rs)
+    _, linked = contract_once(after, "ss", (1,), PAPER7, ctx_rs)
+    _, unlinked = contract_once(Trans(ssr, sss), "ss", (1,), PAPER7, ctx_rs)
+    assert replay_derivation(Derivation(t, (first, linked), 1), PAPER7, ctx_rs)
+    assert replay_derivation(Derivation(t, (first, unlinked), 1), PAPER7, ctx_rs) is False
+
+
 def test_replay_rejects_an_unknown_direction(ctx_r):
     _, d = normalize(Trans(Atom("r"), Refl(el("b"))), PAPER7, ctx_r)
     inv = invert_derivation(d)

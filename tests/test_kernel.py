@@ -9,7 +9,9 @@ type with the same text and position.
 Two more references cover the rewrite kernel: candidate schemas chosen by the
 root class alone, against the generated per-rule-set matchers, and replay that
 contracts the redex side and compares the whole result, against replay that
-builds no spine.
+builds no spine. ``ref_subterm_at`` and ``ref_replace_at`` are the position
+walks as they were before one zipper, ``terms.move``, did both; chains of
+them check the zipper's moves too.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathrw.engine import Derivation, contract_once, decide_rw_equal, normalize, replay_derivation
 from pathrw.errors import (
@@ -29,6 +32,7 @@ from pathrw.errors import (
     UnknownElement,
     UnknownRule,
     UnresolvedLambda,
+    fmt_position,
 )
 from pathrw.groupoid import _lift_from, _random_term_at_level
 from pathrw.lam import Abs, App, Var
@@ -60,13 +64,14 @@ from pathrw.terms import (
     Xi,
     endpoints,
     level,
+    move,
     path_children,
     replace_at,
     subterm_at,
     with_child,
 )
 
-from conftest import raw_trees
+from conftest import large_term_strategy, raw_trees
 
 TRIANGLE = Context(
     ("A",),
@@ -124,6 +129,34 @@ def ref_with_child(t, i, child):
         case Nu(_, arg) if i == 0:
             return Nu(child, arg)
     raise PathRwError(f"no child {i} of {type(t).__name__}")
+
+
+def ref_subterm_at(t, pos):
+    for i in pos:
+        children = ref_path_children(t)
+        if type(i) is not int or not 0 <= i < len(children):
+            raise PathRwError(f"no subterm at position {fmt_position(pos)}")
+        t = children[i]
+    return t
+
+
+def ref_replace_at(t, pos, new):
+    spine = []
+    for i in pos:
+        spine.append(t)
+        tp = type(t)
+        if tp is Trans and (i == 0 or i == 1) and type(i) is int:
+            t = t.right if i else t.left
+        elif i == 0 and type(i) is int and (tp is Sym or tp is Xi or tp is Mu or tp is Nu):
+            t = t.body
+        else:
+            raise PathRwError(f"no subterm at position {fmt_position(pos)}")
+    for node, i in zip(reversed(spine), reversed(pos)):
+        if type(node) is Trans:
+            new = Trans(node.left, new) if i else Trans(new, node.right)
+        else:
+            new = ref_with_child(node, i, new)
+    return new
 
 
 def _resolve(obj, ctx, pos):
@@ -388,6 +421,55 @@ def test_endpoints_folds_long_chains_without_recursion():
     with pytest.raises(EndpointMismatch) as exc:
         endpoints(Trans(left, r), TRIANGLE)
     assert exc.value.position == ()
+
+
+def _positions(t, pos=()):
+    """Every position in ``t``, pre-order."""
+    yield pos
+    for i, child in enumerate(ref_path_children(t)):
+        yield from _positions(child, pos + (i,))
+
+
+def test_positions_agree_on_the_sweep(ctx_rs):
+    """``subterm_at`` and ``replace_at`` at every position, and next to each, of every term up to size 7."""
+    checked = 0
+    for t in enumerate_terms(ctx_rs, 7):
+        for pos in _positions(t):
+            for p in (pos, pos + (0,), pos + (1,), pos + (2,), pos + (-1,)):
+                assert_same(subterm_at, ref_subterm_at, t, p)
+                assert_same(replace_at, ref_replace_at, t, p, Atom("x"))
+            checked += 1
+    assert checked > 6000
+
+
+@settings(max_examples=30)
+@given(large_term_strategy(TRIANGLE, 20, 200), st.randoms(use_true_random=False))
+def test_zipper_agrees_with_rebuilding(t, rng):
+    """Random moves and replacements: each focus, and the root at the end, as the references give them.
+
+    Moves go anywhere, to a sibling or to the parent, from any prefix shared
+    with the focus's position; some follow a replacement and some do not.
+    """
+    root, stack, here, focus = t, [], (), t
+    for _ in range(40):
+        if rng.random() < 0.4:
+            new = rng.choice([Atom("r"), Refl(Object(0, "a")), Sym(focus), Trans(focus, Atom("s"))])
+            root, focus = ref_replace_at(root, here, new), new
+            continue
+        pick = rng.random()
+        if here and pick < 0.3 and type(ref_subterm_at(root, here[:-1])) is Trans:
+            pos = here[:-1] + (1 - here[-1],)
+        elif here and pick < 0.4:
+            pos = here[:-1]
+        else:
+            pos = rng.choice(list(_positions(root)))
+        shared = 0
+        while shared < min(len(here), len(pos)) and here[shared] == pos[shared]:
+            shared += 1
+        focus = move(stack, focus, here, pos, rng.randint(0, shared))
+        here = pos
+        assert focus == ref_subterm_at(root, here) and len(stack) == len(here)
+    assert move(stack, focus, here, (), 0) == root
 
 
 def _templates():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 
-from pathrw.errors import ContextError, EndpointMismatch, PathRwError, UnknownAtom
+from pathrw.engine import contract_once
+from pathrw.errors import ContextError, EndpointMismatch, NoRedex, PathRwError, UnknownAtom
 from pathrw.lam import Abs, Var
 from pathrw.oracle import enumerate_terms
+from pathrw.rules import PAPER7
 from pathrw.terms import (
     Atom,
     AtomDecl,
@@ -107,6 +111,35 @@ def test_subterm_at_rejects_negative_indices():
             subterm_at(t, pos)
         with pytest.raises(PathRwError, match="no subterm at position"):
             replace_at(t, pos, Atom("r"))
+
+
+def test_positions_keep_one_contract(ctx_r):
+    """What each position gives ``subterm_at``, ``replace_at`` and ``contract_once``.
+
+    Lists work where a tuple is not required, ``contract_once`` takes tuples
+    only, and every other bad position raises "no subterm at position …".
+    """
+    inner = Trans(Refl(el("a")), Atom("r"))
+    t, x = Sym(Sym(inner)), Atom("x")
+    found = [((), t, x), ((0,), Sym(inner), Sym(x)), ((0, 0), inner, Sym(Sym(x)))]
+    for pos, sub, replaced in found + [(list(pos), sub, replaced) for pos, sub, replaced in found[1:]]:
+        assert subterm_at(t, pos) == sub and replace_at(t, pos, x) == replaced
+    assert contract_once(t, "ss", (), PAPER7, ctx_r)[0] == inner
+    assert contract_once(t, "tlr", (0, 0), PAPER7, ctx_r)[0] == Sym(Sym(Atom("r")))
+    with pytest.raises(NoRedex, match=re.escape("rule 'ss' does not match at position (0,)")):
+        contract_once(t, "ss", (0,), PAPER7, ctx_r)
+    for pos in ([0], [0, 0], "0"):
+        with pytest.raises(PathRwError, match=re.escape(f"position must be a tuple of child indices, not {pos!r}")):
+            contract_once(t, "tlr", pos, PAPER7, ctx_r)
+    missing = [((2,), "2"), ((-1,), "-1"), ((True,), "True"), ((0.0,), "0.0"), ((0, 0, 1, 0), "0.0.1.0"), ("0", "0")]
+    for pos, shown in missing:  # (0, 0, 1, 0) is one level below the leaf r
+        calls = [lambda: subterm_at(t, pos), lambda: replace_at(t, pos, x)]
+        if type(pos) is tuple:
+            calls.append(lambda: contract_once(t, "tlr", pos, PAPER7, ctx_r))
+        for call in calls:
+            with pytest.raises(PathRwError) as caught:
+                call()
+            assert type(caught.value) is PathRwError and str(caught.value) == f"no subterm at position {shown}"
 
 
 def test_path_children_leaves():
