@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import ChainMismatch, LevelMismatch, NoRedex, PathRwError
+from .errors import ChainMismatch, LevelMismatch, NoRedex, PathRwError, fmt_position
 from .terms import (
     Context,
     Mu,
@@ -167,7 +167,7 @@ def contract_once(
     schema = rs.find(rule, lv)
     built = schema.contract(subterm_at(t, pos), ctx)
     if built is None:
-        raise NoRedex(f"rule '{rule}' does not match at position {pos}")
+        raise NoRedex(f"rule '{rule}' does not match at position {fmt_position(pos)}")
     after = replace_at(t, pos, built)
     return after, RewriteStep(step_name(schema.name, lv), pos, FORWARD, t, after, lv)
 

@@ -83,11 +83,14 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
     Each segment keeps its first source and last target. A leaf that does not
     chain to the one before it, or an atom, element or former that
     ``endpoints`` rejects, makes ``word`` call ``endpoints``, which raises.
+    Each atom name's ends and letter key are built once, in a dict that lives
+    for this call only, since a context can change between calls.
     """
     root = t
     out: list[Letter] = []
     segments = [[0, None, None]]  # per open segment: [its start in out, first source, last target]
     todo: list = [(t, 1)]  # polarity +-1 walks a node; +-2 closes a former whose body is walked
+    memo: dict = {}  # atom name -> (source, target, letter key)
     while todo:
         t, pol = todo.pop()
         tp = type(t)
@@ -98,10 +101,13 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
             todo.append((t.body, -pol))
             continue
         if tp is Atom:
-            decl = ctx.atoms.get(t.name)
-            if decl is None:
-                break
-            src, tgt, key = Object(0, decl.source), Object(0, decl.target), ("atom", t.name)
+            hit = memo.get(t.name)
+            if hit is None:
+                decl = ctx.atoms.get(t.name)
+                if decl is None:
+                    break
+                hit = memo[t.name] = Object(0, decl.source), Object(0, decl.target), ("atom", t.name)
+            src, tgt, key = hit
         elif tp is Refl:
             src = tgt = t.obj
             key = None
@@ -131,11 +137,11 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
         segment = segments[-1]
         if segment[1] is None:
             segment[1] = src
-        elif segment[2] != src:
+        elif segment[2] is not src and segment[2] != src:
             break
         segment[2] = tgt
         if key is not None:
-            if len(out) > segment[0] and out[-1].gen == key and out[-1].orient == -pol:
+            if len(out) > segment[0] and (out[-1].gen is key or out[-1].gen == key) and out[-1].orient == -pol:
                 out.pop()
             else:
                 out.append(Letter(key, pol, src, tgt))

@@ -20,7 +20,9 @@ nodes a right-hand side built, rebuilding a parent once, when the walk
 leaves a changed child; outermost order walks pre-order and rechecks only
 the ancestors of the contracted position, rebuilding them. It yields each
 contraction's redex and contractum, not whole terms, and returns the normal
-form.
+form. The walkers, and ``redexes``, take children by exact type inline and
+keep the walked node's position as a list of child indices beside its
+ancestors; a contraction's position is that list made a tuple.
 """
 
 from __future__ import annotations
@@ -31,14 +33,16 @@ from typing import Callable, Generator, Iterator, TypeAlias, Union
 from .errors import PathRwError, UnknownRule
 from .terms import (
     Context,
+    Mu,
+    Nu,
     PathTerm,
     Position,
     Refl,
     Sym,
     Trans,
+    Xi,
     endpoints,
     level,
-    path_children,
     with_child,
 )
 
@@ -355,34 +359,36 @@ def rule_set(name: str) -> RuleSet:
         raise UnknownRule(f"no rule set named '{name}'") from None
 
 
-# A walk keeps the path from the root to the current node as frames whose
-# first two entries are [node, children started]; the child being walked
-# under a frame is its count minus one.
-
-
-def _subtemplate(template: Template | None, i: int) -> Template | None:
-    fields = _FIELDS.get(type(template))
-    return getattr(template, fields[i]) if fields else None
-
-
-def _position(path: list) -> Position:
-    return tuple([frame[1] - 1 for frame in path[:-1]])
+# A walk keeps the focus's ancestors on a stack, from the root down, and
+# beside it ``ix``, the focus's child index under each, so a contraction's
+# position is ``tuple(ix)``.
 
 
 def redexes(rs: RuleSet, t: PathTerm) -> Iterator[tuple[RuleSchema, Binding, Position]]:
     """(schema, binding, position) per match, in ``match_redexes`` order: a post-order walk."""
-    path = [[t, 0]]
-    while path:
-        frame = path[-1]
-        node, i = frame
-        children = path_children(node)
-        if i < len(children):
-            frame[1] = i + 1
-            path.append([children[i], 0])
+    matches = rs.matches
+    path: list[PathTerm] = []
+    ix: list[int] = []
+    while True:
+        tp = type(t)
+        if tp is Trans or tp is Sym or tp is Xi or tp is Mu or tp is Nu:
+            path.append(t)
+            ix.append(0)
+            t = t.left if tp is Trans else t.body
             continue
-        for schema, binding in rs.matches(node):
-            yield schema, binding, _position(path)
-        path.pop()
+        while True:  # t's subtree is walked: report t, then go on to its right sibling or its parent
+            for schema, binding in matches(t):
+                yield schema, binding, tuple(ix)
+            if not path:
+                return
+            parent = path[-1]
+            if ix[-1] == 0 and type(parent) is Trans:
+                ix[-1] = 1
+                t = parent.right
+                break
+            path.pop()
+            ix.pop()
+            t = parent
 
 
 def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
@@ -427,75 +433,105 @@ def walk_end(walk: Walk) -> PathTerm:
 def _innermost(t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context) -> Walk:
     """Innermost ``contractions`` from a root that ``template`` built.
 
-    The walk is post-order, on frames [node, children started, template,
-    changed]. A contraction replaces only its own frame, which is then
-    walked afresh; its parent is rebuilt once, when the walk leaves the
-    changed child. The parts of a contractum at the template's
-    metavariables are normal and never visited: from ``PTrans(PVar, PVar)``
-    only the root and what contracting it builds are walked.
+    The walk is post-order. Beside each ancestor of the focus it keeps the
+    template that built it; a child's template is that template's field
+    there, if the template has the child's class. A contraction replaces the
+    focus, which is then walked afresh. A parent is rebuilt once, when the
+    walk leaves a child that is no longer the parent's own: a contractum is
+    a fresh node or a proper subterm of its redex, so never the node first
+    found there. The parts of a contractum at the template's metavariables
+    are normal and never visited: from ``PTrans(PVar, PVar)`` only the root
+    and what contracting it builds are walked.
     """
     contract = rs.contract
-    path = [[t, 0, template, False]]
+    path: list[tuple[PathTerm, Template | None]] = []
+    ix: list[int] = []
     while True:
-        frame = path[-1]
-        node, i, template, changed = frame
-        if type(template) is not PVar:
-            children = path_children(node)
-            if i < len(children):
-                frame[1] = i + 1
-                path.append([children[i], 0, _subtemplate(template, i), False])
-                continue
-            found = contract(node, ctx)
-            if found is not None:
-                schema, new = found
-                yield schema, _position(path), node, new
-                path[-1] = [new, 0, schema.rhs, True]
-                continue
-        path.pop()
-        if not path:
-            return node
-        if changed:
-            parent = path[-1]
-            parent[0] = with_child(parent[0], parent[1] - 1, node)
-            parent[3] = True
+        tp = type(t)
+        if (tp is Trans or tp is Sym or tp is Xi or tp is Mu or tp is Nu) and type(template) is not PVar:
+            path.append((t, template))
+            ix.append(0)
+            if tp is Trans:
+                t, template = t.left, template.left if type(template) is PTrans else None
+            else:
+                t, template = t.body, template.body if type(template) is PSym else None
+            continue
+        while True:  # t's children are normal: contract t, or go on to its right sibling or its parent
+            if type(template) is not PVar:
+                found = contract(t, ctx)
+                if found is not None:
+                    schema, new = found
+                    yield schema, tuple(ix), t, new
+                    t, template = new, schema.rhs
+                    break
+            if not path:
+                return t
+            parent, template = path[-1]
+            if type(parent) is Trans:
+                if ix[-1] == 0:
+                    if parent.left is not t:
+                        parent = Trans(t, parent.right)
+                        path[-1] = parent, template
+                    ix[-1] = 1
+                    t, template = parent.right, template.right if type(template) is PTrans else None
+                    break
+                if parent.right is not t:
+                    parent = Trans(parent.left, t)
+            elif parent.body is not t:
+                parent = with_child(parent, 0, t)
+            path.pop()
+            ix.pop()
+            t = parent
 
 
 def _outermost(t: PathTerm, rs: RuleSet, ctx: Context) -> Walk:
-    """Outermost ``contractions``: pre-order on frames [node, children started].
+    """Outermost ``contractions``: pre-order, checking each node when first reached.
 
     After a contraction every ancestor is rebuilt, since each is rechecked,
     outermost first; the walk goes on from the first one that matches, or
     else from the contractum.
     """
     contract = rs.contract
-    path = [[t, 0]]
-    found = None
+    path: list[PathTerm] = []
+    ix: list[int] = []
     while True:
-        frame = path[-1]
-        node, i = frame
-        if found is None and i == 0:
-            found = contract(node, ctx)
-        if found is not None:
+        found = contract(t, ctx)
+        while found is not None:
             schema, new = found
-            yield schema, _position(path), node, new
-            path[-1] = [new, 0]
-            for parent in reversed(path[:-1]):
-                parent[0] = new = with_child(parent[0], parent[1] - 1, new)
-            found = None
-            for k in range(len(path) - 1):
-                found = contract(path[k][0], ctx)
+            yield schema, tuple(ix), t, new
+            t = new
+            for k in reversed(range(len(path))):
+                parent = path[k]
+                if type(parent) is Trans:
+                    new = Trans(parent.left, new) if ix[k] else Trans(new, parent.right)
+                else:
+                    new = with_child(parent, 0, new)
+                path[k] = new
+            for k, node in enumerate(path):
+                found = contract(node, ctx)
                 if found is not None:
-                    del path[k + 1 :]
+                    t = node
+                    del path[k:], ix[k:]
                     break
+            else:
+                found = contract(t, ctx)
+        tp = type(t)
+        if tp is Trans or tp is Sym or tp is Xi or tp is Mu or tp is Nu:
+            path.append(t)
+            ix.append(0)
+            t = t.left if tp is Trans else t.body
             continue
-        children = path_children(node)
-        if i < len(children):
-            frame[1] = i + 1
-            path.append([children[i], 0])
-            continue
-        path.pop()
-        if not path:
-            return node
+        while path:  # t's subtree is normal: go on to its right sibling, or climb
+            parent = path[-1]
+            if ix[-1] == 0 and type(parent) is Trans:
+                ix[-1] = 1
+                t = parent.right
+                break
+            path.pop()
+            ix.pop()
+            t = parent
+        else:
+            return t
 
 
 _EXPLANATIONS = {

@@ -295,7 +295,7 @@ def endpoints(t: PathTerm, ctx: Context, _pos: Position = ()) -> tuple[Object, O
 
     Sym swaps, Trans chains, Refl duplicates; congruence formers build the
     corresponding lambda terms; a recorded step contributes its before/after
-    terms one level down.
+    terms one level down. Each atom name's ends are built once per call.
     """
     return _fold(t, ctx, _pos, None)
 
@@ -312,8 +312,12 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
     With ``violations`` None it raises at the first error. Otherwise it notes
     each error and folds on, folds the terms inside level-n objects and
     recorded steps too, and checks a former by a raising fold of its own.
+    Each atom name's ends are built once, in a dict that lives for this call
+    only, since a context can change between calls; a chain check tries
+    ``is`` before ``==``.
     """
     frames: list = []  # per node above t: [node, child index, left child's ends or former's lambda]
+    memo: dict = {}  # atom name -> its ends
     while True:
         tp = type(t)
         if tp is Trans or tp is Sym:
@@ -321,13 +325,15 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
             t = t.left if tp is Trans else t.body
             continue
         if tp is Atom:
-            decl = ctx.atoms.get(t.name)
-            if decl is not None:
-                ends = Object(0, decl.source), Object(0, decl.target)
-            elif violations is None:
-                raise UnknownAtom(t.name, _here(pos, frames))
-            else:
-                ends = _note(violations, "unknown-atom", _here(pos, frames), f"unknown atom '{t.name}'")
+            ends = memo.get(t.name)
+            if ends is None:
+                decl = ctx.atoms.get(t.name)
+                if decl is not None:
+                    ends = memo[t.name] = Object(0, decl.source), Object(0, decl.target)
+                elif violations is None:
+                    raise UnknownAtom(t.name, _here(pos, frames))
+                else:
+                    ends = _note(violations, "unknown-atom", _here(pos, frames), f"unknown atom '{t.name}'")
         elif tp is Refl:
             obj = t.obj
             ends = obj, obj
@@ -390,7 +396,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
                 break
             else:
                 (lsrc, ltgt), (rsrc, rtgt) = frame[2], ends
-                if ltgt == rsrc:
+                if ltgt is rsrc or ltgt == rsrc:
                     ends = lsrc, rtgt
                 elif violations is None:
                     raise EndpointMismatch(_here(pos, frames[:-1]), ltgt, rsrc)

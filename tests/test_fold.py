@@ -6,11 +6,13 @@ frame per node, ``validate`` re-implementing ``endpoints``. ``word`` is
 checked against ``test_kernel``'s reference. On every term set here the
 walks must give equal results, or raise the same error type with the same
 text and position. The depth tests then run each walk, at the default
-recursion limit, on terms far deeper than that limit.
+recursion limit, on terms far deeper than that limit. The memo tests check
+that what ``endpoints`` and ``word`` note of an atom lasts one call only.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 
 import pytest
@@ -25,7 +27,7 @@ from pathrw.lam import Abs, App, Var, format_lambda
 from pathrw.oracle import read_back, word
 from pathrw.rules import PAPER7
 from pathrw.terms import (
-    Atom, Mu, Nu, Object, Refl, StepAtom, Sym, Trans, Violation, WellFormednessReport, Xi,
+    Atom, AtomDecl, Context, Mu, Nu, Object, Refl, StepAtom, Sym, Trans, Violation, WellFormednessReport, Xi,
     endpoints, format_term, level, path_children, size, validate,
 )
 
@@ -439,3 +441,56 @@ def test_word_takes_former_endpoints_from_body_words(monkeypatch):
         word(bad, LAM)
     assert exc.value.position == (0,) * 100
     assert len(calls) == 1 and calls[0] is bad
+
+
+# --- the atom memo: one call only -----------------------------------------------
+
+
+def test_atom_ends_are_read_afresh_on_every_call():
+    """One term under two contexts whose ``r`` differs, and under one context changed between calls."""
+    r, s = Atom("r"), Atom("s")
+    t = Trans(Trans(r, Sym(r)), Trans(r, s))
+    a, b, c = (Object(0, x) for x in "abc")
+    flipped = Context(TRIANGLE.base_types, TRIANGLE.elements, {}, {**TRIANGLE.atoms, "r": AtomDecl("c", "b", "A")})
+    changing = Context(TRIANGLE.base_types, TRIANGLE.elements, {}, dict(TRIANGLE.atoms))
+    seen = []
+    for ctx in (TRIANGLE, flipped, TRIANGLE, changing):
+        seen.append((endpoints(t, ctx), word(t, ctx).base, word(t, ctx).target, validate(t, ctx).ok))
+        check_walks([t], ctx)
+    changing.atoms["r"] = AtomDecl("c", "b", "A")  # as the script parser writes into a context
+    seen.append((endpoints(t, changing), word(t, changing).base, word(t, changing).target, validate(t, changing).ok))
+    check_walks([t], changing)
+    as_given, as_flipped = ((a, c), a, c, True), ((c, c), c, c, True)
+    assert seen == [as_given, as_flipped, as_given, as_given, as_flipped]
+    assert [(x.gen, x.src, x.tgt) for x in word(t, flipped).letters] == [(("atom", "r"), c, b), (("atom", "s"), b, c)]
+    del changing.atoms["r"]
+    with pytest.raises(UnknownAtom, match=re.escape("unknown atom 'r' at position 0.0")):
+        endpoints(t, changing)
+    assert [v.position for v in validate(t, changing).violations] == [(0, 0), (0, 1, 0), (1, 0)]
+    check_walks([t], changing)
+
+
+MET_BEFORE = [  # each error's sides come from atom names the walk met before it
+    (Trans(Trans(Atom("r"), Atom("s")), Trans(Sym(Atom("s")), Atom("zap"))), UnknownAtom, "unknown atom 'zap' at position 1.1"),
+    (Trans(Trans(Atom("zap"), Sym(Atom("r"))), Trans(Atom("r"), Atom("zap"))), UnknownAtom, "unknown atom 'zap' at position 0.0"),
+    (
+        Trans(Trans(Atom("r"), Atom("s")), Trans(Atom("r"), Atom("r"))),
+        EndpointMismatch,
+        "endpoint mismatch at position 1: Object(level=0, payload='b') != Object(level=0, payload='a')",
+    ),
+    (
+        Trans(Trans(Atom("r"), Atom("s")), Trans(Sym(Atom("s")), Trans(Sym(Atom("r")), Atom("s")))),
+        EndpointMismatch,
+        "endpoint mismatch at position 1.1: Object(level=0, payload='a') != Object(level=0, payload='b')",
+    ),
+]
+
+
+@pytest.mark.parametrize("t, error, text", MET_BEFORE, ids=["unknown-at-1.1", "unknown-twice", "mismatch-at-1", "mismatch-at-1.1"])
+def test_errors_from_atoms_met_before_keep_their_text_and_position(t, error, text):
+    """Pinned from the walks as they were before the memo; ``validate`` notes every occurrence."""
+    for walk in (endpoints, word):
+        with pytest.raises(error) as caught:
+            walk(t, TRIANGLE)
+        assert type(caught.value) is error and str(caught.value) == text
+    assert check_walks([t], TRIANGLE) == 1

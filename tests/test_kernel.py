@@ -11,7 +11,9 @@ root class alone, against the generated per-rule-set matchers, and replay that
 contracts the redex side and compares the whole result, against replay that
 builds no spine. ``ref_subterm_at`` and ``ref_replace_at`` are the position
 walks as they were before one zipper, ``terms.move``, did both; chains of
-them check the zipper's moves too.
+them check the zipper's moves too. The redex walk, ``rules.redexes``, meets
+its recursive reference on the sweeps and on random terms under formers and
+lifted to level 2.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from pathrw.rules import (
     RReflAtTarget,
     build_template,
     match_redexes,
+    redexes,
 )
 from pathrw.terms import (
     Atom,
@@ -71,7 +74,7 @@ from pathrw.terms import (
     with_child,
 )
 
-from conftest import large_term_strategy, raw_trees
+from conftest import former_term_strategy, large_term_strategy, lifted_term_strategy, raw_trees
 
 TRIANGLE = Context(
     ("A",),
@@ -612,6 +615,34 @@ def test_shape_index_agrees_on_congruence_formers():
 
 def test_shape_index_agrees_on_lifted_terms():
     check_candidates(_lifted_terms())
+
+
+# Lambda values for both elements, so every path drawn can sit under a former.
+LAM_PATHS = Context(
+    ("F",), {"m": "F", "n": "F"}, {"m": Abs("x", Var("x")), "n": Abs("y", Var("y"))}, {"al": AtomDecl("m", "n", "F")}
+)
+
+
+def check_redexes(t):
+    """``redexes`` agrees with the recursive reference, and each binding is the schema's match at its position."""
+    check_candidates([t])
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        for schema, binding, pos in redexes(rs, t):
+            assert binding == schema.match(ref_subterm_at(t, pos))
+
+
+@settings(max_examples=40)
+@given(former_term_strategy(LAM_PATHS))
+def test_redexes_agree_under_formers(t):
+    assert any(type(node) in (Xi, Mu, Nu) for node in subterms(t))
+    check_redexes(t)
+
+
+@settings(max_examples=40)
+@given(lifted_term_strategy(TRIANGLE))
+def test_redexes_agree_on_lifted_terms(t):
+    assert level(t) == 2
+    check_redexes(t)
 
 
 def test_generated_contract_tries_schemas_by_class():

@@ -126,8 +126,10 @@ def test_positions_keep_one_contract(ctx_r):
         assert subterm_at(t, pos) == sub and replace_at(t, pos, x) == replaced
     assert contract_once(t, "ss", (), PAPER7, ctx_r)[0] == inner
     assert contract_once(t, "tlr", (0, 0), PAPER7, ctx_r)[0] == Sym(Sym(Atom("r")))
-    with pytest.raises(NoRedex, match=re.escape("rule 'ss' does not match at position (0,)")):
+    with pytest.raises(NoRedex, match=re.escape("rule 'ss' does not match at position 0")):
         contract_once(t, "ss", (0,), PAPER7, ctx_r)
+    with pytest.raises(NoRedex, match=re.escape("rule 'tlr' does not match at position root")):
+        contract_once(t, "tlr", (), PAPER7, ctx_r)
     for pos in ([0], [0, 0], "0"):
         with pytest.raises(PathRwError, match=re.escape(f"position must be a tuple of child indices, not {pos!r}")):
             contract_once(t, "tlr", pos, PAPER7, ctx_r)
