@@ -389,23 +389,22 @@ def _record(
 ) -> Derivation:
     """Record the walker's contractions under ``walk_rs`` as edits replayable against ``replay_rs``."""
     lv = level(t)
+    end, fired = contractions(t, walk_rs, ctx, strategy)
     edits: list[Edit] = []
-    walk = contractions(t, walk_rs, ctx, strategy)
-    while True:
-        try:
-            schema, pos, redex, contractum = next(walk)
-        except StopIteration as done:
-            return Derivation._from_edits(t, tuple(edits), done.value, lv)
+    for schema, pos, redex, contractum in fired:
         if schema.witness and schema.name not in replay_rs._by_name:
             edits += _expand(schema, pos, redex, ctx, lv)
         else:
             edits.append((step_name(schema.name, lv), pos, FORWARD, redex, contractum))
+    return Derivation._from_edits(t, tuple(edits), end, lv)
 
 
-def _expand(schema: RuleSchema, pos: Position, redex: PathTerm, ctx: Context, lv: int):
+def _expand(schema: RuleSchema, pos: Position, redex: PathTerm, ctx: Context, lv: int) -> list[Edit]:
     """The edits of ``schema``'s seven-rule witness, at ``redex``, found at ``pos``."""
     binding = schema.match(redex)
+    edits = []
     for rule, rel, direction, template in schema.witness:
         after = build_template(template, binding, ctx)
-        yield step_name(rule, lv), pos + rel, direction, subterm_at(redex, rel), subterm_at(after, rel)
+        edits.append((step_name(rule, lv), pos + rel, direction, subterm_at(redex, rel), subterm_at(after, rel)))
         redex = after
+    return edits

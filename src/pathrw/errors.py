@@ -29,6 +29,14 @@ class UnknownElement(PathRwError):
         super().__init__(f"unknown element '{name}' at position {fmt_position(position)}")
 
 
+class BadObject(PathRwError):
+    """A reflexivity node wraps an object below level 0."""
+
+    def __init__(self, level: int, position: tuple[int, ...] = ()):
+        self.position = position
+        super().__init__(f"object level {level} is below 0 at position {fmt_position(position)}")
+
+
 class EndpointMismatch(PathRwError):
     """Two paths were chained whose endpoints do not meet."""
 

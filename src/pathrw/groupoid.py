@@ -200,7 +200,7 @@ def _random_step_derivation(u: PathTerm, lv: int, ctx: Context, rng: random.Rand
     steps = []
     cur = u
     for _ in range(rng.randint(0, 3)):
-        found = list(redexes(PAPER7, cur))
+        found = redexes(PAPER7, cur)
         if not found:
             break
         schema, binding, pos = rng.choice(found)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import PathRwError, UnresolvedLambda
-from .rules import PSym, PTrans, PVar, RuleSet, Template, _innermost, build_template, step_name, walk_end
+from .rules import PSym, PTrans, PVar, RuleSet, _innermost, build_template, step_name
 from .terms import (
     Atom,
     Context,
@@ -81,7 +81,7 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
     that list and walks its body at positive polarity; then it reads the
     segment back as its key and puts its own letter in the segment's place.
     Each segment keeps its first source and last target. A leaf that does not
-    chain to the one before it, or an atom, element or former that
+    chain to the one before it, or an atom, object or former that
     ``endpoints`` rejects, makes ``word`` call ``endpoints``, which raises.
     Each atom name's ends and letter key are built once, in a dict that lives
     for this call only, since a context can change between calls.
@@ -111,7 +111,7 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
         elif tp is Refl:
             src = tgt = t.obj
             key = None
-            if src.level == 0 and isinstance(src.payload, str) and src.payload not in ctx.elements:
+            if src.level < 0 or src.level == 0 and isinstance(src.payload, str) and src.payload not in ctx.elements:
                 break
         elif tp is StepAtom:
             step = t.step
@@ -249,9 +249,6 @@ def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
     if max_size < 1:
         raise PathRwError("max size must be at least 1")
 
-    def walked(node: PathTerm, template: Template) -> PathTerm:
-        return walk_end(_innermost(node, template, rs, ctx))
-
     joined: dict[tuple[type, int, int], tuple] = {}  # also holds the children, so no id is reused
 
     def join(tp: type, a: PathTerm, b: PathTerm | None = None) -> PathTerm:
@@ -259,7 +256,7 @@ def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
         hit = joined.get(key)
         if hit is None:
             node = Trans(a, b) if tp is Trans else Sym(a)
-            hit = joined[key] = a, b, walked(node, _SEAMS[tp])
+            hit = joined[key] = a, b, _innermost(node, _SEAMS[tp], rs, ctx)[0]
         return hit[2]
 
     # id(term) -> (term, normal form, redexes as (rule, position), each contractum's normal form)
@@ -286,7 +283,7 @@ def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
                 if type(bound) is not Object:
                     binding[name] = facts[id(bound)][1]
             redexes.append((step_name(schema.name, 1), ()))
-            nfs.append(walked(build_template(schema.rhs, binding, ctx), schema.rhs))
+            nfs.append(_innermost(build_template(schema.rhs, binding, ctx), schema.rhs, rs, ctx)[0])
         facts[id(t)] = t, nf, redexes, nfs
         for ((r1, p1), n1), ((r2, p2), n2) in itertools.combinations(zip(redexes, nfs), 2):
             if n1 != n2:

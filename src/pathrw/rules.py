@@ -18,17 +18,17 @@ rewrite walker, calls it per node visited or built and never rescans what it
 has shown normal: innermost order walks post-order and re-walks only the
 nodes a right-hand side built, rebuilding a parent once, when the walk
 leaves a changed child; outermost order walks pre-order and rechecks only
-the ancestors of the contracted position, rebuilding them. It yields each
-contraction's redex and contractum, not whole terms, and returns the normal
-form. The walkers, and ``redexes``, take children by exact type inline and
-keep the walked node's position as a list of child indices beside its
-ancestors; a contraction's position is that list made a tuple.
+the ancestors of the contracted position, rebuilding them. It returns the
+normal form with each contraction's redex and contractum, not whole terms.
+The walkers, and ``redexes``, take children by exact type inline and keep
+the walked node's position as a list of child indices beside its ancestors;
+a contraction's position is that list made a tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator, TypeAlias, Union
+from typing import Callable, TypeAlias, Union
 
 from .errors import PathRwError, UnknownRule
 from .terms import (
@@ -138,10 +138,6 @@ class RuleSchema:
 
     def __reduce__(self):  # the matchers are generated: pickle the fields, generate them again on load
         return RuleSchema, (self.name, self.lhs, self.rhs, self.witness)
-
-    @property
-    def extension(self) -> bool:
-        return bool(self.witness)
 
 
 def step_name(name: str, lv: int) -> str:
@@ -340,11 +336,6 @@ class RuleSet:
         self._found[rule_name, at_level] = schema
         return schema
 
-    def first_match(self, node: PathTerm) -> tuple[RuleSchema, Binding] | None:
-        """The first schema, in rule-set order, that matches at ``node``, with its binding."""
-        found = self.matches(node)
-        return found[0] if found else None
-
 
 PAPER7 = RuleSet("paper7", (SR, SS, TR, TSR, TLR, TRR, TT))
 GROUPOID_COMPLETE = RuleSet("groupoid-complete", PAPER7.schemas + (ST, TRC, TSRC))
@@ -364,9 +355,10 @@ def rule_set(name: str) -> RuleSet:
 # position is ``tuple(ix)``.
 
 
-def redexes(rs: RuleSet, t: PathTerm) -> Iterator[tuple[RuleSchema, Binding, Position]]:
+def redexes(rs: RuleSet, t: PathTerm) -> list[tuple[RuleSchema, Binding, Position]]:
     """(schema, binding, position) per match, in ``match_redexes`` order: a post-order walk."""
     matches = rs.matches
+    found = []
     path: list[PathTerm] = []
     ix: list[int] = []
     while True:
@@ -378,9 +370,9 @@ def redexes(rs: RuleSet, t: PathTerm) -> Iterator[tuple[RuleSchema, Binding, Pos
             continue
         while True:  # t's subtree is walked: report t, then go on to its right sibling or its parent
             for schema, binding in matches(t):
-                yield schema, binding, tuple(ix)
+                found.append((schema, binding, tuple(ix)))
             if not path:
-                return
+                return found
             parent = path[-1]
             if ix[-1] == 0 and type(parent) is Trans:
                 ix[-1] = 1
@@ -402,35 +394,23 @@ def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
     return [(step_name(schema.name, lv), pos) for schema, _, pos in redexes(rs, t)]
 
 
-Walk: TypeAlias = Generator[tuple[RuleSchema, Position, PathTerm, PathTerm], None, PathTerm]
-
-
-def contractions(t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = "leftmost-innermost") -> Walk:
+def contractions(t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = "leftmost-innermost") -> tuple[PathTerm, list]:
     """Contract redexes of ``t`` in ``strategy`` order until none remains.
 
-    Yields (schema, position, redex, contractum) per contraction, the schema
-    one of ``rs.schemas`` at every level of ``t``, and returns the normal
-    form (see ``walk_end``). Whether a node is a redex depends only on its
-    subtree, so a node the walk has shown normal stays normal until a
-    contraction inside its subtree.
+    Returns the normal form and, in order, (schema, position, redex,
+    contractum) per contraction, the schema one of ``rs.schemas`` at every
+    level of ``t``. Whether a node is a redex depends only on its subtree, so
+    a node the walk has shown normal stays normal until a contraction inside
+    its subtree. A strategy other than the two is a ``PathRwError``.
     """
     if strategy == "leftmost-innermost":
         return _innermost(t, None, rs, ctx)
     if strategy == "leftmost-outermost":
         return _outermost(t, rs, ctx)
-    raise ValueError(f"unknown strategy '{strategy}'")
+    raise PathRwError(f"unknown strategy '{strategy}'")
 
 
-def walk_end(walk: Walk) -> PathTerm:
-    """Run a walk of ``contractions`` to its end; the normal form it returns."""
-    while True:
-        try:
-            next(walk)
-        except StopIteration as done:
-            return done.value
-
-
-def _innermost(t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context) -> Walk:
+def _innermost(t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context) -> tuple[PathTerm, list]:
     """Innermost ``contractions`` from a root that ``template`` built.
 
     The walk is post-order. Beside each ancestor of the focus it keeps the
@@ -444,6 +424,7 @@ def _innermost(t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context
     and what contracting it builds are walked.
     """
     contract = rs.contract
+    fired = []
     path: list[tuple[PathTerm, Template | None]] = []
     ix: list[int] = []
     while True:
@@ -461,11 +442,11 @@ def _innermost(t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context
                 found = contract(t, ctx)
                 if found is not None:
                     schema, new = found
-                    yield schema, tuple(ix), t, new
+                    fired.append((schema, tuple(ix), t, new))
                     t, template = new, schema.rhs
                     break
             if not path:
-                return t
+                return t, fired
             parent, template = path[-1]
             if type(parent) is Trans:
                 if ix[-1] == 0:
@@ -484,7 +465,7 @@ def _innermost(t: PathTerm, template: Template | None, rs: RuleSet, ctx: Context
             t = parent
 
 
-def _outermost(t: PathTerm, rs: RuleSet, ctx: Context) -> Walk:
+def _outermost(t: PathTerm, rs: RuleSet, ctx: Context) -> tuple[PathTerm, list]:
     """Outermost ``contractions``: pre-order, checking each node when first reached.
 
     After a contraction every ancestor is rebuilt, since each is rechecked,
@@ -492,13 +473,14 @@ def _outermost(t: PathTerm, rs: RuleSet, ctx: Context) -> Walk:
     else from the contractum.
     """
     contract = rs.contract
+    fired = []
     path: list[PathTerm] = []
     ix: list[int] = []
     while True:
         found = contract(t, ctx)
         while found is not None:
             schema, new = found
-            yield schema, tuple(ix), t, new
+            fired.append((schema, tuple(ix), t, new))
             t = new
             for k in reversed(range(len(path))):
                 parent = path[k]
@@ -531,7 +513,7 @@ def _outermost(t: PathTerm, rs: RuleSet, ctx: Context) -> Walk:
             ix.pop()
             t = parent
         else:
-            return t
+            return t, fired
 
 
 _EXPLANATIONS = {

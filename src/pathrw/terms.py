@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, TypeAlias, Union
 
 from .errors import (
+    BadObject,
     ContextError,
     EndpointMismatch,
     UnknownAtom,
@@ -194,16 +195,6 @@ def size(t: PathTerm) -> int:
     return sum(1 for _ in subterms(t))
 
 
-def path_children(t: PathTerm) -> tuple[PathTerm, ...]:
-    """Immediate rewritable children. Atoms, Refl, and recorded steps are leaves."""
-    tp = type(t)
-    if tp is Trans:
-        return (t.left, t.right)
-    if tp is Sym or tp is Xi or tp is Mu or tp is Nu:
-        return (t.body,)
-    return ()
-
-
 def subterm_at(t: PathTerm, pos: Position) -> PathTerm:
     return move([], t, (), pos, 0)
 
@@ -350,6 +341,8 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
                     continue
                 message = "object payload is not a path term"
                 ends = _note(violations, "bad-object", _here(pos, frames), message)
+            elif obj.level < 0:
+                raise BadObject(obj.level, _here(pos, frames))
         elif tp is StepAtom:
             step = t.step
             if violations is not None:
@@ -370,7 +363,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
                 ends = _fold(t, ctx, _here(pos, frames), None)
             except UnresolvedLambda as exc:
                 ends = _note(violations, "unresolved-lambda", exc.position, str(exc))
-            except (UnknownAtom, UnknownElement, EndpointMismatch) as exc:
+            except (UnknownAtom, UnknownElement, EndpointMismatch, BadObject) as exc:
                 ends = _note(violations, "endpoint-error", exc.position, str(exc))
         elif violations is None:
             raise TypeError(f"not a path term: {t!r}")

@@ -57,12 +57,12 @@ from pathrw.terms import (
     Trans,
     Xi,
     level,
-    path_children,
     replace_at,
     subterms,
 )
 
 from conftest import former_term_strategy, large_term_strategy, lifted_term_strategy
+from test_kernel import ref_path_children
 from test_walker import STRATEGIES, TRIANGLE, _trace, match_pattern, reference_trace
 
 RULE_SETS = (PAPER7, GROUPOID_COMPLETE)
@@ -163,7 +163,7 @@ def _steps_built(d):
 
 def _subterm(t, pos):
     for i in pos:
-        children = path_children(t)
+        children = ref_path_children(t)
         if not 0 <= i < len(children):
             return None
         t = children[i]

@@ -26,7 +26,7 @@ from pathrw.engine import (
     normalize,
     replay_derivation,
 )
-from pathrw.errors import ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError, UnknownRule
+from pathrw.errors import BadObject, ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError, UnknownRule
 from pathrw.oracle import enumerate_terms, oracle_equal, word
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, match_redexes
 from pathrw.terms import (
@@ -123,6 +123,26 @@ def test_normalize_rejects_ill_formed_input_where_it_breaks(ctx_r, rs):
         with pytest.raises(EndpointMismatch) as exc:
             normalize(t, rs, ctx_r, strategy)
         assert exc.value.position == (0,)
+
+
+def test_an_unknown_strategy_is_an_input_error(ctx_r):
+    with pytest.raises(PathRwError) as caught:
+        normalize(Trans(Atom("r"), Refl(el("b"))), PAPER7, ctx_r, "bogus")
+    assert type(caught.value) is PathRwError and str(caught.value) == "unknown strategy 'bogus'"
+
+
+def test_objects_below_level_0_are_input_errors(ctx_r):
+    """sigma(rho) over a level -1 object used to normalize, by a step named sr0 whose replay raised ValueError."""
+    start = Sym(Refl(Object(-1, "a")))
+    for call in (word, lambda t, ctx: normalize(t, PAPER7, ctx), lambda t, ctx: canonical_derivation(t, PAPER7, ctx)):
+        with pytest.raises(BadObject, match=r"^object level -1 is below 0 at position 0$"):
+            call(start, ctx_r)
+    step = RewriteStep("sr0", (), "forward", start, Refl(Object(-1, "a")), 0)
+    assert not replay_derivation(Derivation(start, (step,), 0), PAPER7, ctx_r)
+    deep = Refl(Object(-3, Atom("r")))  # it used to be Equal to itself, by a level -2 witness
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        with pytest.raises(BadObject, match=r"^object level -3 is below 0 at position root$"):
+            decide_rw_equal(deep, deep, rs, ctx_r)
 
 
 def test_canonical_derivation_rejects_ill_formed_level_2_input(ctx_r):

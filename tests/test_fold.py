@@ -28,12 +28,13 @@ from pathrw.oracle import read_back, word
 from pathrw.rules import PAPER7
 from pathrw.terms import (
     Atom, AtomDecl, Context, Mu, Nu, Object, Refl, StepAtom, Sym, Trans, Violation, WellFormednessReport, Xi,
-    endpoints, format_term, level, path_children, size, validate,
+    endpoints, format_term, level, size, validate,
 )
 
 from conftest import lambda_terms_up_to, raw_trees
 from test_kernel import (
-    LAM, NON_TERMS, SWEEP, TRIANGLE, _lam_terms, _lifted_terms, checked_ref_word, ref_endpoints, ref_level, subterms,
+    LAM, NON_TERMS, SWEEP, TRIANGLE, _lam_terms, _lifted_terms, checked_ref_word, ref_endpoints, ref_level,
+    ref_path_children, subterms,
 )
 
 # --- references: the recursive walks -------------------------------------------
@@ -103,7 +104,7 @@ def ref_mu_measure(t):
             left_size, left_weight = go(node.left)
             right_size, right_weight = go(node.right)
             return 1 + left_size + right_size, left_weight + right_weight + left_size
-        children = path_children(node)
+        children = ref_path_children(node)
         if not children:
             return 1, 0
         body_size, body_weight = go(children[0])

@@ -68,7 +68,6 @@ from pathrw.terms import (
     endpoints,
     level,
     move,
-    path_children,
     replace_at,
     subterm_at,
     with_child,
@@ -330,7 +329,6 @@ def check_kernel(terms, ctx):
     checked = 0
     for t in terms:
         for node in subterms(t):
-            assert path_children(node) == ref_path_children(node)
             assert_same(level, ref_level, node)
             assert_same(endpoints, ref_endpoints, node, ctx)
             assert_same(word, checked_ref_word, node, ctx)
@@ -402,7 +400,6 @@ def test_kernel_rejects_non_terms_alike(bad):
         assert_same(level, ref_level, t)
         assert_same(endpoints, ref_endpoints, t, TRIANGLE)
         assert_same(word, checked_ref_word, t, TRIANGLE)
-        assert path_children(t) == ref_path_children(t)
         for i in (0, 1, -1, 2):
             assert_same(with_child, ref_with_child, t, i, Atom("r"))
     assert outcome(endpoints, bad, TRIANGLE)[1] is TypeError
@@ -552,6 +549,12 @@ def ref_first_match(rs, node):
     return None
 
 
+def ref_contract(rs, node, ctx):
+    """The first schema by root class, with its right-hand side built over its binding."""
+    found = ref_first_match(rs, node)
+    return found and (found[0], build_template(found[0].rhs, found[1], ctx))
+
+
 def ref_match_redexes(rs, t):
     by_head = ref_by_head(rs)
     lv = level(t)
@@ -593,28 +596,28 @@ def ref_replay(d, rs, ctx):
 # --- the generated matchers ---------------------------------------------------------
 
 
-def check_candidates(terms):
-    """``first_match`` and ``match_redexes`` agree with the root-class references."""
+def check_candidates(terms, ctx):
+    """``contract`` and ``match_redexes`` agree with the root-class references."""
     nodes = 0
     for t in terms:
         for rs in (PAPER7, GROUPOID_COMPLETE):
             assert match_redexes(rs, t) == ref_match_redexes(rs, t)
             for node in subterms(t):
-                assert rs.first_match(node) == ref_first_match(rs, node)
+                assert outcome(rs.contract, node, ctx) == outcome(ref_contract, rs, node, ctx), node
                 nodes += 1
     return nodes
 
 
 def test_shape_index_agrees_on_the_triangle_sweep():
-    assert check_candidates(SWEEP) > 2 * len(SWEEP)
+    assert check_candidates(SWEEP, TRIANGLE) > 2 * len(SWEEP)
 
 
 def test_shape_index_agrees_on_congruence_formers():
-    check_candidates(_lam_terms())
+    check_candidates(_lam_terms(), LAM)
 
 
 def test_shape_index_agrees_on_lifted_terms():
-    check_candidates(_lifted_terms())
+    check_candidates(_lifted_terms(), TRIANGLE)
 
 
 # Lambda values for both elements, so every path drawn can sit under a former.
@@ -623,9 +626,9 @@ LAM_PATHS = Context(
 )
 
 
-def check_redexes(t):
+def check_redexes(t, ctx):
     """``redexes`` agrees with the recursive reference, and each binding is the schema's match at its position."""
-    check_candidates([t])
+    check_candidates([t], ctx)
     for rs in (PAPER7, GROUPOID_COMPLETE):
         for schema, binding, pos in redexes(rs, t):
             assert binding == schema.match(ref_subterm_at(t, pos))
@@ -635,14 +638,14 @@ def check_redexes(t):
 @given(former_term_strategy(LAM_PATHS))
 def test_redexes_agree_under_formers(t):
     assert any(type(node) in (Xi, Mu, Nu) for node in subterms(t))
-    check_redexes(t)
+    check_redexes(t, LAM_PATHS)
 
 
 @settings(max_examples=40)
 @given(lifted_term_strategy(TRIANGLE))
 def test_redexes_agree_on_lifted_terms(t):
     assert level(t) == 2
-    check_redexes(t)
+    check_redexes(t, TRIANGLE)
 
 
 def test_generated_contract_tries_schemas_by_class():
@@ -652,7 +655,7 @@ def test_generated_contract_tries_schemas_by_class():
     none = [Trans(r, s), r, rho_b, Xi("v", r), Mu("m", r), Nu(r, "n"), StepAtom(step), 5, None, "r"]
     for rs in (PAPER7, GROUPOID_COMPLETE):
         for node in none:
-            assert rs.contract(node, TRIANGLE) is None and rs.matches(node) == [] and rs.first_match(node) is None
+            assert rs.contract(node, TRIANGLE) is None and rs.matches(node) == []
         t = Trans(Trans(r, s), rho_b)
         assert rs.contract(t, TRIANGLE) == (rs.find("trr", 1), Trans(r, s))
         assert [schema.name for schema, _ in rs.matches(t)] == ["trr", "tt"]
@@ -735,7 +738,7 @@ def _mutants(step):
             if type(nodes[0]) is Trans:
                 off = 1 - pos[k]
                 for edit in (_copy, Sym):
-                    edits.append(lambda node, edit=edit: with_child(node, off, edit(path_children(node)[off])))
+                    edits.append(lambda node, edit=edit: with_child(node, off, edit(ref_path_children(node)[off])))
         for edit in edits:
             new = [edit(node) for node in nodes]
             for side in (0, 1):

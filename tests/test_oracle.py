@@ -19,7 +19,7 @@ from pathrw.engine import (
     normalize,
     replay_derivation,
 )
-from pathrw.rules import GROUPOID_COMPLETE, PAPER7, contractions, match_redexes, walk_end
+from pathrw.rules import GROUPOID_COMPLETE, PAPER7, contractions, match_redexes
 from pathrw.errors import EndpointMismatch, PathRwError, UnknownAtom, UnknownElement
 from pathrw.oracle import (
     Letter,
@@ -369,7 +369,7 @@ def ref_check_confluence(rs, ctx, max_size):
     def nf(t):
         cached = nf_cache.get(t)
         if cached is None:
-            cached = nf_cache[t] = walk_end(contractions(t, rs, ctx))
+            cached = nf_cache[t] = contractions(t, rs, ctx)[0]
         return cached
 
     peaks = []

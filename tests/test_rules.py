@@ -4,10 +4,12 @@ witnesses, and the rendered derivations."""
 
 from __future__ import annotations
 
+import inspect
 import pickle
 
 import pytest
 
+from pathrw import rules
 from pathrw.engine import (
     Derivation,
     _expand,
@@ -21,6 +23,7 @@ from pathrw.oracle import enumerate_terms
 from pathrw.rules import (
     GROUPOID_COMPLETE,
     PAPER7,
+    SS,
     TRR,
     TSR,
     TT,
@@ -34,6 +37,7 @@ from pathrw.rules import (
     contractions,
     explain_rule,
     match_redexes,
+    redexes,
     rule_set,
     step_name,
 )
@@ -45,10 +49,11 @@ from pathrw.terms import (
     Sym,
     Trans,
     endpoints,
-    path_children,
     replace_at,
     subterm_at,
 )
+
+from test_kernel import ref_path_children
 
 
 def el(name):
@@ -57,7 +62,7 @@ def el(name):
 
 def postorder_positions(t):
     """All positions, children before parents, left to right (innermost first)."""
-    for i, child in enumerate(path_children(t)):
+    for i, child in enumerate(ref_path_children(t)):
         for pos in postorder_positions(child):
             yield (i,) + pos
     yield ()
@@ -162,7 +167,7 @@ def test_find_returns_one_cached_instance_per_level():
     assert PAPER7.find("tt", 3) is TT
 
 
-def test_derived_fields_leave_identity_unchanged():
+def test_derived_fields_leave_identity_unchanged(ctx_r):
     for schema in GROUPOID_COMPLETE.schemas:
         fields = (schema.name, schema.lhs, schema.rhs, schema.witness)
         copy = RuleSchema(*fields)
@@ -180,7 +185,9 @@ def test_derived_fields_leave_identity_unchanged():
     loaded = pickle.loads(pickle.dumps(GROUPOID_COMPLETE))
     assert loaded == GROUPOID_COMPLETE
     assert loaded.find("tt", 2).match(Trans(Trans(Atom("r"), Atom("s")), Atom("u")))
-    assert loaded.first_match(Trans(Trans(Atom("r"), Atom("s")), Atom("u")))[0] is loaded.find("tt", 1)
+    triple = Trans(Trans(Atom("r"), Atom("s")), Atom("u"))
+    assert loaded.contract(triple, ctx_r) == (loaded.find("tt", 1), Trans(Atom("r"), Trans(Atom("s"), Atom("u"))))
+    assert loaded.matches(triple) == [(loaded.find("tt", 1), {"t": Atom("r"), "r": Atom("s"), "s": Atom("u")})]
 
 
 def test_schemas_sharing_a_name_are_rejected(ctx_r):
@@ -197,7 +204,7 @@ def test_schemas_sharing_a_name_are_rejected(ctx_r):
     _, d = normalize(Trans(Atom("r"), Refl(el("b"))), PAPER7, ctx_r)
     leaves = [(Atom("r"), Refl(el("b"))), (StepAtom(d.steps[0]), Refl(Object(1, Atom("r"))))]
     for (leaf, refl), names in zip(leaves, (["y", "x"], ["y2", "x2"])):
-        fired = list(contractions(Trans(leaf, refl), rs, ctx_r))
+        _, fired = contractions(Trans(leaf, refl), rs, ctx_r)
         assert [s for s, *_ in fired] == [rewrap, unwrap]
         assert fired[0][0] is rewrap and fired[1][0] is unwrap
         assert [after for *_, after in fired] == [Sym(Sym(leaf)), leaf]
@@ -221,13 +228,26 @@ def test_contractions_at_level_three_yield_the_rule_sets_own_schemas(ctx_r):
     _, q = contract_once(Trans(StepAtom(p), Refl(Object(1, Atom("r")))), "trr2", (), PAPER7, ctx_r)
     u = StepAtom(q)
     t = Trans(Trans(u, Sym(u)), u)
-    fired = list(contractions(t, PAPER7, ctx_r, "leftmost-outermost"))
+    _, fired = contractions(t, PAPER7, ctx_r, "leftmost-outermost")
     assert [schema for schema, *_ in fired] == [TT, TSR, TRR]
     assert all(schema is own for (schema, *_), own in zip(fired, (TT, TSR, TRR)))
     nf, d = normalize(t, PAPER7, ctx_r, "leftmost-outermost")
     assert nf == u and d.level == 3
     assert [(step.rule, step.position) for step in d.steps] == [("tt3", ()), ("tsr3", (1,)), ("trr3", ())]
     assert replay_derivation(d, PAPER7, ctx_r)
+
+
+def test_the_walkers_return_what_they_found(ctx_r):
+    """``contractions`` returns the normal form with its contractions, and ``redexes`` its matches: no generators."""
+    assert [name for name, fn in vars(rules).items() if inspect.isgeneratorfunction(fn)] == []
+    r, ssr = Atom("r"), Sym(Sym(Atom("r")))
+    t = Trans(ssr, Refl(el("b")))
+    assert contractions(t, PAPER7, ctx_r) == (r, [(SS, (0,), ssr, r), (TRR, (), Trans(r, Refl(el("b"))), r)])
+    assert contractions(t, PAPER7, ctx_r, "leftmost-outermost") == (r, [(TRR, (), t, ssr), (SS, (), ssr, r)])
+    assert redexes(PAPER7, t) == [(SS, {"r": r}, (0,)), (TRR, {"r": ssr, "x": el("b")}, ())]
+    with pytest.raises(PathRwError) as caught:
+        contractions(t, PAPER7, ctx_r, "bogus")
+    assert type(caught.value) is PathRwError and str(caught.value) == "unknown strategy 'bogus'"
 
 
 def _extension_redexes(ctx):
@@ -243,7 +263,7 @@ def _extension_redexes(ctx):
             "tsrc": {"r": rs, "t": Sym(rs)},
         }
         for schema in GROUPOID_COMPLETE.schemas:
-            if schema.extension:
+            if schema.witness:
                 assert GROUPOID_COMPLETE.find(step_name(schema.name, lv), lv) is schema
                 yield lv, schema, bindings[schema.name]
 
@@ -273,8 +293,8 @@ def test_rule_sets():
     assert {s.name for s in GROUPOID_COMPLETE.schemas} == {
         "sr", "ss", "tr", "tsr", "tlr", "trr", "tt", "st", "trc", "tsrc",
     }
-    assert all(not s.extension for s in PAPER7.schemas)
-    assert [s.name for s in GROUPOID_COMPLETE.schemas if s.extension] == ["st", "trc", "tsrc"]
+    assert all(not s.witness for s in PAPER7.schemas)
+    assert [s.name for s in GROUPOID_COMPLETE.schemas if s.witness] == ["st", "trc", "tsrc"]
     assert rule_set("paper7") is PAPER7
     copy = RuleSet("paper7", PAPER7.schemas)
     assert copy == PAPER7 and hash(copy) == hash(PAPER7) and repr(copy) == repr(PAPER7)

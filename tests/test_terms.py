@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from pathrw.engine import contract_once
-from pathrw.errors import ContextError, EndpointMismatch, NoRedex, PathRwError, UnknownAtom
+from pathrw.errors import BadObject, ContextError, EndpointMismatch, NoRedex, PathRwError, UnknownAtom, fmt_position
 from pathrw.lam import Abs, Var
 from pathrw.oracle import enumerate_terms
 from pathrw.rules import PAPER7
@@ -16,15 +16,16 @@ from pathrw.terms import (
     Atom,
     AtomDecl,
     Context,
+    Mu,
     Object,
     Refl,
     Sym,
     Trans,
+    Violation,
     Xi,
     endpoints,
     format_term,
     level,
-    path_children,
     replace_at,
     size,
     subterm_at,
@@ -32,6 +33,7 @@ from pathrw.terms import (
 )
 
 from conftest import raw_trees, term_strategy
+from test_kernel import ref_path_children
 
 
 def el(name: str) -> Object:
@@ -144,11 +146,6 @@ def test_positions_keep_one_contract(ctx_r):
             assert type(caught.value) is PathRwError and str(caught.value) == f"no subterm at position {shown}"
 
 
-def test_path_children_leaves():
-    assert path_children(Atom("r")) == ()
-    assert path_children(Refl(el("a"))) == ()
-
-
 _CTX_RS = Context(
     ("A",),
     {"a": "A", "b": "A", "c": "A"},
@@ -187,8 +184,22 @@ def test_validate_iff_endpoints_on_all_raw_trees(ctx_rs):
 
 def test_wellformedness_closed_under_subterms(ctx_rs):
     for t in enumerate_terms(ctx_rs, 7):
-        for child in path_children(t):
+        for child in ref_path_children(t):
             assert validate(child, ctx_rs).ok
+
+
+def test_objects_below_level_0_are_ill_formed(ctx_r, ctx_lam):
+    """``endpoints`` names the object's position; ``validate`` reports it as a bad object or a level mismatch."""
+    for obj, kind in ((Object(-1, "a"), "bad-object"), (Object(-3, Atom("r")), "level-mismatch")):
+        for t, pos in ((Refl(obj), ()), (Sym(Refl(obj)), (0,)), (Trans(Atom("r"), Refl(obj)), (1,))):
+            with pytest.raises(BadObject) as caught:
+                endpoints(t, ctx_r)
+            assert caught.value.position == pos
+            assert str(caught.value) == f"object level {obj.level} is below 0 at position {fmt_position(pos)}"
+            assert [(v.kind, v.position) for v in validate(t, ctx_r).violations] == [(kind, pos)]
+    # A former's body is checked by a raising fold; the object is reported, not raised.
+    report = validate(Mu("m", Trans(Atom("al"), Refl(Object(-1, "n")))), ctx_lam)
+    assert report.violations == (Violation("endpoint-error", (0, 1), "object level -1 is below 0 at position 0.1"),)
 
 
 def test_validate_flags_unknown_element(ctx_r):
