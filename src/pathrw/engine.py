@@ -40,12 +40,14 @@ from .terms import (
     Sym,
     Trans,
     Xi,
+    checked_level,
     endpoints,
     format_term,
     level,
     move,
     replace_at,
     subterm_at,
+    value,
 )
 from .rules import (
     FORWARD,
@@ -72,7 +74,7 @@ def _flipped(direction: str) -> str:
     raise PathRwError(f"step direction must be '{FORWARD}' or '{REVERSE}', not {direction!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class RewriteStep:
     """One contraction: ``before`` becomes ``after`` by ``rule`` at ``position``.
 
@@ -108,14 +110,16 @@ class Derivation:
     level: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_edits", None)
-        object.__setattr__(self, "_end", None)
+        _set_edits(self, None)
+        _set_end(self, None)
 
     @classmethod
     def _from_edits(cls, start: PathTerm, edits: tuple[Edit, ...], end: PathTerm, lv: int) -> Derivation:
         d = object.__new__(cls)
-        for name, value in (("start", start), ("level", lv), ("_edits", edits), ("_end", end)):
-            object.__setattr__(d, name, value)
+        _set_start(d, start)
+        _set_level(d, lv)
+        _set_edits(d, edits)
+        _set_end(d, end)
         return d
 
     def __getattr__(self, name: str):
@@ -130,8 +134,9 @@ class Derivation:
             steps.append(RewriteStep(rule, pos, direction, cur, after, self.level))
             cur = after
         steps = tuple(steps)
-        for name, value in (("steps", steps), ("_edits", None), ("_end", None)):
-            object.__setattr__(self, name, value)
+        _set_steps(self, steps)
+        _set_edits(self, None)
+        _set_end(self, None)
         return steps
 
     def __reduce__(self):  # copies and pickles hold the steps
@@ -144,12 +149,18 @@ class Derivation:
         return self.steps[-1].after if self.steps else self.start
 
 
-@dataclass(frozen=True, slots=True)
+# Stores into Derivation's slots, past its frozen ``__setattr__``, as ``terms.value``'s ``__init__`` does.
+_set_start, _set_steps, _set_level, _set_edits, _set_end = (
+    Derivation.__dict__[name].__set__ for name in Derivation.__slots__
+)
+
+
+@value
 class Equal:
     witness: Derivation
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class NotEqual:
     reason: str
 
@@ -160,10 +171,11 @@ def contract_once(
     """Apply ``rule`` at ``pos`` in ``t``; returns the contractum and the step.
 
     ``pos`` must be a tuple of child indices; anything else is a ``PathRwError``.
+    An object below level 0 at the leftmost leaf is a ``BadObject``.
     """
     if type(pos) is not tuple:
         raise PathRwError(f"position must be a tuple of child indices, not {pos!r}")
-    lv = level(t)
+    lv = checked_level(t)
     schema = rs.find(rule, lv)
     built = schema.contract(subterm_at(t, pos), ctx)
     if built is None:

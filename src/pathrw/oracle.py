@@ -37,10 +37,11 @@ from .terms import (
     applied_lambda,
     endpoints,
     former_endpoints,
+    value,
 )
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Letter:
     """One oriented generator occurrence; src/tgt are after orientation."""
 
@@ -53,7 +54,7 @@ class Letter:
         return Letter(self.gen, -self.orient, self.tgt, self.src)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ReducedWord:
     """Fully cancelled generator word, based at its source object."""
 

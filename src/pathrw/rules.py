@@ -41,8 +41,8 @@ from .terms import (
     Sym,
     Trans,
     Xi,
+    checked_level,
     endpoints,
-    level,
     with_child,
 )
 
@@ -388,9 +388,10 @@ def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
 
     Positions are enumerated leftmost-innermost; at one position the rules
     keep the rule set's order. An empty list means ``t`` is a normal form.
-    Names carry the term's level (see ``step_name``).
+    Names carry the term's level (see ``step_name``); an object below level 0
+    at the leftmost leaf is a ``BadObject``.
     """
-    lv = level(t)
+    lv = checked_level(t)
     return [(step_name(schema.name, lv), pos) for schema, _, pos in redexes(rs, t)]
 
 

@@ -3,7 +3,12 @@
 Level-1 terms are paths between declared elements, built from declared step
 atoms, reflexivity, symmetry, transitivity, and the lambda congruence formers.
 A level-(n+1) term is a path between level-n terms; its atoms are recorded
-rewrite steps. Everything is immutable.
+rewrite steps. Everything is immutable. A rewrite mostly builds small
+values, so the classes built on the hot path (the terms here, the oracle's
+letters and words, the engine's steps and verdicts) are declared with
+``value``: a frozen, slotted dataclass whose ``__init__`` stores each field
+through its slot descriptor. The rest (declarations, contexts, patterns,
+reports) are plain frozen dataclasses.
 
 The term classes are final: nothing subclasses them. So every traversal
 dispatches on exact type (``type(t) is Trans``), which costs a fraction of a
@@ -16,7 +21,8 @@ default recursion limit. Positions are walked in one place, the zipper of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterator, TypeAlias, Union
 
 from .errors import (
@@ -37,6 +43,38 @@ if TYPE_CHECKING:
 Position: TypeAlias = "tuple[int, ...]"
 
 AXIOM_TAGS = ("declared", "beta", "eta", "alpha")
+
+
+def value(cls: type) -> type:
+    """``@dataclass(frozen=True, slots=True)``, with an ``__init__`` that stores through the slots.
+
+    The rewrite engine builds its terms, steps and letters by the million,
+    and the dataclass ``__init__`` stores each field by ``object.__setattr__``,
+    which looks the attribute up again on every call. The ``__init__``
+    generated here calls each field's slot descriptor, ``__set__`` bound once
+    when the class is built. All else is the dataclass's: ``__setattr__`` and
+    ``__delattr__`` raise ``FrozenInstanceError``, and ``==``, ``hash``,
+    ``repr``, ``__match_args__``, ``fields``, ``replace``, pickling and copying
+    are unchanged. So that no behaviour is dropped without a sign, a class
+    whose dataclass ``__init__`` would do more than store its arguments in
+    order is a ``TypeError``: one with a default, a default factory, an
+    ``init=False``, keyword-only or ``InitVar`` field, or a ``__post_init__``.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    expected = [(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty) for name in names]
+    if hasattr(cls, "__post_init__") or [(p.name, p.kind, p.default) for p in params] != expected:
+        raise TypeError(f"@value class {cls.__name__} must have only required fields and no __post_init__")
+    namespace = {f"__set_{name}__": cls.__dict__[name].__set__ for name in names}
+    source = f"def __init__(self, {', '.join(names)}):\n"
+    source += "".join(f"    __set_{name}__(self, {name})\n" for name in names)
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +123,7 @@ class Context:
             raise ContextError("; ".join(problems))
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Object:
     """An object of the level-(level+1) structure.
 
@@ -97,28 +135,28 @@ class Object:
     payload: object  # str | LambdaTerm | PathTerm
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Atom:
     """A declared step atom; level 1 only."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Refl:
     """The trivial path on an object."""
 
     obj: Object
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Sym:
     """The inverse of a path."""
 
     body: PathTerm
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Trans:
     """Sequential composition: ``left`` then ``right``."""
 
@@ -126,7 +164,7 @@ class Trans:
     right: PathTerm
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Xi:
     """Congruence under an abstraction binding ``var``; level 1 only."""
 
@@ -134,7 +172,7 @@ class Xi:
     body: PathTerm
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Mu:
     """Congruence in argument position: ``func`` applied to both endpoints."""
 
@@ -142,7 +180,7 @@ class Mu:
     body: PathTerm
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Nu:
     """Congruence in function position: both endpoints applied to ``arg``."""
 
@@ -150,7 +188,7 @@ class Nu:
     arg: str
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class StepAtom:
     """A recorded rewrite step, used as an atom one level up."""
 
@@ -173,6 +211,18 @@ def level(t: PathTerm) -> int:
     if tp is StepAtom:
         return t.step.level + 1
     raise TypeError(f"not a path term: {t!r}")
+
+
+def checked_level(t: PathTerm) -> int:
+    """``level(t)``, which must be 1 or more: else the ``BadObject`` that ``endpoints`` raises at the leftmost leaf."""
+    lv = level(t)
+    if lv < 1:
+        depth = 0
+        while type(t) is Trans or type(t) is Sym:
+            t = t.left if type(t) is Trans else t.body
+            depth += 1
+        raise BadObject(lv - 1, (0,) * depth)
+    return lv
 
 
 def subterms(t: PathTerm) -> Iterator[PathTerm]:

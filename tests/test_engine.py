@@ -132,9 +132,18 @@ def test_an_unknown_strategy_is_an_input_error(ctx_r):
 
 
 def test_objects_below_level_0_are_input_errors(ctx_r):
-    """sigma(rho) over a level -1 object used to normalize, by a step named sr0 whose replay raised ValueError."""
+    """sigma(rho) over a level -1 object used to normalize, by a step named sr0 whose replay raised ValueError.
+
+    ``contract_once`` raised that ValueError too, and ``match_redexes`` named the step sr0.
+    """
     start = Sym(Refl(Object(-1, "a")))
-    for call in (word, lambda t, ctx: normalize(t, PAPER7, ctx), lambda t, ctx: canonical_derivation(t, PAPER7, ctx)):
+    for call in (
+        word,
+        lambda t, ctx: normalize(t, PAPER7, ctx),
+        lambda t, ctx: canonical_derivation(t, PAPER7, ctx),
+        lambda t, ctx: contract_once(t, "sr", (), PAPER7, ctx),
+        lambda t, ctx: match_redexes(PAPER7, t),
+    ):
         with pytest.raises(BadObject, match=r"^object level -1 is below 0 at position 0$"):
             call(start, ctx_r)
     step = RewriteStep("sr0", (), "forward", start, Refl(Object(-1, "a")), 0)
@@ -143,6 +152,8 @@ def test_objects_below_level_0_are_input_errors(ctx_r):
     for rs in (PAPER7, GROUPOID_COMPLETE):
         with pytest.raises(BadObject, match=r"^object level -3 is below 0 at position root$"):
             decide_rw_equal(deep, deep, rs, ctx_r)
+        with pytest.raises(BadObject, match=r"^object level -3 is below 0 at position root$"):
+            match_redexes(rs, deep)
 
 
 def test_canonical_derivation_rejects_ill_formed_level_2_input(ctx_r):
