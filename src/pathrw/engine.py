@@ -253,23 +253,26 @@ def derivation_to_path(d: Derivation) -> PathTerm:
 def replay_derivation(d: Derivation, rs: RuleSet, ctx: Context) -> bool:
     """True iff every step is a legal contraction where recorded and the chain links.
 
-    Replay returns False if the start is ill-formed (``endpoints`` raises) or
-    not a path term, and resolves every rule at the start's level. Steps built
-    by hand, or read from a document, are checked one at a time: False at the
-    first that is not a ``RewriteStep``, does not link to the one before or is
-    at another level, whose direction is neither forward nor reverse, whose
-    position is not a tuple of child indices on which ``before`` and ``after``
-    agree off the path, or whose edit (see ``Edit``) is not ``_legal``. The
-    edits of a derivation the engine built are followed by a zipper from the
-    start instead (see ``_follow``).
+    Replay returns False if the start is ill-formed (``endpoints`` raises),
+    not a path term or not at the derivation's level, and resolves every rule
+    at the start's level. Steps built by hand, or read from a document, are
+    checked one at a time: False if they are no tuple, and at the first that
+    is not a ``RewriteStep``, does not link to the one before or is at another
+    level, whose direction is neither forward nor reverse, whose position is
+    not a tuple of child indices on which ``before`` and ``after`` agree off
+    the path, or whose edit (see ``Edit``) is not ``_legal``. The edits of a
+    derivation the engine built are followed by a zipper from the start
+    instead (see ``_follow``).
     """
     try:
         endpoints(d.start, ctx)
     except (PathRwError, TypeError):  # TypeError: not a path term
         return False
     lv = level(d.start)
-    if d._edits is not None:
+    if d._edits is not None:  # the engine built it at its start's level
         return _follow(d.start, d._edits, lv, rs, ctx)
+    if lv != d.level or type(d.steps) is not tuple:
+        return False
     cur = d.start
     for step in d.steps:
         if type(step) is not RewriteStep or step.level != d.level or step.before is not cur and step.before != cur:

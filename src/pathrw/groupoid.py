@@ -246,8 +246,8 @@ def _random_path_from(
     end: Object, ctx: Context, rng: random.Random, depth: int, forward: bool = True
 ) -> tuple[PathTerm, Object]:
     """A random level-1 term starting at ``end``, or ending there if not ``forward``; and its other end."""
-    ahead = [(n, d) for n, d in ctx.atoms.items() if Object(0, d.source if forward else d.target) == end]
-    behind = [(n, d) for n, d in ctx.atoms.items() if Object(0, d.target if forward else d.source) == end]
+    ahead = [(n, d) for n, d in ctx.atoms.items() if d.ends[not forward] == end]  # source at ``end`` if forward
+    behind = [(n, d) for n, d in ctx.atoms.items() if d.ends[forward] == end]
     choices = ["refl"]
     if ahead:
         choices.append("atom")
@@ -258,11 +258,11 @@ def _random_path_from(
     kind = rng.choice(choices)
     if kind == "atom":
         name, decl = rng.choice(ahead)
-        return Atom(name), Object(0, decl.target if forward else decl.source)
+        return Atom(name), decl.ends[forward]
     if kind == "sym":
         if behind and (depth <= 1 or rng.random() < 0.5):
             name, decl = rng.choice(behind)
-            return Sym(Atom(name)), Object(0, decl.source if forward else decl.target)
+            return Sym(Atom(name)), decl.ends[not forward]
         body, far = _random_path_from(end, ctx, rng, depth - 1, not forward)
         return Sym(body), far
     if kind == "trans":

@@ -84,8 +84,8 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
     Each segment keeps its first source and last target. A leaf that does not
     chain to the one before it, or an atom, object or former that
     ``endpoints`` rejects, makes ``word`` call ``endpoints``, which raises.
-    Each atom name's ends and letter key are built once, in a dict that lives
-    for this call only, since a context can change between calls.
+    Each atom name's ends, its declaration's, and letter key are kept in a
+    dict for this call only, since a context can change between calls.
     """
     root = t
     out: list[Letter] = []
@@ -107,7 +107,7 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
                 decl = ctx.atoms.get(t.name)
                 if decl is None:
                     break
-                hit = memo[t.name] = Object(0, decl.source), Object(0, decl.target), ("atom", t.name)
+                hit = memo[t.name] = *decl.ends, ("atom", t.name)
             src, tgt, key = hit
         elif tp is Refl:
             src = tgt = t.obj
@@ -203,7 +203,7 @@ def enumerate_terms(ctx: Context, max_size: int) -> Iterator[PathTerm]:
     by_size: list[list[tuple[PathTerm, Object, Object]]] = [[]]  # (term, source, target) rows
     for k in range(1, max_size + 1):
         if k == 1:
-            rows = [(Atom(n), Object(0, d.source), Object(0, d.target)) for n, d in ctx.atoms.items()]
+            rows = [(Atom(n), *d.ends) for n, d in ctx.atoms.items()]
             rows += [(Refl(Object(0, n)), Object(0, n), Object(0, n)) for n in ctx.elements]
         else:
             rows = [(Sym(t), tgt, src) for t, src, tgt in by_size[k - 1]]

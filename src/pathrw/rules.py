@@ -32,6 +32,7 @@ from typing import Callable, TypeAlias, Union
 
 from .errors import PathRwError, UnknownRule
 from .terms import (
+    Atom,
     Context,
     Mu,
     Nu,
@@ -108,7 +109,9 @@ def build_template(template: Template, binding: Binding, ctx: Context) -> PathTe
     if tp is PRefl:
         return Refl(binding[template.obj_var])
     if tp is RReflAtSource or tp is RReflAtTarget:
-        return Refl(endpoints(binding[template.var], ctx)[tp is RReflAtTarget])
+        r = binding[template.var]
+        decl = ctx.atoms.get(r.name) if type(r) is Atom else None
+        return Refl((endpoints(r, ctx) if decl is None else decl.ends)[tp is RReflAtTarget])
     raise TypeError(f"not a template: {template!r}")
 
 
@@ -163,9 +166,10 @@ _PREAMBLE["Sym"] = ["x0 = node.body", "t0 = type(x0)"]
 def _tests(pattern: Pattern, at: str, tests: list[str], bound: dict[str, str]) -> None:
     """Add the tests, left to right, that ``pattern`` matches the term at expression ``at``.
 
-    The root's class is its branch's. ``bound`` maps each metavariable to the
-    expression of its first occurrence; a later occurrence is tested equal to
-    it with ``==``, the first on the left. Class tests are exact.
+    The root's class is its branch's; class tests are exact. ``bound`` maps each
+    metavariable to the expression of its first occurrence; a later one, ``y``, must
+    be it, or of its class and ``==`` to it, the first on the left: on terms that is
+    ``==``, without the reflected call that ``==`` makes across classes.
     """
     tp = type(pattern)
     if tp is PVar:
@@ -173,7 +177,8 @@ def _tests(pattern: Pattern, at: str, tests: list[str], bound: dict[str, str]) -
             raise PathRwError(f"a left-hand side must not be a metavariable: {pattern!r}")
         first = bound.setdefault(pattern.name, at)
         if first != at:
-            tests.append(f"{first} == {at}")
+            cls = f"t{first[1]}" if first in ("x0", "x1") else f"type({first})"
+            tests.append(f"((y := {at}) is {first} or type(y) is {cls} and {first} == y)")
         return
     if tp not in _HEADS:
         raise TypeError(f"not a pattern: {pattern!r}")
@@ -196,8 +201,10 @@ def _built(template: Template, bound: dict[str, str]) -> str:
         return f"Sym({_built(template.body, bound)})"
     if tp is PRefl:
         return f"Refl({bound[template.obj_var]})"
-    if tp is RReflAtSource or tp is RReflAtTarget:
-        return f"Refl(endpoints({bound[template.var]}, ctx)[{int(tp is RReflAtTarget)}])"
+    if tp is RReflAtSource or tp is RReflAtTarget:  # a declared atom's ends are its declaration's
+        r = bound[template.var]
+        ends = f"(d.ends if type({r}) is Atom and (d := ctx.atoms.get({r}.name)) is not None else endpoints({r}, ctx))"
+        return f"Refl({ends}[{int(tp is RReflAtTarget)}])"
     raise TypeError(f"not a template: {template!r}")
 
 

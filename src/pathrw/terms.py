@@ -12,11 +12,12 @@ reports) are plain frozen dataclasses.
 
 The term classes are final: nothing subclasses them. So every traversal
 dispatches on exact type (``type(t) is Trans``), which costs a fraction of a
-class-pattern ``match`` case. No traversal recurses: ``endpoints`` and
-``validate`` share one post-order fold on an explicit stack, and ``size``
-and ``format_term`` walk pre-order on one, so terms of any depth work at the
-default recursion limit. Positions are walked in one place, the zipper of
-``move``: ``subterm_at``, ``replace_at`` and the engine's replay call it.
+class-pattern ``match`` case. No traversal recurses, each walks an explicit
+stack: ``endpoints`` takes leaves in path order and hands what it cannot
+chain to ``validate``'s post-order fold, and ``size`` and ``format_term``
+walk pre-order; so terms of any depth work at the default recursion limit.
+Positions are walked in one place, the zipper of ``move``: ``subterm_at``,
+``replace_at`` and the engine's replay call it.
 """
 
 from __future__ import annotations
@@ -79,12 +80,16 @@ def value(cls: type) -> type:
 
 @dataclass(frozen=True, slots=True)
 class AtomDecl:
-    """Declaration of a step atom: its endpoints, type, and optional axiom tag."""
+    """Declaration of a step atom: its endpoints, type and optional axiom tag; ``ends`` holds them as objects."""
 
     source: str
     target: str
     type_name: str
     tag: str = "declared"
+    ends: tuple[Object, Object] = field(init=False, repr=False, compare=False)  # built once, outside ==, hash and repr
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ends", (Object(0, self.source), Object(0, self.target)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,9 +341,49 @@ def endpoints(t: PathTerm, ctx: Context, _pos: Position = ()) -> tuple[Object, O
 
     Sym swaps, Trans chains, Refl duplicates; congruence formers build the
     corresponding lambda terms; a recorded step contributes its before/after
-    terms one level down. Each atom name's ends are built once per call.
+    terms one level down; an atom's ends are its declaration's.
+
+    One walk, as ``oracle.word``'s, takes the leaves in path order with their
+    polarity; each leaf's oriented source must be the last one's target, which
+    checks every Trans, the one where two leaves adjacent in path order meet.
+    A former, a non-term, an unknown name, a chain break or an error sends the
+    term to ``_fold``, which folds a former or raises at its first error.
     """
-    return _fold(t, ctx, _pos, None)
+    root, atoms, todo, pol, last = t, ctx.atoms, [], True, None
+    try:
+        while True:
+            tp = type(t)
+            if tp is Trans:
+                todo.append((t.right, True) if pol else (t.left, False))
+                t = t.left if pol else t.right
+                continue
+            if tp is Sym:
+                t, pol = t.body, not pol
+                continue
+            if tp is Atom:
+                src, tgt = atoms[t.name].ends
+            elif tp is Refl:
+                src = tgt = t.obj
+                if src.level < 0 or src.level == 0 and isinstance(src.payload, str) and src.payload not in ctx.elements:
+                    break
+            elif tp is StepAtom:
+                step = t.step
+                src, tgt = Object(step.level, step.before), Object(step.level, step.after)
+            else:
+                break
+            if not pol:
+                src, tgt = tgt, src
+            if last is None:
+                first = src
+            elif last is not src and last != src:
+                break
+            last = tgt
+            if not todo:
+                return first, last
+            t, pol = todo.pop()
+    except Exception:  # an unknown atom's KeyError, or an error _fold raises again, or one before it in its order
+        pass
+    return _fold(root, ctx, _pos, None)
 
 
 # What an ill-formed subterm folds to in ``validate``: it meets nothing but
@@ -348,17 +393,14 @@ _NO_ENDS = (_FAILED, _FAILED)
 
 
 def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> tuple:
-    """The one post-order fold behind ``endpoints`` and ``validate``, on an explicit stack.
+    """The post-order fold behind ``validate``, and ``endpoints`` for formers and errors; on an explicit stack.
 
-    With ``violations`` None it raises at the first error. Otherwise it notes
-    each error and folds on, folds the terms inside level-n objects and
-    recorded steps too, and checks a former by a raising fold of its own.
-    Each atom name's ends are built once, in a dict that lives for this call
-    only, since a context can change between calls; a chain check tries
-    ``is`` before ``==``.
+    With ``violations`` None it raises at the first error, post-order, with
+    its position. Otherwise it notes each error and folds on, folds the terms
+    inside level-n objects and recorded steps too, and checks a former by a
+    raising fold of its own. A chain check tries ``is`` before ``==``.
     """
     frames: list = []  # per node above t: [node, child index, left child's ends or former's lambda]
-    memo: dict = {}  # atom name -> its ends
     while True:
         tp = type(t)
         if tp is Trans or tp is Sym:
@@ -366,15 +408,13 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
             t = t.left if tp is Trans else t.body
             continue
         if tp is Atom:
-            ends = memo.get(t.name)
-            if ends is None:
-                decl = ctx.atoms.get(t.name)
-                if decl is not None:
-                    ends = memo[t.name] = Object(0, decl.source), Object(0, decl.target)
-                elif violations is None:
-                    raise UnknownAtom(t.name, _here(pos, frames))
-                else:
-                    ends = _note(violations, "unknown-atom", _here(pos, frames), f"unknown atom '{t.name}'")
+            decl = ctx.atoms.get(t.name)
+            if decl is not None:
+                ends = decl.ends
+            elif violations is None:
+                raise UnknownAtom(t.name, _here(pos, frames))
+            else:
+                ends = _note(violations, "unknown-atom", _here(pos, frames), f"unknown atom '{t.name}'")
         elif tp is Refl:
             obj = t.obj
             ends = obj, obj
@@ -532,9 +572,9 @@ class WellFormednessReport:
 def validate(t: PathTerm, ctx: Context) -> WellFormednessReport:
     """Collect every well-formedness violation with its tree position.
 
-    Accepts exactly the terms on which ``endpoints`` succeeds, and additionally
-    descends into recorded steps and object payloads, which ``endpoints``
-    treats as opaque.
+    It accepts only terms that ``endpoints`` accepts, but not all of them: it
+    also folds the terms inside recorded steps and object payloads, which
+    ``endpoints`` takes on trust, and rejects what it finds wrong there.
     """
     violations: list[Violation] = []
     _fold(t, ctx, (), violations)

@@ -29,6 +29,7 @@ from pathrw.engine import (
 from pathrw.errors import BadObject, ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError, UnknownRule
 from pathrw.oracle import enumerate_terms, oracle_equal, word
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, match_redexes
+from pathrw.serialize import derivation_to_doc, replay_document
 from pathrw.terms import (
     Atom,
     AtomDecl,
@@ -431,6 +432,22 @@ def test_replay_rejects_a_malformed_hand_built_derivation(ctx_r):
     for start in ("x", None, Trans(Atom("r"), 42)):
         assert replay_derivation(Derivation(start, (), 1), PAPER7, ctx_r) is False
         assert replay_derivation(Derivation(start, (step,), 1), PAPER7, ctx_r) is False
+
+
+def test_replay_rejects_steps_that_are_no_tuple_and_a_start_at_another_level(ctx_r):
+    """``Derivation(r, None, 1)`` raised TypeError; ``Derivation(r, (), 2)`` replayed True, though its document does not."""
+    r = Atom("r")
+    _, step = contract_once(Trans(r, Refl(el("b"))), "trr", (), PAPER7, ctx_r)
+    for steps in (None, 5, "trr", [step], iter((step,))):
+        assert replay_derivation(Derivation(step.before, steps, 1), PAPER7, ctx_r) is False
+    assert replay_derivation(Derivation(step.before, (step,), 1), PAPER7, ctx_r) is True
+    for lv in (0, 2, 3):
+        for d in (Derivation(r, (), lv), Derivation(step.before, (dataclasses.replace(step, level=lv),), lv)):
+            assert replay_derivation(d, PAPER7, ctx_r) is False
+    assert replay_derivation(Derivation(r, (), 1), PAPER7, ctx_r) is True
+    doc = derivation_to_doc(Derivation(r, (), 2), ctx_r, "paper7")
+    with pytest.raises(PathRwError, match="document 'start' is at level 1, not the document's 2"):
+        replay_document(doc)
 
 
 def test_replay_rejects_a_hand_built_step_that_does_not_link(ctx_rs):

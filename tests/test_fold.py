@@ -6,8 +6,10 @@ frame per node, ``validate`` re-implementing ``endpoints``. ``word`` is
 checked against ``test_kernel``'s reference. On every term set here the
 walks must give equal results, or raise the same error type with the same
 text and position. The depth tests then run each walk, at the default
-recursion limit, on terms far deeper than that limit. The memo tests check
-that what ``endpoints`` and ``word`` note of an atom lasts one call only.
+recursion limit, on terms far deeper than that limit. ``endpoints`` is also
+checked against the fold it hands formers and errors to. The atom tests check
+that ``endpoints`` and ``word`` read an atom's ends from the context afresh
+on every call.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 import pathrw.oracle
 import pathrw.terms
@@ -24,16 +27,16 @@ from pathrw.errors import (
     EndpointMismatch, PathRwError, UnknownAtom, UnknownElement, UnresolvedLambda, fmt_position,
 )
 from pathrw.lam import Abs, App, Var, format_lambda
-from pathrw.oracle import read_back, word
+from pathrw.oracle import enumerate_terms, read_back, word
 from pathrw.rules import PAPER7
 from pathrw.terms import (
     Atom, AtomDecl, Context, Mu, Nu, Object, Refl, StepAtom, Sym, Trans, Violation, WellFormednessReport, Xi,
     endpoints, format_term, level, size, validate,
 )
 
-from conftest import lambda_terms_up_to, raw_trees
+from conftest import former_term_strategy, lambda_terms_up_to, large_term_strategy, lifted_term_strategy, raw_trees
 from test_kernel import (
-    LAM, NON_TERMS, SWEEP, TRIANGLE, _lam_terms, _lifted_terms, checked_ref_word, ref_endpoints, ref_level,
+    LAM, LAM_PATHS, NON_TERMS, SWEEP, TRIANGLE, _lam_terms, _lifted_terms, checked_ref_word, ref_endpoints, ref_level,
     ref_path_children, subterms,
 )
 
@@ -319,6 +322,80 @@ def test_validate_ok_iff_endpoints_on_formers_and_lifted_terms():
     assert min(verdicts.values()) > 100
 
 
+# --- endpoints' path-order walk against the fold it hands errors to -----------------
+
+
+def raised(f, *args):
+    """What a call gives: ("ok", value) or ("raise", type, text, position), for any exception."""
+    try:
+        return ("ok", f(*args))
+    except Exception as exc:
+        return ("raise", type(exc), str(exc), getattr(exc, "position", None))
+
+
+def fold(t, ctx):
+    return pathrw.terms._fold(t, ctx, (), None)
+
+
+def check_against_fold(terms, ctx):
+    """``endpoints`` gives the raising fold's ends, or its exception; returns how many raise."""
+    rejected = 0
+    for t in terms:
+        got = raised(endpoints, t, ctx)
+        assert got == raised(fold, t, ctx), t
+        rejected += got[0] == "raise"
+    return rejected
+
+
+def test_path_order_walk_agrees_with_the_fold_on_the_enumeration(ctx_rs):
+    terms = list(enumerate_terms(ctx_rs, 8))
+    assert len(terms) > 3000 and check_against_fold(terms, ctx_rs) == 0
+
+
+@settings(max_examples=30)
+@given(large_term_strategy(TRIANGLE), former_term_strategy(LAM_PATHS), lifted_term_strategy(TRIANGLE))
+def test_path_order_walk_agrees_with_the_fold_on_generated_terms(large, former, lifted):
+    for t, ctx in ((large, TRIANGLE), (former, LAM_PATHS), (lifted, TRIANGLE)):
+        nodes = list(subterms(t))
+        assert check_against_fold(nodes, ctx) == 0
+        # the same nodes under a context that lacks their first atom, or flips it
+        names = [node.name for node in nodes if type(node) is Atom]
+        if names:
+            decl = ctx.atoms[names[0]]
+            flipped = {**ctx.atoms, names[0]: AtomDecl(decl.target, decl.source, decl.type_name)}
+            for atoms in ({k: v for k, v in ctx.atoms.items() if k != names[0]}, flipped):
+                check_against_fold(nodes, Context(ctx.base_types, ctx.elements, ctx.lambda_elements, atoms))
+
+
+def test_path_order_walk_agrees_with_the_fold_on_ill_formed_terms():
+    r = Atom("r")
+    _, step = contract_once(Sym(Sym(r)), "ss", (), PAPER7, TRIANGLE)
+    leaves = BAD_LEAVES + [StepAtom(step), Refl(Object(1, r)), Refl(Object(-1, "a")), Refl(Object("x", "a")), StepAtom(5)]
+    trees = list(raw_trees(leaves, 6))
+    assert check_against_fold(trees, TRIANGLE) > len(trees) // 2
+    assert check_against_fold(_ill_formed_tower(), TRIANGLE) > 0
+    assert check_against_fold(_ill_formed_formers() + _lam_terms(), LAM) > 0
+    wrapped = [w for bad in NON_TERMS for w in (bad, Sym(bad), Trans(r, bad), Trans(Sym(bad), Atom("zap")), Xi("v", bad))]
+    assert check_against_fold(wrapped, TRIANGLE) == len(wrapped)
+
+
+def test_path_order_walk_hands_only_formers_and_errors_to_the_fold(monkeypatch):
+    calls = []
+    real = pathrw.terms._fold
+    monkeypatch.setattr(pathrw.terms, "_fold", lambda t, *rest: calls.append(t) or real(t, *rest))
+    for t in SWEEP + _lifted_terms():
+        endpoints(t, TRIANGLE)
+    assert calls == []
+    good, bad = Trans(Atom("r"), Atom("s")), Trans(Atom("s"), Atom("r"))
+    for t in (Sym(Xi("v", Atom("al"))), Trans(Xi("v", Atom("al")), Xi("v", Atom("be")))):
+        assert raised(endpoints, t, LAM)[0] == "ok"
+    for t in (bad, Trans(good, Atom("zap")), Sym(Trans(good, 42)), Trans(Refl(Object(-1, "a")), good)):
+        assert raised(endpoints, t, TRIANGLE)[0] == "raise"
+    assert len(calls) == 6
+    decl = TRIANGLE.atoms["r"]
+    assert endpoints(Atom("r"), TRIANGLE) == decl.ends and endpoints(Atom("r"), TRIANGLE)[0] is decl.ends[0]
+
+
 # --- depth: far past the recursion limit ------------------------------------------
 
 LINKS = (Atom("r"), Atom("s"), Sym(Atom("u")))  # a -> b -> c -> a: the chain's word never cancels
@@ -444,7 +521,18 @@ def test_word_takes_former_endpoints_from_body_words(monkeypatch):
     assert len(calls) == 1 and calls[0] is bad
 
 
-# --- the atom memo: one call only -----------------------------------------------
+def test_a_bad_link_at_the_bottom_of_a_long_chain_is_located():
+    """The path-order walk meets the break and hands the chain to the fold, which names the link's full position."""
+    bad = Trans(Atom("r"), Refl(Object(0, "a")))
+    for _ in range(3999):
+        bad = Trans(bad, Refl(Object(0, "b")))
+    with pytest.raises(EndpointMismatch) as caught:
+        endpoints(bad, TRIANGLE)
+    assert caught.value.position == (0,) * 3999
+    assert [(v.kind, v.position) for v in validate(bad, TRIANGLE).violations] == [("endpoint-mismatch", (0,) * 3999)]
+
+
+# --- atom ends: the declaration's, read afresh on every call ------------------------
 
 
 def test_atom_ends_are_read_afresh_on_every_call():

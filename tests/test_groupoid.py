@@ -424,9 +424,11 @@ def test_sampled_triples_are_composable_with_the_endpoints_carried(ctx_rs):
 def test_sampler_reads_endpoints_only_in_tr_and_tsr_templates(monkeypatch):
     """The sampler and law instances read no endpoints of their own.
 
-    The only calls are ``build_template``'s, for the ``r`` of a tr or tsr
-    right-hand side: once per such random contraction, and once each when
-    the left- and right-inverse witnesses replay.
+    The only reads are of the ``r`` of a tr or tsr right-hand side: once per
+    such random contraction in ``build_template``, and once each when the
+    left- and right-inverse witnesses replay. A declared atom's ends are its
+    declaration's, read without an ``endpoints`` call; any other ``r`` makes
+    one call.
     """
     calls = {"groupoid": 0, "engine": 0, "rules": 0}
 
@@ -439,25 +441,30 @@ def test_sampler_reads_endpoints_only_in_tr_and_tsr_templates(monkeypatch):
 
     for name, module in (("groupoid", groupoid), ("engine", engine), ("rules", rules)):
         monkeypatch.setattr(module, "endpoints", counting(name))
-    contracted = []
+    contracted = []  # the r of each tr or tsr right-hand side the sampler builds
     build = groupoid.build_template
 
     def spy(template, binding, ctx):
         if type(template) in (RReflAtSource, RReflAtTarget):
-            contracted.append(template)
+            contracted.append(binding[template.var])
         return build(template, binding, ctx)
 
     monkeypatch.setattr(groupoid, "build_template", spy)
-    seen_contracted = 0
+    seen_contracted = atoms_read = 0
     for lv in range(1, 7):
         for key in calls:
             calls[key] = 0
         contracted.clear()
         report = run_laws(TRIANGLE, lv, 20, lv)
         assert not report.failures
-        assert calls == {"groupoid": 0, "engine": 0, "rules": len(contracted) + 2 * 20}, lv
+        inverted = [r.inputs[0] for r in report.reports if r.law in ("left-inverse", "right-inverse")]
+        ends_read = contracted + inverted
+        atoms = sum(type(r) is Atom for r in ends_read)
+        assert len(inverted) == 2 * 20 and (lv == 1 or atoms == 0)  # above level 1 every r is a lifted path
+        assert calls == {"groupoid": 0, "engine": 0, "rules": len(ends_read) - atoms}, lv
         seen_contracted += len(contracted)
-    assert seen_contracted  # some random step contracted a tr or tsr redex
+        atoms_read += atoms
+    assert seen_contracted and atoms_read  # some random step contracted a tr or tsr redex; some r was an atom
 
 
 def test_check_assoc_walks_each_input_once(ctx_rs, monkeypatch):

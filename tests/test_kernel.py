@@ -26,7 +26,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathrw.engine import Derivation, contract_once, decide_rw_equal, normalize, replay_derivation
+from pathrw.engine import Derivation, RewriteStep, contract_once, decide_rw_equal, normalize, replay_derivation
 from pathrw.errors import (
     EndpointMismatch,
     PathRwError,
@@ -43,6 +43,7 @@ from pathrw.rules import (
     FORWARD,
     GROUPOID_COMPLETE,
     PAPER7,
+    REVERSE,
     PRefl,
     PSym,
     PTrans,
@@ -668,6 +669,103 @@ def test_generated_contract_tries_schemas_by_class():
     assert PAPER7.contract(lifted, TRIANGLE) is None and PAPER7.contract(Sym(Trans(r, s)), TRIANGLE) is None
     st, built = GROUPOID_COMPLETE.contract(lifted, TRIANGLE)
     assert st is GROUPOID_COMPLETE.find("st2", 2) and built == Trans(Sym(StepAtom(step)), Sym(StepAtom(step)))
+
+
+# --- the nonlinear tests of tr, tsr, trc and tsrc -----------------------------------
+
+
+def ref_bind(pattern, t, binding):
+    """``pattern`` matched at ``t``, a repeated metavariable by plain ``==``: the binding extended, or None."""
+    match pattern:
+        case PVar(name):
+            if name not in binding:
+                return {**binding, name: t}
+            return binding if binding[name] == t else None
+        case PRefl(obj_var):
+            return ref_bind(PVar(obj_var), t.obj, binding) if type(t) is Refl else None
+        case PSym(body):
+            return ref_bind(body, t.body, binding) if type(t) is Sym else None
+        case PTrans(left, right):
+            found = ref_bind(left, t.left, binding) if type(t) is Trans else None
+            return None if found is None else ref_bind(right, t.right, found)
+
+
+def ref_bind_contract(rs, node, ctx):
+    for schema in rs.schemas:
+        binding = ref_bind(schema.lhs, node, {})
+        if binding is not None:
+            return schema, ref_build_template(schema.rhs, binding, ctx)
+    return None
+
+
+# Each rule with a repeated metavariable, as the redex that puts x at its first occurrence and y at its second.
+NONLINEAR = {
+    "tr": lambda x, y: Trans(x, Sym(y)),
+    "tsr": lambda x, y: Trans(Sym(x), y),
+    "trc": lambda x, y: Trans(x, Trans(Sym(y), Atom("s"))),
+    "tsrc": lambda x, y: Trans(Sym(x), Trans(y, Atom("s"))),
+}
+
+
+def _operands():
+    """Pairs (x, y): the same object, equal but built apart, of one class but unequal, and of different classes."""
+    r = Atom("r")
+    _, step = contract_once(Sym(Sym(r)), "ss", (), PAPER7, TRIANGLE)
+    pool = [r, Atom("s"), Sym(r), Trans(r, Atom("s")), Refl(Object(0, "a")), Xi("v", r), Mu("m", r), Nu(r, "n")]
+    pool += [StepAtom(step), Sym(StepAtom(step)), Trans(Sym(r), Refl(Object(0, "a")))]
+    return [(x, y) for x in pool for y in pool + [_copy(x)]]
+
+
+def test_nonlinear_tests_agree_with_plain_equality():
+    outcomes = {True: 0, False: 0}
+    for rule, redex in NONLINEAR.items():
+        for x, y in _operands():
+            node = redex(x, y)
+            for rs in (PAPER7, GROUPOID_COMPLETE):
+                expected = [schema.name for schema in rs.schemas if ref_bind(schema.lhs, node, {}) is not None]
+                assert [schema.name for schema, _ in rs.matches(node)] == expected, node
+                assert outcome(rs.contract, node, TRIANGLE) == outcome(ref_bind_contract, rs, node, TRIANGLE), node
+                for schema in rs.schemas:
+                    assert schema.match(node) == ref_bind(schema.lhs, node, {}), (schema.name, node)
+            matched = GROUPOID_COMPLETE.find(rule, 1).match(node) is not None
+            assert matched == (x == y)
+            outcomes[matched] += 1
+    assert min(outcomes.values()) > 40
+
+
+def test_nonlinear_tests_compare_only_equal_classes(monkeypatch):
+    """No ``__eq__`` runs for the same object or for two classes; one runs for equal terms built apart."""
+    calls = []
+    for cls in (Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom):
+        eq = cls.__eq__
+        monkeypatch.setattr(cls, "__eq__", lambda self, other, eq=eq: calls.append(type(self)) or eq(self, other))
+    for rule, redex in NONLINEAR.items():
+        schema = GROUPOID_COMPLETE.find(rule, 1)
+        for x, y in _operands():
+            calls.clear()
+            schema.match(redex(x, y))
+            if x is y or type(x) is not type(y):
+                assert calls == [], (rule, x, y)
+            else:
+                assert calls[0] is type(x), (rule, x, y)
+
+
+@pytest.mark.parametrize("rule", list(NONLINEAR))
+def test_nonlinear_reverse_steps_over_non_terms(rule):
+    """A reverse step whose redex holds non-terms at the repeated metavariable.
+
+    Under tr and tsr it replays False: the contractum reads the non-term's
+    ends. trc and tsrc erase it unread, so it replays True if the two are
+    one object or of one class and equal (ROADMAP item 10), and False for
+    two classes that ``==`` would call equal, such as 5 and 5.0.
+    """
+    start = {"tr": Refl(Object(0, "a")), "tsr": Refl(Object(0, "b")), "trc": Atom("s"), "tsrc": Atom("s")}[rule]
+    pairs = [(5, 5), (5, 5.0), (1, True), ("r", "r"), (None, None), (Atom("r"), "r"), (Object(0, "a"), Object(0, "a"))]
+    for x, y in pairs + [(Atom("r"), Atom("r"))]:
+        step = RewriteStep(rule, (), REVERSE, start, NONLINEAR[rule](x, y), 1)
+        same = x is y or type(x) is type(y) and x == y
+        expected = same and (type(x) is Atom or rule in ("trc", "tsrc"))
+        assert replay_derivation(Derivation(start, (step,), 1), GROUPOID_COMPLETE, TRIANGLE) is expected, (x, y)
 
 
 # --- replay without rebuilding ------------------------------------------------------

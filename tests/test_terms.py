@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import re
 
 import pytest
@@ -256,3 +259,20 @@ def test_context_check_rejects_name_collision():
 def test_format_term_examples(ctx_rs):
     t = Trans(Refl(el("a")), Sym(Atom("r")))
     assert format_term(t) == "tau(rho(a), sigma(r))"
+
+
+def test_atom_decl_holds_its_ends_outside_its_fields():
+    """``ends`` is no argument and takes no part in ``==``, ``hash`` or ``repr``; copies and replacements rebuild it."""
+    decl = AtomDecl("a", "b", "A")
+    assert decl.ends == (Object(0, "a"), Object(0, "b"))
+    assert repr(decl) == "AtomDecl(source='a', target='b', type_name='A', tag='declared')"
+    assert decl == AtomDecl("a", "b", "A", "declared") and hash(decl) == hash(AtomDecl("a", "b", "A"))
+    with pytest.raises(TypeError):
+        AtomDecl("a", "b", "A", "declared", (Object(0, "x"), Object(0, "y")))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        decl.ends = ()
+    for same in (copy.copy(decl), copy.deepcopy(decl), pickle.loads(pickle.dumps(decl))):
+        assert same == decl and same.ends == decl.ends
+    flipped = dataclasses.replace(decl, source="b", target="a")
+    assert flipped.ends == (Object(0, "b"), Object(0, "a"))
+    assert [f.name for f in dataclasses.fields(decl) if f.init] == ["source", "target", "type_name", "tag"]
