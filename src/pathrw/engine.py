@@ -49,16 +49,7 @@ from .terms import (
     subterm_at,
     value,
 )
-from .rules import (
-    FORWARD,
-    GROUPOID_COMPLETE,
-    REVERSE,
-    RuleSchema,
-    RuleSet,
-    build_template,
-    contractions,
-    step_name,
-)
+from .rules import FORWARD, GROUPOID_COMPLETE, REVERSE, RuleSchema, RuleSet, contractions, step_name
 from .oracle import word
 
 # One step of a derivation as the engine records it:
@@ -328,18 +319,16 @@ def _legal(edit: Edit, lv: int, rs: RuleSet, ctx: Context) -> bool:
 
 
 def _follow(t: PathTerm, edits: tuple[Edit, ...], lv: int, rs: RuleSet, ctx: Context) -> bool:
-    """Whether each edit in turn is ``_legal`` and has its old subterm where it says, moving a zipper over ``t``.
+    """Whether each of the engine's edits in turn is ``_legal`` and has its old subterm where it says.
 
-    Before each edit the zipper climbs to the longest prefix its position
-    shares with the one before (see ``terms.move``).
+    A zipper moves over ``t`` (see ``terms.move``): before each edit it climbs
+    to the longest prefix the edit's position shares with the one before.
     """
     stack: list[PathTerm] = []
     here: Position = ()
     focus = t
     for edit in edits:
         _, pos, _, old, new = edit
-        if type(pos) is not tuple:
-            return False
         if here[: len(pos)] == pos:
             k = len(pos)
         elif pos[: len(here)] == here:
@@ -348,10 +337,7 @@ def _follow(t: PathTerm, edits: tuple[Edit, ...], lv: int, rs: RuleSet, ctx: Con
             k = 0
             while here[k] == pos[k]:
                 k += 1
-        try:
-            focus = move(stack, focus, here, pos, k)
-        except PathRwError:
-            return False
+        focus = move(stack, focus, here, pos, k)
         if focus is not old and focus != old or not _legal(edit, lv, rs, ctx):
             return False
         focus, here = new, pos
@@ -416,10 +402,8 @@ def _record(
 
 def _expand(schema: RuleSchema, pos: Position, redex: PathTerm, ctx: Context, lv: int) -> list[Edit]:
     """The edits of ``schema``'s seven-rule witness, at ``redex``, found at ``pos``."""
-    binding = schema.match(redex)
-    edits = []
-    for rule, rel, direction, template in schema.witness:
-        after = build_template(template, binding, ctx)
-        edits.append((step_name(rule, lv), pos + rel, direction, subterm_at(redex, rel), subterm_at(after, rel)))
-        redex = after
-    return edits
+    afters = schema.derive(schema.match(redex), ctx)
+    return [
+        (step_name(rule, lv), pos + rel, direction, subterm_at(before, rel), subterm_at(after, rel))
+        for (rule, rel, direction, _), before, after in zip(schema.witness, [redex, *afters], afters)
+    ]

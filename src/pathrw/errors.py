@@ -37,6 +37,14 @@ class BadObject(PathRwError):
         super().__init__(f"object level {level} is below 0 at position {fmt_position(position)}")
 
 
+class BadStep(PathRwError):
+    """A recorded-step atom holds something with no level, ``before`` or ``after``: no rewrite step."""
+
+    def __init__(self, step: object, position: tuple[int, ...] = ()):
+        self.position = position
+        super().__init__(f"not a rewrite step: {step!r} at position {fmt_position(position)}")
+
+
 class EndpointMismatch(PathRwError):
     """Two paths were chained whose endpoints do not meet."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import EndpointMismatch, LevelMismatch, PathRwError
 from .engine import Derivation, RewriteStep, _legal, derivation_to_path
-from .rules import FORWARD, PAPER7, REVERSE, build_template, redexes, step_name
+from .rules import FORWARD, PAPER7, REVERSE, redexes, step_name
 from .terms import (
     Atom,
     Context,
@@ -204,7 +204,7 @@ def _random_step_derivation(u: PathTerm, lv: int, ctx: Context, rng: random.Rand
         if not found:
             break
         schema, binding, pos = rng.choice(found)
-        after = replace_at(cur, pos, build_template(schema.rhs, binding, ctx))
+        after = replace_at(cur, pos, schema.build(binding, ctx))
         steps.append(RewriteStep(step_name(schema.name, lv), pos, FORWARD, cur, after, lv))
         cur = after
     return Derivation(u, tuple(steps), lv)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import PathRwError, UnresolvedLambda
-from .rules import PSym, PTrans, PVar, RuleSet, _innermost, build_template, step_name
+from .rules import PSym, PTrans, PVar, RuleSet, _innermost, step_name
 from .terms import (
     Atom,
     Context,
@@ -116,7 +116,10 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
                 break
         elif tp is StepAtom:
             step = t.step
-            src, tgt, key = Object(step.level, step.before), Object(step.level, step.after), ("step", step)
+            try:
+                src, tgt, key = Object(step.level, step.before), Object(step.level, step.after), ("step", step)
+            except AttributeError:  # no step
+                break
         elif tp is Xi or tp is Mu or tp is Nu:
             if pol == 1 or pol == -1:
                 segments.append([len(out), None, None])
@@ -154,6 +157,8 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
 
 def read_back(w: ReducedWord) -> PathTerm:
     """The canonical term of a word: a right-nested chain of letter terms."""
+    if type(w) is not ReducedWord:
+        raise TypeError(f"not a reduced word: {w!r}")
     if not w.letters:
         return Refl(w.base)
     pieces = [_letter_term(letter) for letter in w.letters]
@@ -284,7 +289,7 @@ def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
                 if type(bound) is not Object:
                     binding[name] = facts[id(bound)][1]
             redexes.append((step_name(schema.name, 1), ()))
-            nfs.append(_innermost(build_template(schema.rhs, binding, ctx), schema.rhs, rs, ctx)[0])
+            nfs.append(_innermost(schema.build(binding, ctx), schema.rhs, rs, ctx)[0])
         facts[id(t)] = t, nf, redexes, nfs
         for ((r1, p1), n1), ((r2, p2), n2) in itertools.combinations(zip(redexes, nfs), 2):
             if n1 != n2:

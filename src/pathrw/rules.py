@@ -9,6 +9,7 @@ normal forms become canonical; the seven alone are not confluent. Each of
 the three carries its derivation as data: a witness, the fixed sequence of
 seven-rule forward and reverse steps that takes its left-hand side to its
 right-hand side, each step given by the template of the whole redex after it.
+Every template is compiled, into its schema's ``build`` and ``derive``.
 
 A rule set compiles its schemas once into one function (Augustsson, FPCA
 1985; Maranget, ML 2008). It dispatches on a node's class, tests each schema
@@ -96,36 +97,17 @@ FORWARD = "forward"
 REVERSE = "reverse"
 
 
-def build_template(template: Template, binding: Binding, ctx: Context) -> PathTerm:
-    """Instantiate a right-hand-side template under a binding."""
-    tp = type(template)
-    if tp is PVar:
-        return binding[template.name]
-    if tp is PTrans:
-        left = build_template(template.left, binding, ctx)
-        return Trans(left, build_template(template.right, binding, ctx))
-    if tp is PSym:
-        return Sym(build_template(template.body, binding, ctx))
-    if tp is PRefl:
-        return Refl(binding[template.obj_var])
-    if tp is RReflAtSource or tp is RReflAtTarget:
-        r = binding[template.var]
-        decl = ctx.atoms.get(r.name) if type(r) is Atom else None
-        return Refl((endpoints(r, ctx) if decl is None else decl.ends)[tp is RReflAtTarget])
-    raise TypeError(f"not a template: {template!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class RuleSchema:
     """One rewrite rule: a left pattern and a right template, at every level.
 
     The schema rewrites terms of every level alike; ``step_name`` names a
-    step of it at a given level. ``match`` and ``contract`` are generated
-    once from the patterns (see ``_generate``): ``match(t)`` gives a fresh
-    binding or None, ``contract(t, ctx)`` the contractum or None. A derivable
-    rule's ``witness`` holds its seven-rule steps as (rule, position relative
-    to the redex, direction, template of the whole redex after the step); it
-    is empty for the seven rules.
+    step of it at a given level. A derivable rule's ``witness`` holds its
+    seven-rule steps as (rule, position relative to the redex, direction,
+    template of the whole redex after the step). Built, a schema rejects a
+    bad template and generates ``match(t)``, a fresh binding or None,
+    ``contract(t, ctx)``, the contractum or None, ``build(binding, ctx)``, the
+    right-hand side, and ``derive(binding, ctx)``, the redex after each step.
     """
 
     name: str
@@ -134,9 +116,17 @@ class RuleSchema:
     witness: tuple[tuple[str, Position, str, Template], ...] = ()
     match: Callable[[PathTerm], Binding | None] = field(init=False, repr=False, compare=False)
     contract: Callable[[PathTerm, Context], PathTerm | None] = field(init=False, repr=False, compare=False)
+    build: Callable[[Binding, Context], PathTerm] = field(init=False, repr=False, compare=False)
+    derive: Callable[[Binding, Context], list[PathTerm]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, fn in zip(("match", "contract"), _generate(f"rule {self.name!r}", (self,), _SCHEMA_FUNCTIONS)[1]):
+        bound: dict[str, str] = {}
+        _tests(self.lhs, "node", [], bound)  # the metavariables a template may name
+        at = {name: f"binding[{name!r}]" for name in bound}
+        steps = ", ".join(_built(template, at) for *_, template in self.witness)
+        fns = _generate(f"rule {self.name!r}", (self,), _SCHEMA_FUNCTIONS)[1]
+        fns += eval(f"lambda binding, ctx: {_built(self.rhs, at)}, lambda binding, ctx: [{steps}]", globals())
+        for name, fn in zip(("match", "contract", "build", "derive"), fns):
             object.__setattr__(self, name, fn)
 
     def __reduce__(self):  # the matchers are generated: pickle the fields, generate them again on load
@@ -191,7 +181,7 @@ def _tests(pattern: Pattern, at: str, tests: list[str], bound: dict[str, str]) -
 
 
 def _built(template: Template, bound: dict[str, str]) -> str:
-    """An expression that builds ``template`` as ``build_template`` does; a KeyError if a metavariable is unbound."""
+    """An expression that builds ``template`` over the expressions in ``bound``; a KeyError if a metavariable is unbound."""
     tp = type(template)
     if tp is PVar:
         return bound[template.name]

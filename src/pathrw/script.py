@@ -107,6 +107,8 @@ class Script:
 
 def parse_script(text: str) -> Script:
     """Parse a whole script; see the module docstring for the grammar."""
+    if not isinstance(text, str):
+        raise TypeError(f"not script text: {text!r}")
     parser = _Parser(Context(), {})
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Iterator, TypeAlias, Union
 
 from .errors import (
     BadObject,
+    BadStep,
     ContextError,
     EndpointMismatch,
     UnknownAtom,
@@ -205,7 +206,7 @@ PathTerm: TypeAlias = Union[Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom]
 
 def level(t: PathTerm) -> int:
     """Tower level of a term (1 for paths between elements), read off its leftmost leaf."""
-    tp = type(t)
+    root, tp = t, type(t)
     while tp is Trans or tp is Sym:
         t = t.left if tp is Trans else t.body
         tp = type(t)
@@ -213,21 +214,26 @@ def level(t: PathTerm) -> int:
         return 1
     if tp is Refl:
         return t.obj.level + 1
-    if tp is StepAtom:
+    if tp is StepAtom and hasattr(t.step, "level"):
         return t.step.level + 1
-    raise TypeError(f"not a path term: {t!r}")
+    raise BadStep(t.step, _leftmost(root)) if tp is StepAtom else TypeError(f"not a path term: {t!r}")
 
 
 def checked_level(t: PathTerm) -> int:
     """``level(t)``, which must be 1 or more: else the ``BadObject`` that ``endpoints`` raises at the leftmost leaf."""
     lv = level(t)
     if lv < 1:
-        depth = 0
-        while type(t) is Trans or type(t) is Sym:
-            t = t.left if type(t) is Trans else t.body
-            depth += 1
-        raise BadObject(lv - 1, (0,) * depth)
+        raise BadObject(lv - 1, _leftmost(t))
     return lv
+
+
+def _leftmost(t: PathTerm) -> Position:
+    """The position of the leftmost leaf of ``t``."""
+    depth = 0
+    while type(t) is Trans or type(t) is Sym:
+        t = t.left if type(t) is Trans else t.body
+        depth += 1
+    return (0,) * depth
 
 
 def subterms(t: PathTerm) -> Iterator[PathTerm]:
@@ -336,7 +342,7 @@ def applied_lambda(t: Xi | Mu | Nu, ctx: Context, pos: Position = ()) -> LambdaT
     return value
 
 
-def endpoints(t: PathTerm, ctx: Context, _pos: Position = ()) -> tuple[Object, Object]:
+def endpoints(t: PathTerm, ctx: Context) -> tuple[Object, Object]:
     """Source and target of a path term; raises at the first ill-formed node.
 
     Sym swaps, Trans chains, Refl duplicates; congruence formers build the
@@ -383,7 +389,7 @@ def endpoints(t: PathTerm, ctx: Context, _pos: Position = ()) -> tuple[Object, O
             t, pol = todo.pop()
     except Exception:  # an unknown atom's KeyError, or an error _fold raises again, or one before it in its order
         pass
-    return _fold(root, ctx, _pos, None)
+    return _fold(root, ctx, (), None)
 
 
 # What an ill-formed subterm folds to in ``validate``: it meets nothing but
@@ -433,7 +439,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
                 ends = _note(violations, "bad-object", _here(pos, frames), message)
             elif obj.level < 0:
                 raise BadObject(obj.level, _here(pos, frames))
-        elif tp is StepAtom:
+        elif tp is StepAtom and all(hasattr(t.step, name) for name in ("level", "before", "after")):
             step = t.step
             if violations is not None:
                 frames.append([t, 0, None])
@@ -453,10 +459,10 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
                 ends = _fold(t, ctx, _here(pos, frames), None)
             except UnresolvedLambda as exc:
                 ends = _note(violations, "unresolved-lambda", exc.position, str(exc))
-            except (UnknownAtom, UnknownElement, EndpointMismatch, BadObject) as exc:
+            except (UnknownAtom, UnknownElement, EndpointMismatch, BadObject, BadStep) as exc:
                 ends = _note(violations, "endpoint-error", exc.position, str(exc))
-        elif violations is None:
-            raise TypeError(f"not a path term: {t!r}")
+        elif violations is None:  # a non-term, or a StepAtom around no step, where the leaf walk failed too
+            raise BadStep(t.step, _here(pos, frames)) if tp is StepAtom else TypeError(f"not a path term: {t!r}")
         else:
             ends = _note(violations, "bad-term", _here(pos, frames), f"not a path term: {t!r}")
         # Fold the finished subtree into its ancestors, up to the first one

@@ -11,6 +11,7 @@ import pytest
 from pathrw.cli import main
 from pathrw.engine import invert_derivation, normalize
 from pathrw.errors import PathRwError
+from pathrw.groupoid import run_laws
 from pathrw.rules import PAPER7
 from pathrw.script import parse_path_expr, parse_script
 from pathrw.serialize import (
@@ -107,6 +108,16 @@ def test_document_survives_json_round_trip():
     again = doc_from_json(doc_to_json(doc))
     assert again == doc
     assert replay_document(again)
+
+
+def test_recorded_step_atoms_have_no_document():
+    """A level-2 law witness holds recorded-step atoms, which a script cannot write."""
+    script = parse_script(EXAMPLE)
+    report = run_laws(script.context, 2, 1, 0)
+    assert report.reports and not report.failures
+    for law in report.reports:
+        with pytest.raises(PathRwError, match="^recorded-step atoms have no script syntax; cannot serialize$"):
+            derivation_to_doc(law.witness, script.context, "paper7")
 
 
 def test_document_tampering_detected(script_file, capsys):

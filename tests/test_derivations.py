@@ -44,7 +44,7 @@ from pathrw.engine import (
     replay_derivation,
 )
 from pathrw.lam import Abs, Var
-from pathrw.rules import GROUPOID_COMPLETE, PAPER7, build_template, step_name
+from pathrw.rules import GROUPOID_COMPLETE, PAPER7, step_name
 from pathrw.terms import (
     Atom,
     AtomDecl,
@@ -62,7 +62,7 @@ from pathrw.terms import (
 )
 
 from conftest import former_term_strategy, large_term_strategy, lifted_term_strategy
-from test_kernel import ref_path_children
+from test_kernel import ref_build_template, ref_path_children
 from test_walker import STRATEGIES, TRIANGLE, _trace, match_pattern, reference_trace
 
 RULE_SETS = (PAPER7, GROUPOID_COMPLETE)
@@ -178,7 +178,7 @@ def _legal(cur, rule, pos, direction, new):
         return False
     redex, contractum = (sub, new) if direction == FORWARD else (new, sub)
     binding = match_pattern(schema.lhs, redex)
-    return binding is not None and build_template(schema.rhs, binding, TRIANGLE) == contractum
+    return binding is not None and ref_build_template(schema.rhs, binding, TRIANGLE) == contractum
 
 
 def _corruptions(edit, redex):

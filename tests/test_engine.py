@@ -26,9 +26,12 @@ from pathrw.engine import (
     normalize,
     replay_derivation,
 )
-from pathrw.errors import BadObject, ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError, UnknownRule
-from pathrw.oracle import enumerate_terms, oracle_equal, word
+from pathrw.errors import (
+    BadObject, BadStep, ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError, UnknownRule,
+)
+from pathrw.oracle import enumerate_terms, oracle_equal, read_back, word
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, match_redexes
+from pathrw.script import parse_script
 from pathrw.serialize import derivation_to_doc, replay_document
 from pathrw.terms import (
     Atom,
@@ -39,10 +42,12 @@ from pathrw.terms import (
     StepAtom,
     Sym,
     Trans,
+    Xi,
     endpoints,
     level,
     replace_at,
     subterm_at,
+    validate,
 )
 
 from conftest import term_strategy
@@ -332,6 +337,9 @@ def test_concat_chain_mismatch(ctx_r):
     d2 = Derivation(Sym(Atom("r")), (), 1)
     with pytest.raises(ChainMismatch):
         concat_derivations(d1, d2)
+    one_up = Derivation(Refl(Object(1, Atom("r"))), (), 2)
+    with pytest.raises(ChainMismatch, match="^levels differ: 1 != 2$"):
+        concat_derivations(d1, one_up)
 
 
 def test_invert_empty_and_single(ctx_r):
@@ -448,6 +456,34 @@ def test_replay_rejects_steps_that_are_no_tuple_and_a_start_at_another_level(ctx
     doc = derivation_to_doc(Derivation(r, (), 2), ctx_r, "paper7")
     with pytest.raises(PathRwError, match="document 'start' is at level 1, not the document's 2"):
         replay_document(doc)
+
+
+def test_a_step_atom_around_no_step_is_a_located_input_error(ctx_r):
+    """``StepAtom(5)`` has no level, ``before`` or ``after``; each entry point raised AttributeError on it."""
+    r, bad = Atom("r"), StepAtom(5)
+    for t, pos in ((bad, ()), (Trans(r, bad), (1,)), (Sym(Trans(bad, r)), (0, 0))):
+        assert [(v.kind, v.position, v.message) for v in validate(t, ctx_r).violations] == [
+            ("bad-term", pos, "not a path term: StepAtom(step=5)")
+        ]
+        for call in (
+            endpoints,
+            word,
+            lambda t, ctx: normalize(t, PAPER7, ctx),
+            lambda t, ctx: decide_rw_equal(t, t, PAPER7, ctx),
+            lambda t, ctx: decide_rw_equal(r, t, PAPER7, ctx),
+        ):
+            with pytest.raises(BadStep, match="not a rewrite step: 5 at position") as caught:
+                call(t, ctx_r)
+            assert caught.value.position == pos
+        assert replay_derivation(Derivation(t, (), 2), PAPER7, ctx_r) is False
+    (violation,) = validate(Xi("v", bad), ctx_r).violations  # a former's body is checked by a raising fold
+    assert (violation.kind, violation.position) == ("endpoint-error", (0,))
+
+
+def test_wrong_typed_input_is_a_type_error():
+    for call, message in ((read_back, "not a reduced word: 5"), (parse_script, "not script text: 5")):
+        with pytest.raises(TypeError, match=message):
+            call(5)
 
 
 def test_replay_rejects_a_hand_built_step_that_does_not_link(ctx_rs):

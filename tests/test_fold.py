@@ -497,9 +497,9 @@ def test_walks_run_on_a_ten_thousand_deep_former_nest():
 def count_endpoints_calls(monkeypatch):
     calls = []
 
-    def counted(t, ctx, _pos=()):
+    def counted(t, ctx):
         calls.append(t)
-        return endpoints(t, ctx, _pos)
+        return endpoints(t, ctx)
 
     monkeypatch.setattr(pathrw.oracle, "endpoints", counted)
     monkeypatch.setattr(pathrw.terms, "endpoints", counted)

@@ -425,7 +425,7 @@ def test_sampler_reads_endpoints_only_in_tr_and_tsr_templates(monkeypatch):
     """The sampler and law instances read no endpoints of their own.
 
     The only reads are of the ``r`` of a tr or tsr right-hand side: once per
-    such random contraction in ``build_template``, and once each when the
+    such random contraction in its schema's ``build``, and once each when the
     left- and right-inverse witnesses replay. A declared atom's ends are its
     declaration's, read without an ``endpoints`` call; any other ``r`` makes
     one call.
@@ -442,14 +442,17 @@ def test_sampler_reads_endpoints_only_in_tr_and_tsr_templates(monkeypatch):
     for name, module in (("groupoid", groupoid), ("engine", engine), ("rules", rules)):
         monkeypatch.setattr(module, "endpoints", counting(name))
     contracted = []  # the r of each tr or tsr right-hand side the sampler builds
-    build = groupoid.build_template
+    walk = groupoid.redexes
 
-    def spy(template, binding, ctx):
-        if type(template) in (RReflAtSource, RReflAtTarget):
-            contracted.append(binding[template.var])
-        return build(template, binding, ctx)
+    def spied(schema):  # the schema as the sampler reads it, its build noting each r whose ends it reads
+        def build(binding, ctx):
+            if type(schema.rhs) in (RReflAtSource, RReflAtTarget):
+                contracted.append(binding[schema.rhs.var])
+            return schema.build(binding, ctx)
 
-    monkeypatch.setattr(groupoid, "build_template", spy)
+        return SimpleNamespace(name=schema.name, build=build)
+
+    monkeypatch.setattr(groupoid, "redexes", lambda rs, t: [(spied(s), b, pos) for s, b, pos in walk(rs, t)])
     seen_contracted = atoms_read = 0
     for lv in range(1, 7):
         for key in calls:

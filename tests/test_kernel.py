@@ -50,7 +50,7 @@ from pathrw.rules import (
     PVar,
     RReflAtSource,
     RReflAtTarget,
-    build_template,
+    RuleSchema,
     match_redexes,
     redexes,
 )
@@ -66,6 +66,7 @@ from pathrw.terms import (
     Sym,
     Trans,
     Xi,
+    _fold,
     endpoints,
     level,
     move,
@@ -406,10 +407,15 @@ def test_kernel_rejects_non_terms_alike(bad):
     assert outcome(endpoints, bad, TRIANGLE)[1] is TypeError
 
 
-def test_endpoints_keeps_the_caller_position_prefix():
+def test_fold_keeps_the_caller_position_prefix():
+    """A raising fold, as ``validate`` runs one per former, places its errors below the caller's position."""
     bad = Trans(Atom("r"), Trans(Atom("r"), Atom("r")))
-    assert_same(endpoints, ref_endpoints, bad, TRIANGLE, (1, 0))
-    assert outcome(endpoints, bad, TRIANGLE, (1, 0))[3] == (1, 0, 1)
+
+    def fold(t, ctx, pos):
+        return _fold(t, ctx, pos, None)
+
+    assert_same(fold, ref_endpoints, bad, TRIANGLE, (1, 0))
+    assert outcome(fold, bad, TRIANGLE, (1, 0))[3] == (1, 0, 1)
 
 
 def test_endpoints_folds_long_chains_without_recursion():
@@ -473,32 +479,43 @@ def test_zipper_agrees_with_rebuilding(t, rng):
     assert move(stack, focus, here, (), 0) == root
 
 
-def _templates():
-    for schema in GROUPOID_COMPLETE.schemas:
-        yield schema, schema.rhs
-        for _, _, _, template in schema.witness:
-            yield schema, template
+def ref_build(schema):
+    """``build`` by the reference: the right-hand side over a binding."""
+    return lambda binding, ctx: ref_build_template(schema.rhs, binding, ctx)
 
 
-def test_build_template_agrees_on_sweep_redexes():
+def ref_derive(schema):
+    """``derive`` by the reference: each witness step's template over a binding."""
+    return lambda binding, ctx: [ref_build_template(template, binding, ctx) for *_, template in schema.witness]
+
+
+def test_build_and_derive_agree_on_sweep_redexes():
     built = 0
     for t in SWEEP[::3]:
         for node in subterms(t):
-            for schema, template in _templates():
+            for schema in GROUPOID_COMPLETE.schemas:
                 binding = schema.match(node)
                 if binding is not None:
-                    assert_same(build_template, ref_build_template, template, binding, TRIANGLE)
-                    built += 1
+                    assert_same(schema.build, ref_build(schema), binding, TRIANGLE)
+                    assert_same(schema.derive, ref_derive(schema), binding, TRIANGLE)
+                    built += 1 + len(schema.witness)
     assert built > 1000
 
 
-def test_build_template_rejects_alike():
+def test_build_and_derive_reject_alike():
+    """Over a bad binding they raise as the reference does; a bad template is rejected when its schema is built."""
     bad = Trans(Atom("r"), Atom("r"))
     for template in (RReflAtSource("x"), RReflAtTarget("x"), PTrans(PVar("x"), RReflAtTarget("x"))):
-        assert_same(build_template, ref_build_template, template, {"x": bad}, TRIANGLE)
-        assert_same(build_template, ref_build_template, template, {}, TRIANGLE)
-    for template in (Atom("r"), "x", None, PSym(42)):
-        assert_same(build_template, ref_build_template, template, {"x": Atom("r")}, TRIANGLE)
+        schema = RuleSchema("v", PSym(PVar("x")), template, witness=(("ss", (), FORWARD, template),) * 2)
+        for binding in ({"x": bad}, {}):
+            assert_same(schema.build, ref_build(schema), binding, TRIANGLE)
+            assert_same(schema.derive, ref_derive(schema), binding, TRIANGLE)
+    for template in (Atom("r"), "x", None, PSym(42), PVar("y"), PTrans(PVar("x"), RReflAtSource("y"))):
+        rejected = outcome(ref_build_template, template, {"x": Atom("r")}, TRIANGLE)
+        assert rejected[0] == "raise", template
+        assert outcome(RuleSchema, "v", PSym(PVar("x")), template) == rejected
+        witness = (("ss", (), FORWARD, PVar("x")), ("ss", (), FORWARD, template))
+        assert outcome(RuleSchema, "v", PSym(PVar("x")), PVar("x"), witness) == rejected
 
 
 RULE_NAMES = ["tt", "tt1", "tt2", "tt3", "st", "st2", "TT", "t t", "", "2", "ttx2", "tté", "nope", "nope2"]
@@ -553,7 +570,7 @@ def ref_first_match(rs, node):
 def ref_contract(rs, node, ctx):
     """The first schema by root class, with its right-hand side built over its binding."""
     found = ref_first_match(rs, node)
-    return found and (found[0], build_template(found[0].rhs, found[1], ctx))
+    return found and (found[0], ref_build_template(found[0].rhs, found[1], ctx))
 
 
 def ref_match_redexes(rs, t):

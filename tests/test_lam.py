@@ -71,6 +71,10 @@ def test_substitute_base_cases():
 def test_substitute_avoids_capture_with_fresh_prime():
     out = substitute(Abs("y", Var("x")), "x", Var("y"))
     assert out == Abs("y'", Var("y"))
+    out = substitute(Abs("y", App(Var("x"), Var("y'"))), "x", Var("y"))  # y' is taken too
+    assert out == Abs("y''", App(Var("y"), Var("y'")))
+    out = substitute(Abs("y", App(App(Var("x"), Var("y'")), Var("y''"))), "x", Var("y"))
+    assert out == Abs("y'''", App(App(Var("y"), Var("y'")), Var("y''")))
 
 
 def test_substitute_matches_de_bruijn_oracle_exhaustively():

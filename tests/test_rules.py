@@ -4,6 +4,8 @@ witnesses, and the rendered derivations."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import inspect
 import pickle
 
@@ -33,7 +35,6 @@ from pathrw.rules import (
     PVar,
     RuleSchema,
     RuleSet,
-    build_template,
     contractions,
     explain_rule,
     match_redexes,
@@ -53,7 +54,7 @@ from pathrw.terms import (
     subterm_at,
 )
 
-from test_kernel import ref_path_children
+from test_kernel import ref_build_template, ref_path_children
 
 
 def el(name):
@@ -190,6 +191,21 @@ def test_derived_fields_leave_identity_unchanged(ctx_r):
     assert loaded.matches(triple) == [(loaded.find("tt", 1), {"t": Atom("r"), "r": Atom("s"), "s": Atom("u")})]
 
 
+def test_build_and_derive_stay_out_of_identity(ctx_rs):
+    """Like ``match`` and ``contract``, they are generated again for every copy, and nothing else sees them."""
+    st = GROUPOID_COMPLETE.find("st", 1)
+    binding = {"r": Sym(Sym(Atom("r"))), "s": Atom("s")}
+    built, derived = st.build(binding, ctx_rs), st.derive(binding, ctx_rs)
+    assert built == Trans(Sym(Atom("s")), Sym(Sym(Sym(Atom("r"))))) and len(derived) == len(st.witness)
+    copies = (copy.copy(st), copy.deepcopy(st), pickle.loads(pickle.dumps(st)), dataclasses.replace(st))
+    for twin in copies + (RuleSchema(st.name, st.lhs, st.rhs, st.witness),):
+        assert twin == st and hash(twin) == hash(st) and repr(twin) == repr(st)
+        assert twin.build is not st.build and twin.derive is not st.derive
+        assert twin.build(binding, ctx_rs) == built and twin.derive(binding, ctx_rs) == derived
+    assert "build" not in repr(st) and "derive" not in repr(st)
+    assert st.__reduce__() == (RuleSchema, (st.name, st.lhs, st.rhs, st.witness))
+
+
 def test_schemas_sharing_a_name_are_rejected(ctx_r):
     """A witness names each step's rule, so one name must pick one schema."""
     unwrap = RuleSchema("x", PSym(PSym(PVar("r"))), PVar("r"))
@@ -221,6 +237,10 @@ def test_malformed_schemas_are_rejected_when_built():
         RuleSchema("v", PSym(PVar("r")), PTrans(PVar("r"), PVar("q")))
     with pytest.raises(TypeError, match="not a pattern"):
         RuleSchema("v", Sym(PVar("r")), PVar("r"))
+    # A witness step's template is compiled with the right-hand side, so it is checked alike.
+    for template, error, message in ((PSym(PVar("q")), KeyError, "'q'"), (Sym(PVar("r")), TypeError, "not a template")):
+        with pytest.raises(error, match=message):
+            RuleSchema("v", PSym(PVar("r")), PVar("r"), witness=(("ss", (), "forward", template),))
 
 
 def test_contractions_at_level_three_yield_the_rule_sets_own_schemas(ctx_r):
@@ -272,9 +292,10 @@ def test_extension_witnesses_replay_under_the_seven_rules(ctx_rs):
     seen = []
     for lv, schema, binding in _extension_redexes(ctx_rs):
         seven = {step_name(s.name, lv) for s in PAPER7.schemas}
-        redex = build_template(schema.lhs, binding, ctx_rs)
+        redex = ref_build_template(schema.lhs, binding, ctx_rs)
         assert schema.match(redex) == binding
-        contractum = build_template(schema.rhs, binding, ctx_rs)
+        contractum = ref_build_template(schema.rhs, binding, ctx_rs)
+        assert schema.build(binding, ctx_rs) == contractum == schema.derive(binding, ctx_rs)[-1]
         _, tgt = endpoints(redex, ctx_rs)
         for term, pos in ((redex, ()), (Sym(Trans(redex, Refl(tgt))), (0, 0))):
             end = replace_at(term, pos, contractum)

@@ -499,6 +499,11 @@ def test_unterminated_expression_located():
     assert exc.value.line == 4
 
 
+def test_an_element_line_needs_a_name():
+    with pytest.raises(DslSyntaxError, match="^2:8: expected at least one element name$"):
+        parse_script("type A\nelem : A")
+
+
 def test_duplicate_name_rejected():
     with pytest.raises(DslSyntaxError):
         parse_script("type A\nelem a : A\nstep a : a = a")
@@ -582,6 +587,8 @@ def test_eta_side_condition_rejected_with_location():
             "type F\nelem f g : F\nlam f := \\x. x x\nlam g := x\nstep e : f = g eta"
         )
     assert exc.value.line == 5
+    with pytest.raises(TypeMismatch, match="^5:6: eta: right endpoint differs from the function part$"):
+        parse_script("type F\nelem m n : F\nlam m := \\x. f x\nlam n := g\nstep e : m = n eta")
 
 
 def test_step_type_mismatch():
@@ -886,9 +893,9 @@ def test_two_thousand_nested_xis_parse_in_a_script():
 def count_endpoints_calls(monkeypatch):
     calls = []
 
-    def counted(t, ctx, _pos=()):
+    def counted(t, ctx):
         calls.append(t)
-        return endpoints(t, ctx, _pos)
+        return endpoints(t, ctx)
 
     monkeypatch.setattr(pathrw.script, "endpoints", counted)
     monkeypatch.setattr(pathrw.terms, "endpoints", counted)

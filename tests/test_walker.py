@@ -34,7 +34,6 @@ from pathrw.rules import (
     PSym,
     PTrans,
     PVar,
-    build_template,
     step_name,
 )
 from pathrw.terms import (
@@ -52,7 +51,7 @@ from pathrw.terms import (
     subterm_at,
 )
 
-from test_kernel import ref_path_children
+from test_kernel import ref_build_template, ref_path_children
 
 TRIANGLE = Context(
     ("A",),
@@ -188,7 +187,7 @@ def reference_trace(t, rs, ctx, strategy, replay_rs):
     trace, cur = [], t
     while found := first(cur):
         schema, binding, pos = found
-        after = replace_at(cur, pos, build_template(schema.rhs, binding, ctx))
+        after = replace_at(cur, pos, ref_build_template(schema.rhs, binding, ctx))
         if schema.witness and schema.name not in available:
             simulated = _simulate_extension(cur, schema, pos, ctx)
             assert simulated[-1].after == after
@@ -360,7 +359,7 @@ def test_nonlinear_matchers_compare_with_equality():
 
 
 def test_generated_contract_agrees_with_match_and_build():
-    """A rule set's ``contract`` and each schema's ``contract`` build what ``match`` and ``build_template`` build."""
+    """A rule set's ``contract``, and each schema's ``contract`` and ``build``, build what ``match`` and the reference build."""
     subterms = {node for t in TERMS for node in _subterms(t)}
     contracted = 0
     for rs in (PAPER7, GROUPOID_COMPLETE):
@@ -368,8 +367,9 @@ def test_generated_contract_agrees_with_match_and_build():
             expected = None
             for schema in rs.schemas:
                 binding = schema.match(node)
-                built = binding and build_template(schema.rhs, binding, TRIANGLE)
+                built = binding and ref_build_template(schema.rhs, binding, TRIANGLE)
                 assert schema.contract(node, TRIANGLE) == built, (schema.name, node)
+                assert binding is None or schema.build(binding, TRIANGLE) == built, (schema.name, node)
                 if expected is None and binding is not None:
                     expected = schema, built
             assert rs.contract(node, TRIANGLE) == expected, node
