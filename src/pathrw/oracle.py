@@ -74,83 +74,91 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
     """The reduced word of a path term; raises what ``endpoints`` raises.
 
     Refl is empty, Sym inverts, Trans concatenates with cancellation; atoms,
-    formers, and recorded steps are single letters. One walk on an explicit
-    stack of (node, polarity) entries: Sym flips the polarity, and a Trans
-    under negative polarity visits its right child first, so the leaves come
-    in path order. Each leaf's letter, inverted under negative polarity,
-    cancels against the top of one output list. A former opens a segment of
-    that list and walks its body at positive polarity; then it reads the
-    segment back as its key and puts its own letter in the segment's place.
-    Each segment keeps its first source and last target. A leaf that does not
-    chain to the one before it, or an atom, object or former that
-    ``endpoints`` rejects, makes ``word`` call ``endpoints``, which raises.
-    Each atom name's ends, its declaration's, and letter key are kept in a
-    dict for this call only, since a context can change between calls.
+    formers, and recorded steps are single letters. The walk is ``endpoints``'
+    leaf walk: it descends a Trans's left child inline and pushes the right
+    one (the other way round under negative polarity), and a Sym flips the
+    polarity; so the leaves come in path order, each chained to the last. An
+    atom's two letters are its declaration's (``AtomDecl.letters``), shared by
+    every word over it, and cancel against the top of the output by identity;
+    a recorded step's letter is built, and cancels by key and ``==``. A former
+    opens a segment of the output and walks its body at positive polarity,
+    then reads the segment back as its key and puts its own letter in the
+    segment's place. The open segment's start, first source and last target
+    are locals, stacked while a former is open. A leaf that does not chain, or
+    an atom, object or former that ``endpoints`` rejects, makes ``word`` call
+    ``endpoints``, which raises.
     """
-    root = t
-    out: list[Letter] = []
-    segments = [[0, None, None]]  # per open segment: [its start in out, first source, last target]
-    todo: list = [(t, 1)]  # polarity +-1 walks a node; +-2 closes a former whose body is walked
-    memo: dict = {}  # atom name -> (source, target, letter key)
-    while todo:
-        t, pol = todo.pop()
+    root, atoms, out, todo, opened = t, ctx.atoms, [], [], []
+    pol, start, first, last = 1, 0, None, None  # the open segment: its start in out, first source, last target
+    while True:
         tp = type(t)
         if tp is Trans:
-            todo += ((t.right, pol), (t.left, pol)) if pol == 1 else ((t.left, pol), (t.right, pol))
+            todo.append((t.right, 1) if pol == 1 else (t.left, -1))
+            t = t.left if pol == 1 else t.right
             continue
         if tp is Sym:
-            todo.append((t.body, -pol))
+            t, pol = t.body, -pol
             continue
         if tp is Atom:
-            hit = memo.get(t.name)
-            if hit is None:
-                decl = ctx.atoms.get(t.name)
-                if decl is None:
-                    break
-                hit = memo[t.name] = *decl.ends, ("atom", t.name)
-            src, tgt, key = hit
-        elif tp is Refl:
-            src = tgt = t.obj
-            key = None
-            if src.level < 0 or src.level == 0 and isinstance(src.payload, str) and src.payload not in ctx.elements:
+            decl = atoms.get(t.name)
+            if decl is None:
                 break
-        elif tp is StepAtom:
-            step = t.step
-            try:
-                src, tgt, key = Object(step.level, step.before), Object(step.level, step.after), ("step", step)
-            except AttributeError:  # no step
-                break
-        elif tp is Xi or tp is Mu or tp is Nu:
-            if pol == 1 or pol == -1:
-                segments.append([len(out), None, None])
-                todo += ((t, 2 * pol), (t.body, 1))
-                continue
-            pol //= 2
-            start, base, end = segments.pop()
-            body = read_back(ReducedWord(base, tuple(out[start:])))
-            del out[start:]
-            key = ("xi", t.var, body) if tp is Xi else ("mu", t.func, body) if tp is Mu else ("nu", t.arg, body)
-            try:
-                src, tgt = former_endpoints(t, applied_lambda(t, ctx), (base, end), ctx)
-            except UnresolvedLambda:
-                break
+            pair = decl.letters.get(t.name)
+            if pair is None:
+                src, tgt = decl.ends
+                key = "atom", t.name
+                pair = decl.letters.setdefault(t.name, (Letter(key, 1, src, tgt), Letter(key, -1, tgt, src)))
+            letter = pair[pol == -1]  # pair is (forward, inverse)
+            src, tgt = letter.src, letter.tgt
         else:
+            key = None
+            if tp is Refl:
+                src = tgt = t.obj
+                if src.level < 0 or src.level == 0 and isinstance(src.payload, str) and src.payload not in ctx.elements:
+                    break
+            elif tp is StepAtom:
+                step = t.step
+                try:
+                    src, tgt, key = Object(step.level, step.before), Object(step.level, step.after), ("step", step)
+                except AttributeError:  # no step
+                    break
+            elif tp is Xi or tp is Mu or tp is Nu:
+                if pol == 1 or pol == -1:  # open: +-2 marks the former's close, popped after its body
+                    todo.append((t, 2 * pol))
+                    opened.append((start, first, last))
+                    t, pol, start, first, last = t.body, 1, len(out), None, None
+                    continue
+                pol //= 2
+                body = read_back(ReducedWord(first, tuple(out[start:])))
+                del out[start:]
+                key = ("xi", t.var, body) if tp is Xi else ("mu", t.func, body) if tp is Mu else ("nu", t.arg, body)
+                try:
+                    src, tgt = former_endpoints(t, applied_lambda(t, ctx), (first, last), ctx)
+                except UnresolvedLambda:
+                    break
+                start, first, last = opened.pop()
+            else:
+                break
+            if pol == -1:
+                src, tgt = tgt, src
+        if first is None:
+            first = src
+        elif last is not src and last != src:
             break
-        if pol == -1:
-            src, tgt = tgt, src
-        segment = segments[-1]
-        if segment[1] is None:
-            segment[1] = src
-        elif segment[2] is not src and segment[2] != src:
-            break
-        segment[2] = tgt
-        if key is not None:
-            if len(out) > segment[0] and (out[-1].gen is key or out[-1].gen == key) and out[-1].orient == -pol:
+        last = tgt
+        if tp is Atom:
+            if len(out) > start and out[-1] is pair[pol == 1]:
+                out.pop()
+            else:
+                out.append(letter)
+        elif key is not None:
+            if len(out) > start and (out[-1].gen is key or out[-1].gen == key) and out[-1].orient == -pol:
                 out.pop()
             else:
                 out.append(Letter(key, pol, src, tgt))
-    else:
-        return ReducedWord(segments[0][1], tuple(out))
+        if not todo:
+            return ReducedWord(first, tuple(out))
+        t, pol = todo.pop()
     endpoints(root, ctx)
     raise RuntimeError("internal error: word rejected a term that endpoints accepts")
 

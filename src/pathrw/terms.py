@@ -81,16 +81,24 @@ def value(cls: type) -> type:
 
 @dataclass(frozen=True, slots=True)
 class AtomDecl:
-    """Declaration of a step atom: its endpoints, type and optional axiom tag; ``ends`` holds them as objects."""
+    """Declaration of a step atom: its endpoints, type and optional axiom tag.
+
+    Derived, outside ``==``, ``hash`` and ``repr``: ``ends`` holds the endpoints
+    as objects; ``letters`` maps a name the atom is declared under to its
+    forward and inverse ``oracle.Letter``, stored once by ``oracle.word``
+    (``setdefault``), which cancels letters by identity.
+    """
 
     source: str
     target: str
     type_name: str
     tag: str = "declared"
-    ends: tuple[Object, Object] = field(init=False, repr=False, compare=False)  # built once, outside ==, hash and repr
+    ends: tuple[Object, Object] = field(init=False, repr=False, compare=False)
+    letters: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ends", (Object(0, self.source), Object(0, self.target)))
+        object.__setattr__(self, "letters", {})
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,6 +242,20 @@ def _leftmost(t: PathTerm) -> Position:
         t = t.left if type(t) is Trans else t.body
         depth += 1
     return (0,) * depth
+
+
+def _position_of(root: PathTerm, node: PathTerm) -> Position:
+    """The position of ``node``'s first pre-order occurrence in ``root``; a term inside an object sits at its Refl's."""
+    todo = [(root, ())]
+    while True:
+        t, pos = todo.pop()
+        tp = type(t)
+        if t is node:
+            return pos
+        if tp is Trans:
+            todo += ((t.right, pos + (1,)), (t.left, pos + (0,)))
+        elif tp is Sym or tp is Xi or tp is Mu or tp is Nu or tp is Refl:
+            todo.append((t.obj.payload, pos) if tp is Refl else (t.body, pos + (0,)))
 
 
 def subterms(t: PathTerm) -> Iterator[PathTerm]:
@@ -609,9 +631,10 @@ def format_term(t: PathTerm) -> str:
 
     Recorded steps have no script syntax; they render as a bracketed display
     form and do not round-trip through the parser. The walk is pre-order on
-    an explicit stack, which also holds the text that closes each node.
+    an explicit stack, which also holds the text that closes each node. A
+    recorded-step atom around no step raises ``BadStep`` at its position.
     """
-    out: list[str] = []
+    root, out = t, []
     todo: list = [t]
     while todo:
         t = todo.pop()
@@ -635,7 +658,10 @@ def format_term(t: PathTerm) -> str:
                 todo += (_CLOSE, t.obj.payload)
         elif tp is StepAtom:
             step = t.step
-            out.append(f"step[{step.rule}@{fmt_position(step.position)}:{step.direction[0]}]")
+            try:
+                out.append(f"step[{step.rule}@{fmt_position(step.position)}:{step.direction[0]}]")
+            except AttributeError:  # no step: its position is found only now
+                raise BadStep(step, _position_of(root, t)) from None
         else:
             raise TypeError(f"not a path term: {t!r}")
     return "".join(out)

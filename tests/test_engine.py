@@ -44,6 +44,7 @@ from pathrw.terms import (
     Trans,
     Xi,
     endpoints,
+    format_term,
     level,
     replace_at,
     subterm_at,
@@ -459,7 +460,7 @@ def test_replay_rejects_steps_that_are_no_tuple_and_a_start_at_another_level(ctx
 
 
 def test_a_step_atom_around_no_step_is_a_located_input_error(ctx_r):
-    """``StepAtom(5)`` has no level, ``before`` or ``after``; each entry point raised AttributeError on it."""
+    """``StepAtom(5)`` has no level, ``before``, ``after`` or ``rule``; each entry point raised AttributeError on it."""
     r, bad = Atom("r"), StepAtom(5)
     for t, pos in ((bad, ()), (Trans(r, bad), (1,)), (Sym(Trans(bad, r)), (0, 0))):
         assert [(v.kind, v.position, v.message) for v in validate(t, ctx_r).violations] == [
@@ -471,6 +472,7 @@ def test_a_step_atom_around_no_step_is_a_located_input_error(ctx_r):
             lambda t, ctx: normalize(t, PAPER7, ctx),
             lambda t, ctx: decide_rw_equal(t, t, PAPER7, ctx),
             lambda t, ctx: decide_rw_equal(r, t, PAPER7, ctx),
+            lambda t, ctx: format_term(t),
         ):
             with pytest.raises(BadStep, match="not a rewrite step: 5 at position") as caught:
                 call(t, ctx_r)

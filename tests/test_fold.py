@@ -367,11 +367,16 @@ def test_path_order_walk_agrees_with_the_fold_on_generated_terms(large, former, 
                 check_against_fold(nodes, Context(ctx.base_types, ctx.elements, ctx.lambda_elements, atoms))
 
 
+# BAD_LEAVES, a recorded step, and objects and steps that endpoints takes or rejects without walking them
+ILL_FORMED_LEAVES = BAD_LEAVES + [
+    StepAtom(contract_once(Sym(Sym(Atom("r"))), "ss", (), PAPER7, TRIANGLE)[1]),
+    Refl(Object(1, Atom("r"))), Refl(Object(-1, "a")), Refl(Object("x", "a")), StepAtom(5),
+]
+
+
 def test_path_order_walk_agrees_with_the_fold_on_ill_formed_terms():
     r = Atom("r")
-    _, step = contract_once(Sym(Sym(r)), "ss", (), PAPER7, TRIANGLE)
-    leaves = BAD_LEAVES + [StepAtom(step), Refl(Object(1, r)), Refl(Object(-1, "a")), Refl(Object("x", "a")), StepAtom(5)]
-    trees = list(raw_trees(leaves, 6))
+    trees = list(raw_trees(ILL_FORMED_LEAVES, 6))
     assert check_against_fold(trees, TRIANGLE) > len(trees) // 2
     assert check_against_fold(_ill_formed_tower(), TRIANGLE) > 0
     assert check_against_fold(_ill_formed_formers() + _lam_terms(), LAM) > 0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 
 from pathrw.engine import contract_once
-from pathrw.errors import BadObject, ContextError, EndpointMismatch, NoRedex, PathRwError, UnknownAtom, fmt_position
+from pathrw.errors import BadObject, BadStep, ContextError, EndpointMismatch, NoRedex, PathRwError, UnknownAtom, fmt_position
 from pathrw.lam import Abs, Var
 from pathrw.oracle import enumerate_terms
 from pathrw.rules import PAPER7
@@ -22,6 +22,7 @@ from pathrw.terms import (
     Mu,
     Object,
     Refl,
+    StepAtom,
     Sym,
     Trans,
     Violation,
@@ -259,6 +260,23 @@ def test_context_check_rejects_name_collision():
 def test_format_term_examples(ctx_rs):
     t = Trans(Refl(el("a")), Sym(Atom("r")))
     assert format_term(t) == "tau(rho(a), sigma(r))"
+
+
+def test_format_term_locates_a_step_atom_around_no_step(ctx_rs):
+    """Not AttributeError: the ``BadStep`` that ``endpoints`` raises, at ``validate``'s position inside a Refl's object."""
+    r, bad = Atom("r"), StepAtom(5)
+    for t, pos in ((bad, ()), (Trans(r, bad), (1,))):
+        with pytest.raises(BadStep) as got:
+            format_term(t)
+        with pytest.raises(BadStep) as expected:
+            endpoints(t, ctx_rs)
+        assert (str(got.value), got.value.position) == (str(expected.value), expected.value.position)
+        assert (str(got.value), got.value.position) == (f"not a rewrite step: 5 at position {fmt_position(pos)}", pos)
+    inner = Sym(Trans(r, bad))
+    for t, pos in ((Trans(r, Refl(Object(1, inner))), (1, 0, 1)), (Trans(Trans(bad, bad), inner), (0, 0))):
+        with pytest.raises(BadStep, match=re.escape(f"at position {fmt_position(pos)}")) as got:
+            format_term(t)
+        assert got.value.position == pos == validate(t, ctx_rs).violations[0].position
 
 
 def test_atom_decl_holds_its_ends_outside_its_fields():
