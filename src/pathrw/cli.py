@@ -16,7 +16,7 @@ from .engine import Derivation, Equal, decide_rw_equal, normalize
 from .errors import PathRwError, fmt_position
 from .groupoid import LAWS, run_laws
 from .oracle import check_confluence, word
-from .rules import explain_rule, rule_set
+from .rules import RULE_SETS, explain_rule, rule_set
 from .script import Script, parse_script
 from .serialize import derivation_to_doc, doc_to_json
 from .terms import format_object, format_term, level
@@ -47,7 +47,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="reduce a named path to normal form")
     p.add_argument("file")
     p.add_argument("path")
-    p.add_argument("--rules", default="paper7", choices=("paper7", "groupoid-complete"))
+    p.add_argument("--rules", default="paper7", choices=tuple(RULE_SETS))
     p.add_argument("--level", type=int, default=None, help="assert the path's level")
     p.add_argument(
         "--strategy",
@@ -61,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("p")
     p.add_argument("q")
-    p.add_argument("--rules", default="paper7", choices=("paper7", "groupoid-complete"))
+    p.add_argument("--rules", default="paper7", choices=tuple(RULE_SETS))
     p.add_argument("--json", action="store_true", help="emit a derivation document")
     p.set_defaults(handler=_cmd_equal)
 
@@ -74,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("confluence", help="search for non-joinable peaks at desk scale")
     p.add_argument("file")
-    p.add_argument("--rules", default="paper7", choices=("paper7", "groupoid-complete"))
+    p.add_argument("--rules", default="paper7", choices=tuple(RULE_SETS))
     p.add_argument("--max-size", type=int, default=6)
     p.set_defaults(handler=_cmd_confluence)
 

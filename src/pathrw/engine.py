@@ -8,18 +8,18 @@ Normalization records the contractions of the one walker,
 ``rules.contractions``, as edits: a derivation the engine builds holds its
 start, its end and, per step, the rule, position and direction with the
 subterms at that position before and after. No step rebuilds the term's
-spine; the whole terms of each step are built only when ``Derivation.steps``
-is first read. Equality verdicts come from the reduced-word oracle; the
-witness is built by the same walk, normalizing both sides under the
-groupoid-complete rule set. When the requested rule set lacks the extension
-rules, each extension contraction is expanded in place into the edits of
-the seven-rule witness its schema carries, so the witness always replays
-against the requested rules.
+spine; the whole terms of each step are built when ``Derivation.steps`` is
+first read, and cached beside the edits. Equality verdicts come from the
+reduced-word oracle; the witness is built by the same walk, normalizing
+both sides under the groupoid-complete rule set. When the requested rule
+set lacks the extension rules, each extension contraction is expanded in
+place into the edits of the seven-rule witness its schema carries, so the
+witness always replays against the requested rules.
 
 Replay moves the zipper of ``terms.move`` from edit to edit of a derivation
-the engine built. Steps built by hand, or read from a document, are checked
-one at a time: each must link to the one before, and its edit must be a
-legal contraction.
+the engine built, whether its steps were read or not. Steps built by hand,
+or read from a document, are checked one at a time: each must link to the
+one before, and its edit must be a legal contraction.
 """
 
 from __future__ import annotations
@@ -89,10 +89,10 @@ class RewriteStep:
 class Derivation:
     """A finite, possibly empty chain of steps witnessing path equality.
 
-    One built by hand holds its steps. One the engine builds holds its start,
-    its end and its edits (see ``Edit``) until ``steps`` is first read, which
-    builds the steps and keeps them in place of the edits. Either way the
-    fields, ``==``, ``hash`` and ``repr`` are those of the steps.
+    One built by hand, copied, pickled or read from a document holds its
+    steps. One the engine builds keeps its start, its end and its edits (see
+    ``Edit``) for life, and caches its steps beside them when first read.
+    Either way the fields, ``==``, ``hash`` and ``repr`` are those of the steps.
     """
 
     __slots__ = ("start", "steps", "level", "_edits", "_end")
@@ -115,7 +115,7 @@ class Derivation:
 
     def __getattr__(self, name: str):
         # Reached only for an unset slot: the steps of edits not read before.
-        # Once built they replace the edits, as if the steps were built by hand.
+        # Once built they are cached beside the edits, which replay still follows.
         if name != "steps" or self._edits is None:
             raise AttributeError(name)
         steps = []
@@ -126,8 +126,6 @@ class Derivation:
             cur = after
         steps = tuple(steps)
         _set_steps(self, steps)
-        _set_edits(self, None)
-        _set_end(self, None)
         return steps
 
     def __reduce__(self):  # copies and pickles hold the steps
@@ -278,7 +276,7 @@ def replay_derivation(d: Derivation, rs: RuleSet, ctx: Context) -> bool:
 def _edit(step: RewriteStep) -> Edit | None:
     """The step's edit: its position walked on both sides, which must agree off it; None if they do not."""
     pos = step.position
-    if step.direction not in (FORWARD, REVERSE) or type(pos) is not tuple:
+    if type(pos) is not tuple:
         return None
     old, new = step.before, step.after
     for i in pos:  # same class, same label, equal children off the path

@@ -37,6 +37,14 @@ class BadObject(PathRwError):
         super().__init__(f"object level {level} is below 0 at position {fmt_position(position)}")
 
 
+class NotAnObject(PathRwError):
+    """A reflexivity node holds something that is no ``Object``."""
+
+    def __init__(self, obj: object, position: tuple[int, ...] = ()):
+        self.position = position
+        super().__init__(f"not an object: {obj!r} at position {fmt_position(position)}")
+
+
 class BadStep(PathRwError):
     """A recorded-step atom holds something with no level, ``before`` or ``after``: no rewrite step."""
 

@@ -50,9 +50,6 @@ class Letter:
     src: Object
     tgt: Object
 
-    def inverse(self) -> Letter:
-        return Letter(self.gen, -self.orient, self.tgt, self.src)
-
 
 @value
 class ReducedWord:
@@ -114,7 +111,11 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
             key = None
             if tp is Refl:
                 src = tgt = t.obj
-                if src.level < 0 or src.level == 0 and isinstance(src.payload, str) and src.payload not in ctx.elements:
+                try:
+                    lv = src.level
+                except AttributeError:  # no object
+                    break
+                if lv < 0 or lv == 0 and isinstance(src.payload, str) and src.payload not in ctx.elements:
                     break
             elif tp is StepAtom:
                 step = t.step

@@ -16,8 +16,13 @@ class-pattern ``match`` case. No traversal recurses, each walks an explicit
 stack: ``endpoints`` takes leaves in path order and hands what it cannot
 chain to ``validate``'s post-order fold, and ``size`` and ``format_term``
 walk pre-order; so terms of any depth work at the default recursion limit.
-Positions are walked in one place, the zipper of ``move``: ``subterm_at``,
-``replace_at`` and the engine's replay call it.
+Positions are walked by the zipper of ``move``: ``subterm_at``, ``replace_at``
+and the engine's replay of edits call it. One walk is apart: replay of a
+hand-built step (``engine._edit``) walks its two sides in lockstep and
+compares only the children off the path, mostly by ``is``. Rebuilding the
+before side on ``move`` and comparing it whole with the after side made the
+full-step copy of a 2,000-deep ``sigma`` nest replay in 2.4 s, against
+0.13 s (best of 3, 2-core x86-64, Python 3.11).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .errors import (
     BadStep,
     ContextError,
     EndpointMismatch,
+    NotAnObject,
     UnknownAtom,
     UnknownElement,
     UnresolvedLambda,
@@ -86,7 +92,8 @@ class AtomDecl:
     Derived, outside ``==``, ``hash`` and ``repr``: ``ends`` holds the endpoints
     as objects; ``letters`` maps a name the atom is declared under to its
     forward and inverse ``oracle.Letter``, stored once by ``oracle.word``
-    (``setdefault``), which cancels letters by identity.
+    (``setdefault``), which cancels letters by identity. A copy or a pickle
+    derives both afresh, so it starts with its own empty ``letters``.
     """
 
     source: str
@@ -99,6 +106,9 @@ class AtomDecl:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ends", (Object(0, self.source), Object(0, self.target)))
         object.__setattr__(self, "letters", {})
+
+    def __reduce__(self):  # copies and pickles build the derived fields again: their own ends, no letters yet
+        return AtomDecl, (self.source, self.target, self.type_name, self.tag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,11 +230,11 @@ def level(t: PathTerm) -> int:
         tp = type(t)
     if tp is Atom or tp is Xi or tp is Mu or tp is Nu:
         return 1
-    if tp is Refl:
+    if tp is Refl and type(t.obj) is Object:
         return t.obj.level + 1
     if tp is StepAtom and hasattr(t.step, "level"):
         return t.step.level + 1
-    raise BadStep(t.step, _leftmost(root)) if tp is StepAtom else TypeError(f"not a path term: {t!r}")
+    raise _bad_leaf(t, _leftmost(root))
 
 
 def checked_level(t: PathTerm) -> int:
@@ -242,6 +252,13 @@ def _leftmost(t: PathTerm) -> Position:
         t = t.left if type(t) is Trans else t.body
         depth += 1
     return (0,) * depth
+
+
+def _bad_leaf(t: object, position: Position) -> Exception:
+    """What a walk raises at a leaf it cannot take: a StepAtom around no step, a Refl around no object, a non-term."""
+    if type(t) is StepAtom:
+        return BadStep(t.step, position)
+    return NotAnObject(t.obj, position) if type(t) is Refl else TypeError(f"not a path term: {t!r}")
 
 
 def _position_of(root: PathTerm, node: PathTerm) -> Position:
@@ -443,7 +460,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
                 raise UnknownAtom(t.name, _here(pos, frames))
             else:
                 ends = _note(violations, "unknown-atom", _here(pos, frames), f"unknown atom '{t.name}'")
-        elif tp is Refl:
+        elif tp is Refl and type(t.obj) is Object:
             obj = t.obj
             ends = obj, obj
             if obj.level == 0:
@@ -481,10 +498,10 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
                 ends = _fold(t, ctx, _here(pos, frames), None)
             except UnresolvedLambda as exc:
                 ends = _note(violations, "unresolved-lambda", exc.position, str(exc))
-            except (UnknownAtom, UnknownElement, EndpointMismatch, BadObject, BadStep) as exc:
+            except (UnknownAtom, UnknownElement, EndpointMismatch, BadObject, BadStep, NotAnObject) as exc:
                 ends = _note(violations, "endpoint-error", exc.position, str(exc))
-        elif violations is None:  # a non-term, or a StepAtom around no step, where the leaf walk failed too
-            raise BadStep(t.step, _here(pos, frames)) if tp is StepAtom else TypeError(f"not a path term: {t!r}")
+        elif violations is None:  # a non-term, a StepAtom around no step or a Refl around no object
+            raise _bad_leaf(t, _here(pos, frames))
         else:
             ends = _note(violations, "bad-term", _here(pos, frames), f"not a path term: {t!r}")
         # Fold the finished subtree into its ancestors, up to the first one
@@ -632,7 +649,8 @@ def format_term(t: PathTerm) -> str:
     Recorded steps have no script syntax; they render as a bracketed display
     form and do not round-trip through the parser. The walk is pre-order on
     an explicit stack, which also holds the text that closes each node. A
-    recorded-step atom around no step raises ``BadStep`` at its position.
+    recorded-step atom around no step raises ``BadStep`` at its position, and
+    a Refl around no object ``NotAnObject``.
     """
     root, out = t, []
     todo: list = [t]
@@ -651,17 +669,21 @@ def format_term(t: PathTerm) -> str:
             out.append("nu(")
             todo += (Text(f", {t.arg})"), t.body)
         elif tp is Refl:
-            if isinstance(t.obj.payload, (str, Var, Abs, App)):
+            try:
+                payload = t.obj.payload
+            except AttributeError:  # no object: its position is found only now
+                raise _bad_leaf(t, _position_of(root, t)) from None
+            if isinstance(payload, (str, Var, Abs, App)):
                 out.append(f"rho({format_object(t.obj)})")
             else:  # a path term one level down, or a non-term that raises when reached
                 out.append("rho(")
-                todo += (_CLOSE, t.obj.payload)
+                todo += (_CLOSE, payload)
         elif tp is StepAtom:
             step = t.step
             try:
                 out.append(f"step[{step.rule}@{fmt_position(step.position)}:{step.direction[0]}]")
             except AttributeError:  # no step: its position is found only now
-                raise BadStep(step, _position_of(root, t)) from None
+                raise _bad_leaf(t, _position_of(root, t)) from None
         else:
             raise TypeError(f"not a path term: {t!r}")
     return "".join(out)

@@ -216,6 +216,83 @@ def test_consecutive_calls_leak_no_options(script_file, capsys, monkeypatch):
     assert capsys.readouterr().out.endswith("normal: rho(a)  [1 steps]\n")
 
 
+# Each subcommand that takes ``--rules``: its arguments, its help at 80 columns, and the invalid-choice error.
+RULES_HELP = {
+    "normalize": (
+        ["normalize", "f", "p"],
+        """\
+usage: pathrw normalize [-h] [--rules {paper7,groupoid-complete}]
+                        [--level LEVEL]
+                        [--strategy {leftmost-innermost,leftmost-outermost}]
+                        [--json]
+                        file path
+""",
+        """
+positional arguments:
+  file
+  path
+
+options:
+  -h, --help            show this help message and exit
+  --rules {paper7,groupoid-complete}
+  --level LEVEL         assert the path's level
+  --strategy {leftmost-innermost,leftmost-outermost}
+  --json                emit a derivation document
+""",
+    ),
+    "equal": (
+        ["equal", "f", "p", "q"],
+        """\
+usage: pathrw equal [-h] [--rules {paper7,groupoid-complete}] [--json]
+                    file p q
+""",
+        """
+positional arguments:
+  file
+  p
+  q
+
+options:
+  -h, --help            show this help message and exit
+  --rules {paper7,groupoid-complete}
+  --json                emit a derivation document
+""",
+    ),
+    "confluence": (
+        ["confluence", "f"],
+        """\
+usage: pathrw confluence [-h] [--rules {paper7,groupoid-complete}]
+                         [--max-size MAX_SIZE]
+                         file
+""",
+        """
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --rules {paper7,groupoid-complete}
+  --max-size MAX_SIZE
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RULES_HELP))
+def test_rule_set_choices_keep_their_help_and_error_text(command, capsys, monkeypatch):
+    """The ``--rules`` choices come from ``rules.RULE_SETS``; help and error text are as when spelled out."""
+    argv, usage, options = RULES_HELP[command]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and capsys.readouterr() == (usage + options, "")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--rules", "nope"])
+    error = f"pathrw {command}: error: argument --rules: invalid choice: 'nope' "
+    error += "(choose from 'paper7', 'groupoid-complete')\n"
+    assert exc.value.code == 2 and capsys.readouterr() == ("", usage + error)
+
+
 def test_confluence_reports_peaks_but_exits_zero(script_file, capsys):
     assert main(["confluence", script_file, "--rules", "paper7", "--max-size", "6"]) == 0
     out = capsys.readouterr().out

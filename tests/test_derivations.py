@@ -11,7 +11,13 @@ both strategies:
   ``Derivation(d.start, d.steps, d.level)``;
 - an edit-form derivation corrupted through the private constructor (wrong
   rule, shifted position, wrong contractum, flipped direction) is rejected
-  in both forms whenever the reference judges the corrupted step illegal.
+  in both forms whenever the reference judges the corrupted step illegal;
+- ``decide_rw_equal`` agrees with ``oracle_equal`` on pairs of one word built
+  apart and on pairs of one pair of endpoints but two words, and each
+  ``Equal`` witness replays.
+
+Reading the steps of an engine-built derivation caches them beside its
+edits: replay, inversion and concatenation still take the edits.
 
 The traces are also compared on terms with paths under nested xi/mu/nu
 formers and on level-2 terms lifted from random derivations.
@@ -35,6 +41,7 @@ from pathrw.engine import (
     REVERSE,
     Derivation,
     Equal,
+    NotEqual,
     RewriteStep,
     canonical_derivation,
     concat_derivations,
@@ -44,6 +51,7 @@ from pathrw.engine import (
     replay_derivation,
 )
 from pathrw.lam import Abs, Var
+from pathrw.oracle import oracle_equal, read_back, word
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, step_name
 from pathrw.terms import (
     Atom,
@@ -56,6 +64,7 @@ from pathrw.terms import (
     Sym,
     Trans,
     Xi,
+    endpoints,
     level,
     replace_at,
     subterms,
@@ -103,6 +112,32 @@ def test_traces_of_lifted_terms_match_reference(t):
     _traces_match_reference(t, TRIANGLE)
 
 
+# The triangle's cycle at each element: u^-1 r s at c, and its rotations at a and b.
+CYCLES = {
+    "c": Trans(Sym(Atom("u")), Trans(Atom("r"), Atom("s"))),
+    "a": Trans(Atom("r"), Trans(Atom("s"), Sym(Atom("u")))),
+    "b": Trans(Atom("s"), Trans(Sym(Atom("u")), Atom("r"))),
+}
+
+
+@settings(max_examples=40)
+@given(LARGE)
+def test_decide_agrees_with_the_oracle_on_large_pairs(t):
+    """``t`` against its canonical form, built apart (one word), and against ``t`` then the cycle at its end (two)."""
+    canonical = read_back(word(t, TRIANGLE))
+    cycled = Trans(t, CYCLES[endpoints(t, TRIANGLE)[1].payload])
+    assert endpoints(cycled, TRIANGLE) == endpoints(t, TRIANGLE)
+    for pair, same in (((t, canonical), True), ((canonical, t), True), ((t, cycled), False), ((cycled, t), False)):
+        assert oracle_equal(*pair, TRIANGLE) is same
+        for rs in RULE_SETS:
+            verdict = decide_rw_equal(*pair, rs, TRIANGLE)
+            if same:
+                d = verdict.witness
+                assert d.start is pair[0] and d.end == pair[1] and replay_derivation(d, rs, TRIANGLE)
+            else:
+                assert verdict == NotEqual("reduced words differ")
+
+
 def _witnesses(t):
     """Engine-built derivations from ``t``: traces, canonical derivations, Equal witnesses, and their algebra."""
     out = []
@@ -125,7 +160,7 @@ def test_witnesses_replay_as_their_full_step_copies(t):
         verdicts = [replay_derivation(d, rs, TRIANGLE) for rs in RULE_SETS]  # before the steps are read
         assert verdicts[1]  # everything replays against the groupoid-complete rules
         copy = Derivation(d.start, d.steps, d.level)
-        assert d._edits is None and copy == d and copy.end == end
+        assert d._edits is not None and copy == d and copy.end == end
         assert [replay_derivation(copy, rs, TRIANGLE) for rs in RULE_SETS] == verdicts
 
 
@@ -140,7 +175,7 @@ def test_edit_form_reads_as_its_steps(ctx_rs):
 
     d = lazy()
     copy = Derivation(d.start, d.steps, d.level)
-    assert _steps_built(d) and d._edits is None and d.end == copy.end  # the steps replace the edits
+    assert _steps_built(d) and d._edits is not None and d.end == copy.end  # the steps are cached beside the edits
     assert [f.name for f in dataclasses.fields(lazy())] == ["start", "steps", "level"]
     for read in (lambda d: d, lambda d: copy_module.deepcopy(d), lambda d: pickle.loads(pickle.dumps(d))):
         for fresh in (lazy(), invert_derivation(invert_derivation(lazy()))):
@@ -150,6 +185,23 @@ def test_edit_form_reads_as_its_steps(ctx_rs):
     assert dataclasses.replace(lazy(), steps=()) == Derivation(t, (), 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         lazy().steps = ()
+
+
+def test_reading_the_steps_keeps_the_edit_form(ctx_rs, monkeypatch):
+    """After ``steps`` is read, replay follows the edits and the algebra keeps them; the step is below the root."""
+    nf, d = normalize(Trans(Atom("r"), Sym(Sym(Atom("s")))), PAPER7, ctx_rs)
+    edits = d._edits
+    assert [(step.rule, step.position) for step in d.steps] == [("ss", (1,))]
+    assert d._edits is edits and d.end is nf
+    followed = []
+    real = engine._follow
+    monkeypatch.setattr(engine, "_follow", lambda t, edits, *rest: followed.append(edits) or real(t, edits, *rest))
+    assert replay_derivation(d, PAPER7, ctx_rs) and followed == [edits]
+    inverse = invert_derivation(d)
+    for e in (inverse, concat_derivations(d, inverse), concat_derivations(inverse, d)):
+        assert e._edits is not None and not _steps_built(e)
+        assert replay_derivation(e, PAPER7, ctx_rs) and followed[-1] is e._edits
+    assert inverse.end is d.start and inverse.start is nf
 
 
 def _steps_built(d):

@@ -27,7 +27,8 @@ from pathrw.engine import (
     replay_derivation,
 )
 from pathrw.errors import (
-    BadObject, BadStep, ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, PathRwError, UnknownRule,
+    BadObject, BadStep, ChainMismatch, EndpointMismatch, LevelMismatch, NoRedex, NotAnObject, PathRwError,
+    UnknownRule,
 )
 from pathrw.oracle import enumerate_terms, oracle_equal, read_back, word
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, match_redexes
@@ -480,6 +481,33 @@ def test_a_step_atom_around_no_step_is_a_located_input_error(ctx_r):
         assert replay_derivation(Derivation(t, (), 2), PAPER7, ctx_r) is False
     (violation,) = validate(Xi("v", bad), ctx_r).violations  # a former's body is checked by a raising fold
     assert (violation.kind, violation.position) == ("endpoint-error", (0,))
+
+
+def test_a_refl_around_no_object_is_a_located_input_error(ctx_r):
+    """``Refl(5)`` has no level or payload; each entry point raised AttributeError on it."""
+    r, bad = Atom("r"), Refl(5)
+    for t, pos in ((bad, ()), (Trans(r, bad), (1,)), (Sym(Trans(bad, r)), (0, 0))):
+        assert [(v.kind, v.position, v.message) for v in validate(t, ctx_r).violations] == [
+            ("bad-term", pos, "not a path term: Refl(obj=5)")
+        ]
+        calls = [
+            endpoints,
+            word,
+            lambda t, ctx: normalize(t, PAPER7, ctx),
+            lambda t, ctx: decide_rw_equal(t, t, PAPER7, ctx),
+            lambda t, ctx: decide_rw_equal(r, t, PAPER7, ctx),
+            lambda t, ctx: format_term(t),
+        ]
+        if pos != (1,):  # level and match_redexes read only the leftmost leaf: Trans(r, bad) is level 1 to them
+            calls += [lambda t, ctx: level(t), lambda t, ctx: match_redexes(PAPER7, t)]
+        for call in calls:
+            with pytest.raises(NotAnObject, match="not an object: 5 at position") as caught:
+                call(t, ctx_r)
+            assert caught.value.position == pos
+        assert replay_derivation(Derivation(t, (), 1), PAPER7, ctx_r) is False
+    (violation,) = validate(Xi("v", bad), ctx_r).violations  # a former's body is checked by a raising fold
+    assert (violation.kind, violation.position) == ("endpoint-error", (0,))
+    assert level(Trans(r, bad)) == 1
 
 
 def test_wrong_typed_input_is_a_type_error():

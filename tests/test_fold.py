@@ -370,7 +370,7 @@ def test_path_order_walk_agrees_with_the_fold_on_generated_terms(large, former, 
 # BAD_LEAVES, a recorded step, and objects and steps that endpoints takes or rejects without walking them
 ILL_FORMED_LEAVES = BAD_LEAVES + [
     StepAtom(contract_once(Sym(Sym(Atom("r"))), "ss", (), PAPER7, TRIANGLE)[1]),
-    Refl(Object(1, Atom("r"))), Refl(Object(-1, "a")), Refl(Object("x", "a")), StepAtom(5),
+    Refl(Object(1, Atom("r"))), Refl(Object(-1, "a")), Refl(Object("x", "a")), StepAtom(5), Refl(5),
 ]
 
 

@@ -237,7 +237,7 @@ def ref_concat(w1, w2):
 
 
 def ref_reverse(w):
-    return ReducedWord(w.target, tuple(letter.inverse() for letter in reversed(w.letters)))
+    return ReducedWord(w.target, tuple(Letter(x.gen, -x.orient, x.tgt, x.src) for x in reversed(w.letters)))
 
 
 def ref_word(t, ctx):

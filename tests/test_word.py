@@ -59,6 +59,8 @@ def ref_word(t, ctx):
         elif tp is Refl:
             src = tgt = t.obj
             key = None
+            if type(src) is not Object:  # no object
+                break
             if src.level < 0 or src.level == 0 and isinstance(src.payload, str) and src.payload not in ctx.elements:
                 break
         elif tp is StepAtom:
@@ -189,7 +191,10 @@ def test_atom_letters_are_read_afresh_on_every_call():
 
 
 def test_atom_decl_holds_its_letters_outside_its_fields():
-    """``letters`` is no argument and takes no part in ``==``, ``hash`` or ``repr``; a replacement starts it empty."""
+    """``letters`` is no argument and takes no part in ``==``, ``hash`` or ``repr``.
+
+    A copy, a pickle or a replacement starts it empty, and a word over it leaves the original's alone.
+    """
     decl = AtomDecl("a", "b", "A")
     assert decl.letters == {}
     ctx = Context(("A",), {"a": "A", "b": "A"}, {}, {"r": decl})
@@ -203,11 +208,13 @@ def test_atom_decl_holds_its_letters_outside_its_fields():
         AtomDecl("a", "b", "A", letters={})
     with pytest.raises(dataclasses.FrozenInstanceError):
         decl.letters = {}
+    pair = decl.letters["r"]
     for same in (copy.copy(decl), copy.deepcopy(decl), pickle.loads(pickle.dumps(decl))):
-        assert same == decl and same.ends == decl.ends and same.letters["r"] == decl.letters["r"]
+        assert same == decl and same.ends == decl.ends and same.letters == {} and same.letters is not decl.letters
         copied = Context(ctx.base_types, ctx.elements, {}, {"r": same, "q": same})
         for t in (Sym(Atom("r")), Trans(Atom("q"), Sym(Atom("r")))):
             assert word(t, copied) == ref_word(t, copied) and word(t, copied).letters[-1] is same.letters["r"][1]
+        assert sorted(same.letters) == ["q", "r"] and decl.letters == {"r": pair} and decl.letters["r"] is pair
     for fresh in (dataclasses.replace(decl), dataclasses.replace(decl, source="b", target="a")):
         assert fresh.letters == {} and fresh.letters is not decl.letters
         swapped = Context(ctx.base_types, ctx.elements, {}, {"r": fresh})
