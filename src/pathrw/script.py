@@ -12,17 +12,17 @@ Line-oriented declarations build a context and named paths:
 Path expressions use ASCII keywords tau/sigma/rho/xi/mu/nu; the Greek
 letters are accepted as aliases. Every error carries a line and column.
 
-Each line costs two regex passes: one proves that it holds no stray
-character, one returns its token texts. Only an error rescans the line,
-with ``_tokenize_line``, to locate its token. Path expressions are parsed
-on an explicit stack that carries each subterm's endpoints upward.
+Each line costs two regex passes: one finds any stray character, one
+returns its token texts. Only an error rescans the line, with the token
+regex, for its token's column. Path expressions are parsed on an explicit
+stack that carries each subterm's endpoints upward.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import (
     DslSyntaxError,
@@ -47,7 +47,6 @@ _ALIASES = {
     "υ": "nu",  # upsilon and nu both name the right-application former
     "λ": "\\",
 }
-_KINDS = {":=": "assign", "\\": "lambda", "λ": "lambda", **dict.fromkeys("():,=.[]", "punct")}
 
 # Matches the longest prefix of a line that holds no stray character: each
 # character is whitespace or can start a token, or is a digit or prime that
@@ -56,40 +55,21 @@ _CLEAN_RE = re.compile(r"(?:[\s():,=.\[\]A-Za-z_\\λτσρξμνυ]|(?<=[A-Za-z0
 # On a line without stray characters, the token texts in order.
 _TOKEN_TEXT_RE = re.compile(r":=|[A-Za-z_][A-Za-z0-9_']*|\S")
 # Spells each alias out. The spaces keep a Greek keyword one token, so token
-# indices stay those of ``_tokenize_line``.
+# indices on the spelled-out line are those on the raw line.
 _ASCII = str.maketrans({c: f" {name} " if name.isalpha() else name for c, name in _ALIASES.items()})
-# Token texts that are not names; "" closes every token list, as "end" does.
-_NOT_NAMES = frozenset(_KINDS) | {""}
+# Token texts that are not names; "" closes every token list and stands for "end".
+_NOT_NAMES = frozenset({":=", "\\", "λ", "(", ")", ":", ",", "=", ".", "[", "]", ""})
 
 # Frame codes; a tau's frame becomes _TAU_RIGHT once its left operand is read.
 _TAU, _SIGMA, _RHO, _XI, _MU, _NU, _TAU_RIGHT = range(7)
 _FORMERS = {"tau": _TAU, "sigma": _SIGMA, "rho": _RHO, "xi": _XI, "mu": _MU, "nu": _NU}
 
 
-class Token(NamedTuple):
-    kind: str  # "name", "punct", "assign", "lambda"; "end" closes every line
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize_line(text: str, line_no: int) -> list[Token]:
-    """The line's tokens, closed by an "end" token at the column just past its last character."""
+def _token_texts(text: str, line_no: int) -> list[str]:
+    """The line's token texts, with aliases spelled out and "" for "end"."""
     stray = _CLEAN_RE.match(text).end()
     if stray < len(text):
         raise DslSyntaxError(f"unexpected character {text[stray]!r}", line_no, stray + 1)
-    tokens = []
-    for m in _TOKEN_TEXT_RE.finditer(text):
-        value = m[0]
-        tokens.append(Token(_KINDS.get(value, "name"), _ALIASES.get(value, value), line_no, m.start() + 1))
-    tokens.append(Token("end", "", line_no, len(text.rstrip()) + 1))
-    return tokens
-
-
-def _token_texts(text: str, line_no: int) -> list[str]:
-    """The texts of ``_tokenize_line``'s tokens, with aliases spelled out and "" for "end"."""
-    if _CLEAN_RE.fullmatch(text) is None:
-        _tokenize_line(text, line_no)  # raises at the first stray character
     if not text.isascii():
         text = text.translate(_ASCII)
     texts = _TOKEN_TEXT_RE.findall(text)
@@ -132,19 +112,20 @@ class _Parser:
         self.leaves: dict[str, tuple[PathTerm, tuple[Object, Object]]] = {}
         self.refls: dict[str, tuple[PathTerm, tuple[Object, Object]]] = {}
 
-    # -- errors: only here is the line tokenized with columns -------------
+    # -- errors: only here is the line scanned for columns ---------------
 
-    def _token(self, i: int) -> Token:
-        return _tokenize_line(self.line, self.line_no)[i]
+    def _token(self, i: int) -> tuple[str, int]:
+        """Token ``i``'s text, aliases spelled out, and column; "" just past the line's end is "end"."""
+        m = next(islice(_TOKEN_TEXT_RE.finditer(self.line), i, None), None)
+        return ("", len(self.line.rstrip()) + 1) if m is None else (_ALIASES.get(m[0], m[0]), m.start() + 1)
 
     def _at(self, i: int) -> tuple[int, int]:
-        token = self._token(i)
-        return token.line, token.col
+        return self.line_no, self._token(i)[1]
 
     def _expected(self, what: str, i: int) -> DslSyntaxError:
-        token = self._token(i)
-        got = "" if token.kind == "end" else f", got {token.text!r}"
-        return DslSyntaxError(f"expected {what}{got}", token.line, token.col)
+        text, col = self._token(i)
+        got = f", got {text!r}" if text else ""
+        return DslSyntaxError(f"expected {what}{got}", self.line_no, col)
 
     def _name(self, toks: list[str], i: int, what: str) -> str:
         text = toks[i]
@@ -158,8 +139,8 @@ class _Parser:
 
     def _end(self, toks: list[str], i: int) -> None:
         if toks[i]:
-            token = self._token(i)
-            raise DslSyntaxError(f"unexpected trailing {token.text!r}", token.line, token.col)
+            text, col = self._token(i)
+            raise DslSyntaxError(f"unexpected trailing {text!r}", self.line_no, col)
 
     # -- declarations --------------------------------------------------
 

@@ -14,10 +14,10 @@ from typing import Any, Callable
 
 from .engine import Derivation, RewriteStep, replay_derivation
 from .errors import PathRwError
-from .lam import format_lambda
+from .lam import format_lambda, validate_axiom_atom
 from .rules import FORWARD, REVERSE, rule_set
 from .script import parse_lambda_expr, parse_path_expr
-from .terms import Context, PathTerm, StepAtom, format_term, level, subterms
+from .terms import AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, StepAtom, Sym, Trans, Xi, format_term, level
 
 FORMAT_NAME = "pathrw-derivation"
 FORMAT_VERSION = 1
@@ -60,8 +60,6 @@ def context_to_doc(ctx: Context) -> dict[str, Any]:
 
 
 def context_from_doc(doc: dict[str, Any]) -> Context:
-    from .terms import AtomDecl
-
     lambdas = _require(doc, "lambdas", "context", dict) if "lambdas" in doc else {}
     types = _require(doc, "types", "context", list)
     if not all(type(name) is str for name in types):
@@ -84,14 +82,25 @@ def context_from_doc(doc: dict[str, Any]) -> Context:
         },
     )
     ctx.check()
+    for decl in ctx.atoms.values():
+        validate_axiom_atom(decl, ctx)  # as a script's step line does; raises NotAnAxiomInstance
     return ctx
 
 
 def derivation_to_doc(d: Derivation, ctx: Context, rules_name: str) -> dict[str, Any]:
     """Serialize a derivation with everything needed to replay it standalone."""
-    terms = [d.start, *(t for step in d.steps for t in (step.before, step.after))]
-    if any(type(node) is StepAtom for t in terms for node in subterms(t)):
-        raise PathRwError("recorded-step atoms have no script syntax; cannot serialize")
+    todo = [d.start, *(t for step in d.steps for t in (step.before, step.after))]
+    while todo:  # every node, the terms inside Refl objects too
+        t = todo.pop()
+        tp = type(t)
+        if tp is StepAtom:
+            raise PathRwError("recorded-step atoms have no script syntax; cannot serialize")
+        if tp is Trans:
+            todo += (t.left, t.right)
+        elif tp is Sym or tp is Xi or tp is Mu or tp is Nu:
+            todo.append(t.body)
+        elif tp is Refl and type(t.obj) is Object:
+            todo.append(t.obj.payload)
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,

@@ -500,6 +500,10 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
                 ends = _note(violations, "unresolved-lambda", exc.position, str(exc))
             except (UnknownAtom, UnknownElement, EndpointMismatch, BadObject, BadStep, NotAnObject) as exc:
                 ends = _note(violations, "endpoint-error", exc.position, str(exc))
+            except TypeError:  # a value of the wrong type inside: fold the body in report mode
+                frames.append([t, 0, len(violations)])
+                t = t.body
+                continue
         elif violations is None:  # a non-term, a StepAtom around no step or a Refl around no object
             raise _bad_leaf(t, _here(pos, frames))
         else:
@@ -551,11 +555,16 @@ def _note(violations: list, kind: str, pos: Position, message: str) -> tuple:
 def _close(frames: list, pos: Position, ends: tuple, ctx: Context, violations: list | None) -> tuple:
     """The ends of the former, or the Refl or step whose terms were folded, atop ``frames``.
 
-    Its frame keeps a former's applied lambda, or the ends of a step's ``before``.
+    Its frame keeps a former's applied lambda or, in report mode (after a TypeError),
+    the violation count before its body; a step's frame keeps the ends of its ``before``.
     """
     node, _, kept = frames[-1]
     tp = type(node)
     if tp is not Refl and tp is not StepAtom:
+        if violations is not None:  # the former reports itself if its body reported nothing
+            if len(violations) == kept:
+                _note(violations, "bad-term", _here(pos, frames[:-1]), f"not a path term: {node!r}")
+            return _NO_ENDS
         try:
             return former_endpoints(node, kept, ends, ctx)
         except UnresolvedLambda:  # raise it again with its position, built only on error

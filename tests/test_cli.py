@@ -9,18 +9,20 @@ import re
 import pytest
 
 from pathrw.cli import main
-from pathrw.engine import invert_derivation, normalize
-from pathrw.errors import PathRwError
+from pathrw.engine import Derivation, invert_derivation, normalize
+from pathrw.errors import NotAnAxiomInstance, PathRwError, TypeMismatch
 from pathrw.groupoid import run_laws
 from pathrw.rules import PAPER7
 from pathrw.script import parse_path_expr, parse_script
 from pathrw.serialize import (
+    context_from_doc,
     derivation_from_doc,
     derivation_to_doc,
     doc_from_json,
     doc_to_json,
     replay_document,
 )
+from pathrw.terms import Object, Refl, StepAtom, Sym, Trans, endpoints, level
 
 EXAMPLE = """\
 type A
@@ -120,6 +122,21 @@ def test_recorded_step_atoms_have_no_document():
             derivation_to_doc(law.witness, script.context, "paper7")
 
 
+def test_a_recorded_step_inside_an_object_has_no_document():
+    """The scan for recorded steps enters Refl objects, on an explicit stack."""
+    ctx = parse_script(EXAMPLE).context
+    _, d = normalize(parse_path_expr("tau(r, rho(b))", ctx), PAPER7, ctx)
+    step = StepAtom(d.steps[0])
+    deep = step
+    for _ in range(5000):
+        deep = Sym(deep)
+    lifted = Refl(Object(2, step))
+    for t in (lifted, Refl(Object(3, lifted)), Trans(lifted, Sym(lifted)), Refl(Object(2, deep))):
+        endpoints(t, ctx)
+        with pytest.raises(PathRwError, match="^recorded-step atoms have no script syntax; cannot serialize$"):
+            derivation_to_doc(Derivation(t, (), level(t)), ctx, "paper7")
+
+
 def test_document_tampering_detected(script_file, capsys):
     main(["equal", script_file, "p", "q", "--json"])
     doc = doc_from_json(capsys.readouterr().out)
@@ -177,6 +194,28 @@ def test_document_with_lambda_context_replays(tmp_path, capsys):
     assert doc["context"]["lambdas"] == {"m": "\\x. x", "n": "\\y. y"}
     assert doc["end"] == "xi(v, rho(m))"
     assert replay_document(doc)
+
+
+def test_document_tagged_atoms_are_checked_as_in_scripts():
+    """A tagged atom whose lambda ends do not fit its tag is refused by documents, as by scripts."""
+    decls = "type F\nelem m n : F\nlam m := \\x. x\nlam n := \\y. y z\nstep al : m = n alpha\n"
+    with pytest.raises(TypeMismatch, match="^5:6: alpha: endpoints are not alpha-equal$"):
+        parse_script(decls)
+    ctx = parse_script(decls.replace("y z", "y")).context
+    _, d = normalize(parse_path_expr("tau(al, sigma(al))", ctx), PAPER7, ctx)
+    doc = derivation_to_doc(d, ctx, "paper7")
+    assert replay_document(doc)
+    for mutate, message in (
+        (lambda c: c["lambdas"].update(n="\\y. y z"), "alpha: endpoints are not alpha-equal"),
+        (lambda c: c["atoms"]["al"].update(tag="beta"), "beta: left endpoint is not an applied abstraction"),
+        (lambda c: c["lambdas"].pop("n"), "alpha-tagged atom endpoints 'm', 'n' need lambda definitions"),
+    ):
+        bad = copy.deepcopy(doc)
+        mutate(bad["context"])
+        with pytest.raises(NotAnAxiomInstance, match=f"^{re.escape(message)}$"):
+            context_from_doc(bad["context"])
+        with pytest.raises(NotAnAxiomInstance, match=f"^{re.escape(message)}$"):
+            replay_document(bad)
 
 
 def test_laws_command(script_file, capsys):

@@ -165,6 +165,11 @@ def ref_validate(t, ctx):
                     note("unresolved-lambda", exc.position, str(exc))
                 except (UnknownAtom, UnknownElement, EndpointMismatch) as exc:
                     note("endpoint-error", exc.position, str(exc))
+                except TypeError:  # a value of the wrong type inside: the body reports it, or the former
+                    before = len(violations)
+                    go(t.body, pos + (0,))
+                    if len(violations) == before:
+                        note("bad-term", pos, f"not a path term: {t!r}")
                 return None
             case StepAtom(step):
                 bends = go(step.before, pos)

@@ -4,8 +4,9 @@ Each line is checked for stray characters and split into token texts by
 two regex passes, and path expressions are parsed on an explicit stack.
 Two earlier implementations are kept below as references:
 
-- the per-position tokenizer loop: every line must give the same tokens as
-  ``_tokenize_line``, and every stray character the same error at the same
+- the per-position tokenizer loop: on every line, ``_token_texts`` must give
+  the same token texts, and the parser's error helper the same columns and
+  end column; every stray character must give the same error at the same
   column;
 - the token-stream, recursive-descent parser: on every input the parser
   must build the same term, or raise the same error class and message at
@@ -31,7 +32,7 @@ from pathrw.errors import (
 )
 from pathrw.lam import Abs, App, LambdaTerm, Var, validate_axiom_atom
 from pathrw.oracle import enumerate_terms
-from pathrw.script import Script, _tokenize_line, parse_lambda_expr, parse_path_expr, parse_script
+from pathrw.script import Script, _Parser, _token_texts, parse_lambda_expr, parse_path_expr, parse_script
 from pathrw.terms import (
     Atom,
     AtomDecl,
@@ -93,6 +94,17 @@ def reference_tokens(text, line_no):
     return tokens + [("end", "", line_no, last + 1)]
 
 
+def scanned_tokens(text, line_no):
+    """(text, line, col) per token: the texts ``_token_texts`` gives, the columns the parser's errors name."""
+    parser = _Parser(Context(), {}, text, line_no)
+    tokens = []
+    for i, value in enumerate(_token_texts(text, line_no)):
+        located, col = parser._token(i)
+        assert located == value, (text, i)
+        tokens.append((value, line_no, col))
+    return tokens
+
+
 def outcome(tokenize, text, line_no=1):
     try:
         return [tuple(token) for token in tokenize(text, line_no)]
@@ -103,7 +115,9 @@ def outcome(tokenize, text, line_no=1):
 def assert_tokens_agree(lines):
     for line_no, text in enumerate(lines, start=1):
         expected = outcome(reference_tokens, text, line_no)
-        assert outcome(_tokenize_line, text, line_no) == expected, text
+        if isinstance(expected, list):
+            expected = [token[1:] for token in expected]  # the kinds have no counterpart
+        assert outcome(scanned_tokens, text, line_no) == expected, text
 
 
 # -- the reference parser: a token stream read by recursive descent ----------
@@ -660,6 +674,21 @@ def test_tokens_agree_with_reference_on_generated_scripts():
         assert len(parse_script("\n".join(lines)).paths) == 14
 
 
+def test_error_free_lines_never_locate_a_token(monkeypatch):
+    """Only an error scans a line for columns: well-formed scripts never call the parser's error helper."""
+
+    def located(self, i):
+        raise AssertionError(f"token {i} of {self.line!r} located")
+
+    monkeypatch.setattr(_Parser, "_token", located)
+    for seed in range(6):
+        assert len(parse_script("\n".join(generated_script_lines(seed))).paths) == 14
+    greek = parse_path_expr("τ(r, σ(tau(r, ρ(b))))", TRIANGLE)
+    assert greek == parse_path_expr("tau(r, sigma(tau(r, rho(b))))", TRIANGLE)
+    with pytest.raises(AssertionError, match="^token 3 of 'tau\\(r s\\)' located$"):
+        parse_path_expr("tau(r s)", TRIANGLE)
+
+
 def test_tokens_agree_with_reference_on_triangle_sweep():
     assert_tokens_agree([format_term(t) for t in enumerate_terms(TRIANGLE, 8)])
 
@@ -697,7 +726,7 @@ def test_stray_characters_give_the_reference_error(stray):
     ]
     assert_tokens_agree(lines)
     for text in lines:
-        assert isinstance(outcome(_tokenize_line, text), tuple), text
+        assert isinstance(outcome(_token_texts, text), tuple), text
 
 
 def test_end_of_line_errors_keep_their_columns():

@@ -20,6 +20,7 @@ from pathrw.terms import (
     AtomDecl,
     Context,
     Mu,
+    Nu,
     Object,
     Refl,
     StepAtom,
@@ -204,6 +205,33 @@ def test_objects_below_level_0_are_ill_formed(ctx_r, ctx_lam):
     # A former's body is checked by a raising fold; the object is reported, not raised.
     report = validate(Mu("m", Trans(Atom("al"), Refl(Object(-1, "n")))), ctx_lam)
     assert report.violations == (Violation("endpoint-error", (0, 1), "object level -1 is below 0 at position 0.1"),)
+
+
+def test_validate_reports_wrong_types_inside_a_former(ctx_lam):
+    """``endpoints`` raises TypeError; ``validate`` folds the former's body and reports what is wrong there."""
+    al = Atom("al")
+    not_a_term = Violation("bad-term", (0,), "not a path term: 5")
+    bad_object = Violation("bad-object", (0,), "object payload is not a path term")
+    cases = [
+        (Xi("v", 5), not_a_term),
+        (Xi("v", Trans(al, 5)), Violation("bad-term", (0, 1), "not a path term: 5")),
+        (Xi("v", Refl(Object("x", "a"))), bad_object),
+        (Nu(5, "n"), not_a_term),
+        (Sym(Mu("m", Sym(5))), Violation("bad-term", (0, 0, 0), "not a path term: 5")),
+        (Mu(["m"], al), Violation("bad-term", (), f"not a path term: {Mu(['m'], al)!r}")),  # the former itself
+    ]
+    for t, violation in cases:
+        with pytest.raises(TypeError):
+            endpoints(t, ctx_lam)
+        assert validate(t, ctx_lam).violations == (violation,), t
+    assert validate(Refl(Object("x", "a")), ctx_lam).violations == (dataclasses.replace(bad_object, position=()),)
+    assert validate(Trans(al, 5), ctx_lam).violations == (Violation("bad-term", (1,), "not a path term: 5"),)
+    deep = 5
+    for _ in range(1200):
+        deep = Xi("v", deep)
+    with pytest.raises(TypeError):
+        endpoints(deep, ctx_lam)
+    assert validate(deep, ctx_lam).violations == (Violation("bad-term", (0,) * 1200, "not a path term: 5"),)
 
 
 def test_validate_flags_unknown_element(ctx_r):
