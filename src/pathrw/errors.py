@@ -70,6 +70,7 @@ class UnresolvedLambda(PathRwError):
     """A congruence former needs a lambda value the context does not supply."""
 
     def __init__(self, what: str, position: tuple[int, ...] = ()):
+        self.what = what
         self.position = position
         super().__init__(f"{what} at position {fmt_position(position)}")
 

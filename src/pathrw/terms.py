@@ -13,8 +13,8 @@ reports) are plain frozen dataclasses.
 The term classes are final: nothing subclasses them. So every traversal
 dispatches on exact type (``type(t) is Trans``), which costs a fraction of a
 class-pattern ``match`` case. No traversal recurses, each walks an explicit
-stack: ``endpoints`` takes leaves in path order and hands what it cannot
-chain to ``validate``'s post-order fold, and ``size`` and ``format_term``
+stack: ``endpoints`` takes leaves in path order and hands formers and errors
+to the post-order fold behind ``validate``, and ``size`` and ``format_term``
 walk pre-order; so terms of any depth work at the default recursion limit.
 Positions are walked by the zipper of ``move``: ``subterm_at``, ``replace_at``
 and the engine's replay of edits call it. One walk is apart: replay of a
@@ -358,26 +358,26 @@ def move(stack: list, focus: PathTerm, here: Position, pos: Position, k: int) ->
     return focus
 
 
-def _resolve_lambda(obj: Object, ctx: Context, pos: Position) -> LambdaTerm:
+def _resolve_lambda(obj: Object, ctx: Context) -> LambdaTerm:
     if obj.level != 0:
-        raise UnresolvedLambda("congruence former over a non-element object", pos)
+        raise UnresolvedLambda("congruence former over a non-element object")
     payload = obj.payload
     if isinstance(payload, str):
         value = ctx.lambda_elements.get(payload)
         if value is None:
-            raise UnresolvedLambda(f"element '{payload}' has no lambda value", pos)
+            raise UnresolvedLambda(f"element '{payload}' has no lambda value")
         return value
     return payload  # already a lambda term
 
 
-def applied_lambda(t: Xi | Mu | Nu, ctx: Context, pos: Position = ()) -> LambdaTerm | None:
+def applied_lambda(t: Xi | Mu | Nu, ctx: Context) -> LambdaTerm | None:
     """The lambda value a Mu or Nu applies to its endpoints (None for Xi)."""
     if type(t) is Xi:
         return None
     name = t.func if type(t) is Mu else t.arg
     value = ctx.lambda_elements.get(name)
     if value is None:
-        raise UnresolvedLambda(f"applied element '{name}' has no lambda value", pos)
+        raise UnresolvedLambda(f"applied element '{name}' has no lambda value")
     return value
 
 
@@ -392,7 +392,7 @@ def endpoints(t: PathTerm, ctx: Context) -> tuple[Object, Object]:
     polarity; each leaf's oriented source must be the last one's target, which
     checks every Trans, the one where two leaves adjacent in path order meet.
     A former, a non-term, an unknown name, a chain break or an error sends the
-    term to ``_fold``, which folds a former or raises at its first error.
+    term to ``_fold``, and this raises the first error the fold notes.
     """
     root, atoms, todo, pol, last = t, ctx.atoms, [], True, None
     try:
@@ -426,26 +426,47 @@ def endpoints(t: PathTerm, ctx: Context) -> tuple[Object, Object]:
             if not todo:
                 return first, last
             t, pol = todo.pop()
-    except Exception:  # an unknown atom's KeyError, or an error _fold raises again, or one before it in its order
+    except Exception:  # an unknown atom's KeyError, or an error the fold notes, or one before it in its order
         pass
-    return _fold(root, ctx, (), None)
+    ends, _, error = _fold(root, ctx, (), False)
+    if error:
+        raise error
+    return ends
 
 
-# What an ill-formed subterm folds to in ``validate``: it meets nothing but
-# itself, so its ancestors fail without reporting it twice.
+# What an ill-formed subterm folds to: it meets nothing but itself, so its
+# ancestors fail without noting it twice.
 _FAILED = object()
 _NO_ENDS = (_FAILED, _FAILED)
 
 
-def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> tuple:
+def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
     """The post-order fold behind ``validate``, and ``endpoints`` for formers and errors; on an explicit stack.
 
-    With ``violations`` None it raises at the first error, post-order, with
-    its position. Otherwise it notes each error and folds on, folds the terms
-    inside level-n objects and recorded steps too, and checks a former by a
-    raising fold of its own. A chain check tries ``is`` before ``==``.
+    It returns the ends, the violations ``validate`` reports and the first
+    error, which ``endpoints`` raises, each error noted once as both, at a
+    position below ``pos``. A former is folded once, inline; at its close its
+    violations give way to its first error, as an ``unresolved-lambda`` or
+    ``endpoint-error``, unless that is a ``TypeError``: then they stay, or
+    the former is a ``bad-term`` if there are none. Recorded steps and
+    level ≥ 1 objects are taken on trust, as ``endpoints`` takes them, but
+    when ``validating`` their terms are folded outside formers, and a step or
+    object whose terms fold clean is remembered by identity. A chain check
+    tries ``is`` before ``==``.
     """
-    frames: list = []  # per node above t: [node, child index, left child's ends or former's lambda]
+    violations: list[Violation] = []
+    clean: set[int] = set()  # ids of the steps and objects whose terms folded clean
+    frames: list = []  # per node above t: [node, child index, a Trans's left ends, a step's before ends or a former's]
+    # The call, then each former open above t: [its lambda, the violation count at its open, its first error].
+    opened = [[None, 0, False if validating else None]]  # validate reads no error outside formers
+
+    def note(kind: str, at: Position, message: str | None, error) -> tuple:
+        if message:
+            violations.append(Violation(kind, at, message))
+        if opened[-1][2] is None:  # the innermost former's first error, built only then
+            opened[-1][2] = error()
+        return _NO_ENDS
+
     while True:
         tp = type(t)
         if tp is Trans or tp is Sym:
@@ -456,90 +477,108 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, violations: list | None) -> 
             decl = ctx.atoms.get(t.name)
             if decl is not None:
                 ends = decl.ends
-            elif violations is None:
-                raise UnknownAtom(t.name, _here(pos, frames))
             else:
-                ends = _note(violations, "unknown-atom", _here(pos, frames), f"unknown atom '{t.name}'")
+                here = _here(pos, frames)
+                ends = note("unknown-atom", here, f"unknown atom '{t.name}'", lambda: UnknownAtom(t.name, here))
         elif tp is Refl and type(t.obj) is Object:
             obj = t.obj
             ends = obj, obj
             if obj.level == 0:
                 if isinstance(obj.payload, str) and obj.payload not in ctx.elements:
-                    if violations is None:
-                        raise UnknownElement(obj.payload, _here(pos, frames))
+                    here = _here(pos, frames)
                     message = f"unknown element '{obj.payload}'"
-                    ends = _note(violations, "unknown-element", _here(pos, frames), message)
-            elif violations is not None:
-                if isinstance(obj.payload, (Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom)):
-                    frames.append([t, 0, None])
-                    t = obj.payload
-                    continue
-                message = "object payload is not a path term"
-                ends = _note(violations, "bad-object", _here(pos, frames), message)
-            elif obj.level < 0:
-                raise BadObject(obj.level, _here(pos, frames))
+                    ends = note("unknown-element", here, message, lambda: UnknownElement(obj.payload, here))
+            else:
+                trusted = not validating or len(opened) > 1
+                if trusted:  # as endpoints takes it, which rejects only a level below 0, or no number
+                    try:
+                        error = obj.level < 0 and BadObject(obj.level, _here(pos, frames))
+                    except TypeError as exc:
+                        error = exc
+                    if error:  # the error endpoints raises; validate reports the object as if its terms were folded
+                        trusted, opened[-1][2] = False, opened[-1][2] or error
+                if not trusted and id(obj) not in clean:
+                    if isinstance(obj.payload, (Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom)):
+                        frames.append([t, 0, None])
+                        t = obj.payload
+                        continue
+                    ends = note("bad-object", _here(pos, frames), "object payload is not a path term", None)
         elif tp is StepAtom and all(hasattr(t.step, name) for name in ("level", "before", "after")):
-            step = t.step
-            if violations is not None:
+            if validating and len(opened) == 1 and id(t.step) not in clean:
                 frames.append([t, 0, None])
-                t = step.before
+                t = t.step.before
                 continue
-            ends = Object(step.level, step.before), Object(step.level, step.after)
+            ends = Object(t.step.level, t.step.before), Object(t.step.level, t.step.after)
         elif tp is Xi or tp is Mu or tp is Nu:
-            if violations is None:
-                try:
-                    f = applied_lambda(t, ctx)
-                except UnresolvedLambda:  # raise it again with its position, built only on error
-                    f = applied_lambda(t, ctx, _here(pos, frames))
-                frames.append([t, 0, f])
-                t = t.body
-                continue
+            kept = [None, len(violations), None]
             try:
-                ends = _fold(t, ctx, _here(pos, frames), None)
-            except UnresolvedLambda as exc:
-                ends = _note(violations, "unresolved-lambda", exc.position, str(exc))
-            except (UnknownAtom, UnknownElement, EndpointMismatch, BadObject, BadStep, NotAnObject) as exc:
-                ends = _note(violations, "endpoint-error", exc.position, str(exc))
-            except TypeError:  # a value of the wrong type inside: fold the body in report mode
-                frames.append([t, 0, len(violations)])
-                t = t.body
-                continue
-        elif violations is None:  # a non-term, a StepAtom around no step or a Refl around no object
-            raise _bad_leaf(t, _here(pos, frames))
-        else:
-            ends = _note(violations, "bad-term", _here(pos, frames), f"not a path term: {t!r}")
-        # Fold the finished subtree into its ancestors, up to the first one
-        # with a child still to walk.
+                kept[0] = applied_lambda(t, ctx)
+            except UnresolvedLambda as exc:  # located only on error
+                kept[2] = UnresolvedLambda(exc.what, _here(pos, frames))
+            except TypeError as exc:
+                kept[2] = exc
+            frames.append([t, 0, kept])
+            opened.append(kept)
+            t = t.body
+            continue
+        else:  # a non-term, a StepAtom around no step or a Refl around no object
+            here = _here(pos, frames)
+            ends = note("bad-term", here, f"not a path term: {t!r}", lambda: _bad_leaf(t, here))
+        # Fold the finished subtree into its ancestors, up to one with a child still to walk.
         while frames:
             frame = frames[-1]
             node = frame[0]
             tp = type(node)
             if tp is Sym:
                 ends = ends[1], ends[0]
-            elif tp is not Trans:
-                if tp is StepAtom and frame[1] == 0:
-                    frame[1], frame[2] = 1, ends
-                    t = node.step.after
-                    break
-                ends = _close(frames, pos, ends, ctx, violations)
-            elif frame[1] == 0:
+            elif frame[1] == 0 and (tp is Trans or tp is StepAtom):
                 frame[1], frame[2] = 1, ends
-                t = node.right
+                t = node.right if tp is Trans else node.step.after
                 break
-            else:
+            elif tp is Trans:
                 (lsrc, ltgt), (rsrc, rtgt) = frame[2], ends
                 if ltgt is rsrc or ltgt == rsrc:
                     ends = lsrc, rtgt
-                elif violations is None:
-                    raise EndpointMismatch(_here(pos, frames[:-1]), ltgt, rsrc)
                 elif ltgt is _FAILED or rsrc is _FAILED:
                     ends = _NO_ENDS
                 else:
-                    message = f"cannot chain: {format_object(ltgt)} != {format_object(rsrc)}"
-                    ends = _note(violations, "endpoint-mismatch", _here(pos, frames[:-1]), message)
+                    here = _here(pos, frames[:-1])
+                    try:  # only validate reads the message; inside a former an end taken on trust may not render
+                        message = validating and f"cannot chain: {format_object(ltgt)} != {format_object(rsrc)}"
+                    except TypeError:
+                        if len(opened) == 1:
+                            raise
+                        message = None
+                    ends = note("endpoint-mismatch", here, message, lambda: EndpointMismatch(here, ltgt, rsrc))
+            elif tp is Refl or tp is StepAtom:  # its terms are folded; a step's frame keeps its before's ends
+                inner = node.obj if tp is Refl else node.step
+                if ends[0] is _FAILED or tp is StepAtom and frame[2][0] is _FAILED:
+                    ends = _NO_ENDS
+                elif tp is StepAtom and frame[2] != ends:
+                    ends = note("step-endpoints", _here(pos, frames), "recorded step does not preserve endpoints", None)
+                elif level(inner.payload if tp is Refl else inner.before) != inner.level:
+                    what = "object level disagrees with its payload" if tp is Refl else "recorded step level disagrees with its terms"
+                    ends = note("level-mismatch", _here(pos, frames), what, None)
+                else:
+                    clean.add(id(inner))
+                    ends = (inner, inner) if tp is Refl else (Object(inner.level, inner.before), Object(inner.level, inner.after))
+            else:  # a former: its ends, or its first error
+                f, count, error = opened.pop()
+                if error is None:
+                    try:
+                        ends = former_endpoints(node, f, ends, ctx)
+                    except UnresolvedLambda as exc:  # located only on error
+                        error = UnresolvedLambda(exc.what, _here(pos, frames[:-1]))
+                if isinstance(error, TypeError):  # the body's violations stay; if it has none, the former is one
+                    message = len(violations) == count and f"not a path term: {node!r}"
+                    ends = note("bad-term", message and _here(pos, frames[:-1]), message, lambda: error)
+                elif error is not None:
+                    del violations[count:]
+                    kind = "unresolved-lambda" if isinstance(error, UnresolvedLambda) else "endpoint-error"
+                    ends = note(kind, error.position, str(error), lambda: error)
             frames.pop()
         else:
-            return ends
+            return ends, violations, opened[0][2]
 
 
 def _here(pos: Position, frames: list) -> Position:
@@ -547,59 +586,19 @@ def _here(pos: Position, frames: list) -> Position:
     return pos + tuple([f[1] for f in frames if type(f[0]) is not Refl and type(f[0]) is not StepAtom])
 
 
-def _note(violations: list, kind: str, pos: Position, message: str) -> tuple:
-    violations.append(Violation(kind, pos, message))
-    return _NO_ENDS
-
-
-def _close(frames: list, pos: Position, ends: tuple, ctx: Context, violations: list | None) -> tuple:
-    """The ends of the former, or the Refl or step whose terms were folded, atop ``frames``.
-
-    Its frame keeps a former's applied lambda or, in report mode (after a TypeError),
-    the violation count before its body; a step's frame keeps the ends of its ``before``.
-    """
-    node, _, kept = frames[-1]
-    tp = type(node)
-    if tp is not Refl and tp is not StepAtom:
-        if violations is not None:  # the former reports itself if its body reported nothing
-            if len(violations) == kept:
-                _note(violations, "bad-term", _here(pos, frames[:-1]), f"not a path term: {node!r}")
-            return _NO_ENDS
-        try:
-            return former_endpoints(node, kept, ends, ctx)
-        except UnresolvedLambda:  # raise it again with its position, built only on error
-            return former_endpoints(node, kept, ends, ctx, _here(pos, frames[:-1]))
-    if ends[0] is _FAILED or tp is StepAtom and kept[0] is _FAILED:
-        return _NO_ENDS
-    if tp is Refl:
-        if level(node.obj.payload) != node.obj.level:
-            message = "object level disagrees with its payload"
-            return _note(violations, "level-mismatch", _here(pos, frames[:-1]), message)
-        return node.obj, node.obj
-    step = node.step
-    if kept != ends:
-        message = "recorded step does not preserve endpoints"
-        return _note(violations, "step-endpoints", _here(pos, frames[:-1]), message)
-    if level(step.before) != step.level:
-        message = "recorded step level disagrees with its terms"
-        return _note(violations, "level-mismatch", _here(pos, frames[:-1]), message)
-    return Object(step.level, step.before), Object(step.level, step.after)
-
-
 def former_endpoints(
     t: Xi | Mu | Nu,
     f: LambdaTerm | None,
     body_ends: tuple[Object, Object],
     ctx: Context,
-    pos: Position = (),
 ) -> tuple[Object, Object]:
     """A congruence former's endpoints, built from its body's without walking the body.
 
     ``f`` is the lambda value a Mu or Nu applies (None for Xi).
     """
     tp = type(t)
-    m = _resolve_lambda(body_ends[0], ctx, pos)
-    m2 = _resolve_lambda(body_ends[1], ctx, pos)
+    m = _resolve_lambda(body_ends[0], ctx)
+    m2 = _resolve_lambda(body_ends[1], ctx)
     if tp is Xi:
         return Object(0, Abs(t.var, m)), Object(0, Abs(t.var, m2))
     if tp is Mu:
@@ -626,13 +625,11 @@ class WellFormednessReport:
 def validate(t: PathTerm, ctx: Context) -> WellFormednessReport:
     """Collect every well-formedness violation with its tree position.
 
-    It accepts only terms that ``endpoints`` accepts, but not all of them: it
-    also folds the terms inside recorded steps and object payloads, which
-    ``endpoints`` takes on trust, and rejects what it finds wrong there.
+    It accepts only terms that ``endpoints`` accepts, but not all of them:
+    outside formers it also folds the terms inside recorded steps and object
+    payloads, which ``endpoints`` takes on trust, and rejects what is wrong there.
     """
-    violations: list[Violation] = []
-    _fold(t, ctx, (), violations)
-    return WellFormednessReport(tuple(violations))
+    return WellFormednessReport(tuple(_fold(t, ctx, (), True)[1]))
 
 
 def path_obj(t: PathTerm) -> Object:

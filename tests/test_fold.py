@@ -14,6 +14,7 @@ on every call.
 
 from __future__ import annotations
 
+import random
 import re
 import sys
 
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 
 import pathrw.oracle
 import pathrw.terms
+from pathrw import groupoid
 from pathrw.engine import RewriteStep, contract_once, mu_measure
 from pathrw.errors import (
     EndpointMismatch, PathRwError, UnknownAtom, UnknownElement, UnresolvedLambda, fmt_position,
@@ -315,16 +317,71 @@ def test_format_lambda_agrees_with_its_reference():
         assert outcome(format_lambda, lam) == outcome(ref_format_lambda, lam), lam
 
 
+def tower_terms(levels, seeds):
+    """The ``groupoid`` sampler's composable triples: terms whose steps and objects hold the lower terms by reference."""
+    return [t for lv in levels for seed in seeds for t in groupoid._composable_triple(TRIANGLE, lv, random.Random(seed))[:3]]
+
+
 def test_validate_ok_iff_endpoints_on_formers_and_lifted_terms():
     cases = [(t, LAM) for t in _lam_terms() + _ill_formed_formers()]
     cases += [(t, TRIANGLE) for t in _lifted_terms()]
     cases += [(Xi("v", t), LAM) for t in raw_trees([Atom("al"), Atom("be"), Refl(Object(0, "n")), Refl(Object(0, "q"))], 5)]
+    cases += [(t, TRIANGLE) for t in tower_terms(range(2, 13), range(3))]
     verdicts = {True: 0, False: 0}
     for t, ctx in cases:
         ok = validate(t, ctx).ok
         assert ok == (outcome(endpoints, t, ctx)[0] == "ok"), t
         verdicts[ok] += 1
     assert min(verdicts.values()) > 100
+
+
+# --- counted work: each former, shared step and shared object folded once --------------
+
+
+def test_validate_asks_each_former_for_its_lambda_once(monkeypatch):
+    """``xi(v, …xi(v, 5)…)``, n deep: n calls of ``applied_lambda``, where a fold per former made n(n + 1) / 2."""
+    calls = []
+    real = pathrw.terms.applied_lambda
+    monkeypatch.setattr(pathrw.terms, "applied_lambda", lambda t, ctx: calls.append(t) or real(t, ctx))
+    for n in (100, 200):
+        t = 5
+        for _ in range(n):
+            t = Xi("v", t)
+        calls.clear()
+        assert validate(t, LAM).violations == (Violation("bad-term", (0,) * n, "not a path term: 5"),)
+        assert len(calls) <= n
+
+
+def shared_steps_and_objects(t):
+    """How many recorded steps and level ≥ 1 objects ``t`` holds, inside its steps and objects too, counted by identity."""
+    seen, todo = {}, [t]
+    while todo:
+        t = todo.pop()
+        tp = type(t)
+        if tp is Trans:
+            todo += (t.left, t.right)
+        elif tp is Sym or tp is Xi or tp is Mu or tp is Nu:
+            todo.append(t.body)
+        elif tp is StepAtom and id(t.step) not in seen:
+            seen[id(t.step)] = t.step
+            todo += (t.step.before, t.step.after)
+        elif tp is Refl and t.obj.level >= 1 and id(t.obj) not in seen:
+            seen[id(t.obj)] = t.obj
+            todo.append(t.obj.payload)
+    return len(seen)
+
+
+def test_validate_checks_each_shared_step_and_object_once(monkeypatch):
+    """Tower terms share their steps and objects: ``validate`` reads the level of each distinct one once, not once per path to it."""
+    terms = [groupoid._composable_triple(TRIANGLE, lv, random.Random(3))[0] for lv in (6, 8)]
+    calls = []
+    real = pathrw.terms.level
+    monkeypatch.setattr(pathrw.terms, "level", lambda t: calls.append(t) or real(t))
+    for t in terms:
+        calls.clear()
+        assert validate(t, TRIANGLE).ok
+        assert len(calls) <= shared_steps_and_objects(t), len(calls)
+    assert shared_steps_and_objects(terms[0]) > 20
 
 
 # --- endpoints' path-order walk against the fold it hands errors to -----------------
@@ -339,7 +396,10 @@ def raised(f, *args):
 
 
 def fold(t, ctx):
-    return pathrw.terms._fold(t, ctx, (), None)
+    ends, _, error = pathrw.terms._fold(t, ctx, (), False)
+    if error:
+        raise error
+    return ends
 
 
 def check_against_fold(terms, ctx):

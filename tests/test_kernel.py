@@ -408,11 +408,14 @@ def test_kernel_rejects_non_terms_alike(bad):
 
 
 def test_fold_keeps_the_caller_position_prefix():
-    """A raising fold, as ``validate`` runs one per former, places its errors below the caller's position."""
+    """The fold places the first error it notes, the one ``endpoints`` raises, below the caller's position."""
     bad = Trans(Atom("r"), Trans(Atom("r"), Atom("r")))
 
     def fold(t, ctx, pos):
-        return _fold(t, ctx, pos, None)
+        ends, _, error = _fold(t, ctx, pos, False)
+        if error:
+            raise error
+        return ends
 
     assert_same(fold, ref_endpoints, bad, TRIANGLE, (1, 0))
     assert outcome(fold, bad, TRIANGLE, (1, 0))[3] == (1, 0, 1)

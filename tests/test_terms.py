@@ -234,6 +234,19 @@ def test_validate_reports_wrong_types_inside_a_former(ctx_lam):
     assert validate(deep, ctx_lam).violations == (Violation("bad-term", (0,) * 1200, "not a path term: 5"),)
 
 
+def test_the_two_wrong_type_outcomes_are_declared(ctx_lam):
+    """An object whose level is no integer, and a former over a non-term: ``endpoints`` raises ``TypeError``, ``validate`` reports one violation."""
+    cases = [
+        (Refl(Object("x", "a")), "'<' not supported between instances of 'str' and 'int'", ("bad-object", (), "object payload is not a path term")),
+        (Xi("v", 5), "not a path term: 5", ("bad-term", (0,), "not a path term: 5")),
+    ]
+    for t, text, violation in cases:
+        with pytest.raises(TypeError) as caught:
+            endpoints(t, ctx_lam)
+        assert type(caught.value) is TypeError and str(caught.value) == text
+        assert [(v.kind, v.position, v.message) for v in validate(t, ctx_lam).violations] == [violation]
+
+
 def test_validate_flags_unknown_element(ctx_r):
     report = validate(Refl(el("zz")), ctx_r)
     assert not report.ok
