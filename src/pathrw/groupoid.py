@@ -8,24 +8,27 @@ levels past the first), runs all five checks, and replays every witness.
 
 The sampler climbs the tower in a loop and threads endpoints, which
 contracting and wrapping keep, instead of reading them; a random step
-contracts the redex the one redex walk found. The public checks build the
-law instances with the suite's helpers once their inputs check out.
+contracts the redex the one redex walk found, and a lifted path is built from
+its step atoms as they are drawn. The public checks build the law instances
+with the suite's helpers once their inputs check out.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 from .errors import EndpointMismatch, LevelMismatch, PathRwError
-from .engine import Derivation, RewriteStep, _legal, derivation_to_path
-from .rules import FORWARD, PAPER7, REVERSE, redexes, step_name
+from .engine import Derivation, RewriteStep, _legal
+from .rules import FORWARD, PAPER7, redexes, step_name
 from .terms import (
     Atom,
     Context,
     Object,
     PathTerm,
     Refl,
+    StepAtom,
     Sym,
     Trans,
     endpoints,
@@ -179,25 +182,13 @@ def _lift_from(
 ) -> tuple[PathTerm, PathTerm]:
     """A one-level-up path starting at ``u``, which runs from ``src`` to ``tgt``.
 
-    Walks forward to a reduct of ``u``, then backwards into a redundancy
-    wrapping of it, so lifted paths mix forward and reverse steps while
-    staying small at every tower level. Returns (lifted path, its target).
+    Walks forward by up to three random contractions, then backwards into a
+    redundancy wrapping of the reduct, so lifted paths mix forward and reverse
+    steps while staying small at every tower level. Each step is composed as it
+    is drawn, as ``derivation_to_path`` lifts steps. Returns (lifted path, its target).
     """
     lv = level(u)
-    forward = _random_step_derivation(u, lv, ctx, rng)
-    v, layers = _wrap(forward.end, src, tgt, rng)
-    backward = tuple(  # each wrapper's unwrapping at the root, read backwards
-        RewriteStep(step_name(rule, lv), (), REVERSE, inner, outer, lv)
-        for rule, inner, outer in layers
-    )
-    d = Derivation(u, forward.steps + backward, lv)
-    lifted = _wrap(derivation_to_path(d), Object(lv, u), Object(lv, v), rng)[0]
-    return lifted, v
-
-
-def _random_step_derivation(u: PathTerm, lv: int, ctx: Context, rng: random.Random) -> Derivation:
-    """A recorded chain of up to three forward contractions from ``u``, each at a redex one walk found."""
-    steps = []
+    pieces = []
     cur = u
     for _ in range(rng.randint(0, 3)):
         found = redexes(PAPER7, cur)
@@ -205,9 +196,13 @@ def _random_step_derivation(u: PathTerm, lv: int, ctx: Context, rng: random.Rand
             break
         schema, binding, pos = rng.choice(found)
         after = replace_at(cur, pos, schema.build(binding, ctx))
-        steps.append(RewriteStep(step_name(schema.name, lv), pos, FORWARD, cur, after, lv))
+        pieces.append(StepAtom(RewriteStep(step_name(schema.name, lv), pos, FORWARD, cur, after, lv)))
         cur = after
-    return Derivation(u, tuple(steps), lv)
+    v, layers = _wrap(cur, src, tgt, rng)
+    for rule, inner, outer in layers:  # innermost first: each unwraps at the root, taken backwards
+        pieces.append(Sym(StepAtom(RewriteStep(step_name(rule, lv), (), FORWARD, outer, inner, lv))))
+    path = functools.reduce(Trans, pieces) if pieces else Refl(Object(lv, u))
+    return _wrap(path, Object(lv, u), Object(lv, v), rng)[0], v
 
 
 _WRAP_RULES = ("ss", "tlr", "trr")

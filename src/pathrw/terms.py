@@ -452,7 +452,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
     level ≥ 1 objects are taken on trust, as ``endpoints`` takes them, but
     when ``validating`` their terms are folded outside formers, and a step or
     object whose terms fold clean is remembered by identity. A chain check
-    tries ``is`` before ``==``.
+    tries ``is`` before ``==``, and its message shows each end it can.
     """
     violations: list[Violation] = []
     clean: set[int] = set()  # ids of the steps and objects whose terms folded clean
@@ -474,12 +474,13 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
             t = t.left if tp is Trans else t.body
             continue
         if tp is Atom:
-            decl = ctx.atoms.get(t.name)
-            if decl is not None:
-                ends = decl.ends
-            else:
+            try:
+                ends = ctx.atoms[t.name].ends
+            except KeyError:
                 here = _here(pos, frames)
                 ends = note("unknown-atom", here, f"unknown atom '{t.name}'", lambda: UnknownAtom(t.name, here))
+            except TypeError as exc:  # a name that cannot be hashed: a wrong type, which endpoints raises
+                ends = note("bad-term", _here(pos, frames), f"not a path term: {t!r}", lambda: exc)
         elif tp is Refl and type(t.obj) is Object:
             obj = t.obj
             ends = obj, obj
@@ -543,12 +544,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
                     ends = _NO_ENDS
                 else:
                     here = _here(pos, frames[:-1])
-                    try:  # only validate reads the message; inside a former an end taken on trust may not render
-                        message = validating and f"cannot chain: {format_object(ltgt)} != {format_object(rsrc)}"
-                    except TypeError:
-                        if len(opened) == 1:
-                            raise
-                        message = None
+                    message = validating and f"cannot chain: {_shown(ltgt)} != {_shown(rsrc)}"  # only validate reads it
                     ends = note("endpoint-mismatch", here, message, lambda: EndpointMismatch(here, ltgt, rsrc))
             elif tp is Refl or tp is StepAtom:  # its terms are folded; a step's frame keeps its before's ends
                 inner = node.obj if tp is Refl else node.step
@@ -584,6 +580,14 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
 def _here(pos: Position, frames: list) -> Position:
     """The position below ``frames``; the terms inside an object or a recorded step sit at its own."""
     return pos + tuple([f[1] for f in frames if type(f[0]) is not Refl and type(f[0]) is not StepAtom])
+
+
+def _shown(obj: Object) -> str:
+    """``format_object``, or the payload's ``repr`` where that cannot render it."""
+    try:
+        return format_object(obj)
+    except (TypeError, PathRwError):
+        return repr(obj.payload)
 
 
 def former_endpoints(

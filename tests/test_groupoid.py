@@ -470,6 +470,25 @@ def test_sampler_reads_endpoints_only_in_tr_and_tsr_templates(monkeypatch):
     assert seen_contracted and atoms_read  # some random step contracted a tr or tsr redex; some r was an atom
 
 
+def test_lifting_builds_no_derivation_and_flips_no_step(monkeypatch):
+    """Counted work of the sampler: each lifted path is composed from its draws.
+
+    No recorded step is flipped, and the only derivations built are the five
+    law witnesses per sample.
+    """
+    flips, built = [], []
+    flipped, post_init = engine.RewriteStep.flipped, engine.Derivation.__post_init__
+    monkeypatch.setattr(engine.RewriteStep, "flipped", lambda self: flips.append(self) or flipped(self))
+    monkeypatch.setattr(engine.Derivation, "__post_init__", lambda self: built.append(self) or post_init(self))
+    for lv in range(2, 7):
+        flips.clear()
+        built.clear()
+        report = run_laws(TRIANGLE, lv, 20, lv)
+        assert not report.failures
+        assert (len(flips), len(built)) == (0, 5 * 20), lv
+        assert all(b is r.witness for b, r in zip(built, report.reports))
+
+
 def test_check_assoc_walks_each_input_once(ctx_rs, monkeypatch):
     """Three ``endpoints`` calls, and the nested ``compose``'s error at either break."""
     seen = []

@@ -247,6 +247,33 @@ def test_the_two_wrong_type_outcomes_are_declared(ctx_lam):
         assert [(v.kind, v.position, v.message) for v in validate(t, ctx_lam).violations] == [violation]
 
 
+def test_an_atom_whose_name_cannot_be_hashed_is_a_declared_wrong_type(ctx_lam):
+    """``Atom([])``: ``endpoints`` raises the lookup's ``TypeError``, ``validate`` reports one ``bad-term`` at the atom."""
+    for t, position in ((Atom([]), ()), (Trans(Atom("al"), Sym(Atom([]))), (1, 0))):
+        with pytest.raises(TypeError) as caught:
+            endpoints(t, ctx_lam)
+        assert type(caught.value) is TypeError and str(caught.value) == "unhashable type: 'list'"
+        assert validate(t, ctx_lam).violations == (Violation("bad-term", position, "not a path term: Atom(name=[])"),)
+
+
+def test_validate_reports_a_chain_break_at_an_end_it_cannot_format(ctx_r):
+    """A level-0 payload that is no name or lambda term is shown by ``repr``; ``endpoints`` raises the same break."""
+    r = Atom("r")
+    for payload in (5, []):
+        t = Trans(Refl(Object(0, payload)), r)
+        with pytest.raises(EndpointMismatch) as caught:
+            endpoints(t, ctx_r)
+        assert caught.value.position == ()
+        message = f"cannot chain: {payload!r} != a"
+        assert validate(t, ctx_r).violations == (Violation("endpoint-mismatch", (), message),)
+    inside = Xi("v", Trans(Refl(Object(1, StepAtom(5))), r))  # an end taken on trust inside a former, no step inside
+    with pytest.raises(EndpointMismatch) as caught:
+        endpoints(inside, ctx_r)
+    assert [(v.kind, v.position, v.message) for v in validate(inside, ctx_r).violations] == [
+        ("endpoint-error", (0,), str(caught.value))
+    ]
+
+
 def test_validate_flags_unknown_element(ctx_r):
     report = validate(Refl(el("zz")), ctx_r)
     assert not report.ok
