@@ -16,7 +16,7 @@ from .engine import Derivation, Equal, decide_rw_equal, normalize
 from .errors import PathRwError, fmt_position
 from .groupoid import LAWS, run_laws
 from .oracle import check_confluence, word
-from .rules import RULE_SETS, explain_rule, rule_set
+from .rules import FORWARD, RULE_SETS, STRATEGIES, explain_rule, rule_set
 from .script import Script, parse_script
 from .serialize import derivation_to_doc, doc_to_json
 from .terms import format_object, format_term, level
@@ -49,11 +49,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--rules", default="paper7", choices=tuple(RULE_SETS))
     p.add_argument("--level", type=int, default=None, help="assert the path's level")
-    p.add_argument(
-        "--strategy",
-        default="leftmost-innermost",
-        choices=("leftmost-innermost", "leftmost-outermost"),
-    )
+    p.add_argument("--strategy", default=STRATEGIES[0], choices=STRATEGIES)
     p.add_argument("--json", action="store_true", help="emit a derivation document")
     p.set_defaults(handler=_cmd_normalize)
 
@@ -103,7 +99,7 @@ def _named_path(script: Script, name: str):
 
 def _print_trace(d: Derivation) -> None:
     for i, step in enumerate(d.steps, start=1):
-        arrow = "=>" if step.direction == "forward" else "<="
+        arrow = "=>" if step.direction == FORWARD else "<="
         print(
             f"  {i}. {step.rule:>5} @ {fmt_position(step.position):<8} {arrow} "
             f"{format_term(step.after)}"

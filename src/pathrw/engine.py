@@ -49,7 +49,7 @@ from .terms import (
     subterm_at,
     value,
 )
-from .rules import FORWARD, GROUPOID_COMPLETE, REVERSE, RuleSchema, RuleSet, contractions, step_name
+from .rules import FORWARD, GROUPOID_COMPLETE, REVERSE, STRATEGIES, RuleSchema, RuleSet, contractions, step_name
 from .oracle import word
 
 # One step of a derivation as the engine records it:
@@ -174,7 +174,7 @@ def contract_once(
 
 
 def normalize(
-    t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = "leftmost-innermost"
+    t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = STRATEGIES[0]
 ) -> tuple[PathTerm, Derivation]:
     """Contract the first redex under ``strategy`` until none remains.
 
@@ -359,8 +359,8 @@ def decide_rw_equal(s: PathTerm, t: PathTerm, rs: RuleSet, ctx: Context) -> Equa
         return Equal(Derivation(s, (), level(s)))
     if ws != wt:
         return NotEqual("reduced words differ")
-    ds = _record(s, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)  # both sides checked by their words
-    dt = _record(t, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)
+    ds = _record(s, GROUPOID_COMPLETE, ctx, STRATEGIES[0], rs)  # both sides checked by their words
+    dt = _record(t, GROUPOID_COMPLETE, ctx, STRATEGIES[0], rs)
     if ds.end != dt.end:
         # Terms with one reduced word share a canonical form; anything else is
         # a fault in the groupoid-complete rules, not in the input.
@@ -380,7 +380,7 @@ def canonical_derivation(t: PathTerm, rs: RuleSet, ctx: Context) -> Derivation:
     it once, on entry.
     """
     endpoints(t, ctx)
-    return _record(t, GROUPOID_COMPLETE, ctx, "leftmost-innermost", rs)
+    return _record(t, GROUPOID_COMPLETE, ctx, STRATEGIES[0], rs)
 
 
 def _record(

@@ -95,6 +95,8 @@ Binding: TypeAlias = "dict[str, object]"
 
 FORWARD = "forward"
 REVERSE = "reverse"
+# The walker's orders; the first is the default everywhere.
+STRATEGIES = ("leftmost-innermost", "leftmost-outermost")
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,18 +394,18 @@ def match_redexes(rs: RuleSet, t: PathTerm) -> list[tuple[str, Position]]:
     return [(step_name(schema.name, lv), pos) for schema, _, pos in redexes(rs, t)]
 
 
-def contractions(t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = "leftmost-innermost") -> tuple[PathTerm, list]:
+def contractions(t: PathTerm, rs: RuleSet, ctx: Context, strategy: str = STRATEGIES[0]) -> tuple[PathTerm, list]:
     """Contract redexes of ``t`` in ``strategy`` order until none remains.
 
     Returns the normal form and, in order, (schema, position, redex,
     contractum) per contraction, the schema one of ``rs.schemas`` at every
     level of ``t``. Whether a node is a redex depends only on its subtree, so
     a node the walk has shown normal stays normal until a contraction inside
-    its subtree. A strategy other than the two is a ``PathRwError``.
+    its subtree. A strategy not in ``STRATEGIES`` is a ``PathRwError``.
     """
-    if strategy == "leftmost-innermost":
+    if strategy == STRATEGIES[0]:
         return _innermost(t, None, rs, ctx)
-    if strategy == "leftmost-outermost":
+    if strategy == STRATEGIES[1]:
         return _outermost(t, rs, ctx)
     raise PathRwError(f"unknown strategy '{strategy}'")
 

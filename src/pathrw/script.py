@@ -33,7 +33,7 @@ from .errors import (
 )
 from .lam import Abs, App, LambdaTerm, Var, validate_axiom_atom
 from .terms import (
-    Atom, AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, Sym, Trans, Xi,
+    AXIOM_TAGS, Atom, AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, Sym, Trans, Xi,
     applied_lambda, endpoints, former_endpoints, path_obj,
 )
 
@@ -202,7 +202,7 @@ class _Parser:
         tag = "declared"
         if toks[6]:
             tag = self._name(toks, 6, "axiom tag")
-            if tag not in ("beta", "eta", "alpha"):
+            if tag not in AXIOM_TAGS[1:]:  # "declared" is the default, never written
                 raise DslSyntaxError(f"unknown axiom tag '{tag}'", *self._at(6))
             self._end(toks, 7)
         elements = self.context.elements

@@ -428,7 +428,7 @@ def endpoints(t: PathTerm, ctx: Context) -> tuple[Object, Object]:
             t, pol = todo.pop()
     except Exception:  # an unknown atom's KeyError, or an error the fold notes, or one before it in its order
         pass
-    ends, _, error = _fold(root, ctx, (), False)
+    ends, _, error = _fold(root, ctx, False)
     if error:
         raise error
     return ends
@@ -440,12 +440,12 @@ _FAILED = object()
 _NO_ENDS = (_FAILED, _FAILED)
 
 
-def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
+def _fold(t: PathTerm, ctx: Context, validating: bool) -> tuple:
     """The post-order fold behind ``validate``, and ``endpoints`` for formers and errors; on an explicit stack.
 
     It returns the ends, the violations ``validate`` reports and the first
-    error, which ``endpoints`` raises, each error noted once as both, at a
-    position below ``pos``. A former is folded once, inline; at its close its
+    error, which ``endpoints`` raises, each error noted once as both, at its
+    position in ``t``. A former is folded once, inline; at its close its
     violations give way to its first error, as an ``unresolved-lambda`` or
     ``endpoint-error``, unless that is a ``TypeError``: then they stay, or
     the former is a ``bad-term`` if there are none. Recorded steps and
@@ -477,23 +477,23 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
             try:
                 ends = ctx.atoms[t.name].ends
             except KeyError:
-                here = _here(pos, frames)
+                here = _here(frames)
                 ends = note("unknown-atom", here, f"unknown atom '{t.name}'", lambda: UnknownAtom(t.name, here))
             except TypeError as exc:  # a name that cannot be hashed: a wrong type, which endpoints raises
-                ends = note("bad-term", _here(pos, frames), f"not a path term: {t!r}", lambda: exc)
+                ends = note("bad-term", _here(frames), f"not a path term: {t!r}", lambda: exc)
         elif tp is Refl and type(t.obj) is Object:
             obj = t.obj
             ends = obj, obj
             if obj.level == 0:
                 if isinstance(obj.payload, str) and obj.payload not in ctx.elements:
-                    here = _here(pos, frames)
+                    here = _here(frames)
                     message = f"unknown element '{obj.payload}'"
                     ends = note("unknown-element", here, message, lambda: UnknownElement(obj.payload, here))
             else:
                 trusted = not validating or len(opened) > 1
                 if trusted:  # as endpoints takes it, which rejects only a level below 0, or no number
                     try:
-                        error = obj.level < 0 and BadObject(obj.level, _here(pos, frames))
+                        error = obj.level < 0 and BadObject(obj.level, _here(frames))
                     except TypeError as exc:
                         error = exc
                     if error:  # the error endpoints raises; validate reports the object as if its terms were folded
@@ -503,7 +503,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
                         frames.append([t, 0, None])
                         t = obj.payload
                         continue
-                    ends = note("bad-object", _here(pos, frames), "object payload is not a path term", None)
+                    ends = note("bad-object", _here(frames), "object payload is not a path term", None)
         elif tp is StepAtom and all(hasattr(t.step, name) for name in ("level", "before", "after")):
             if validating and len(opened) == 1 and id(t.step) not in clean:
                 frames.append([t, 0, None])
@@ -515,7 +515,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
             try:
                 kept[0] = applied_lambda(t, ctx)
             except UnresolvedLambda as exc:  # located only on error
-                kept[2] = UnresolvedLambda(exc.what, _here(pos, frames))
+                kept[2] = UnresolvedLambda(exc.what, _here(frames))
             except TypeError as exc:
                 kept[2] = exc
             frames.append([t, 0, kept])
@@ -523,7 +523,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
             t = t.body
             continue
         else:  # a non-term, a StepAtom around no step or a Refl around no object
-            here = _here(pos, frames)
+            here = _here(frames)
             ends = note("bad-term", here, f"not a path term: {t!r}", lambda: _bad_leaf(t, here))
         # Fold the finished subtree into its ancestors, up to one with a child still to walk.
         while frames:
@@ -543,7 +543,7 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
                 elif ltgt is _FAILED or rsrc is _FAILED:
                     ends = _NO_ENDS
                 else:
-                    here = _here(pos, frames[:-1])
+                    here = _here(frames[:-1])
                     message = validating and f"cannot chain: {_shown(ltgt)} != {_shown(rsrc)}"  # only validate reads it
                     ends = note("endpoint-mismatch", here, message, lambda: EndpointMismatch(here, ltgt, rsrc))
             elif tp is Refl or tp is StepAtom:  # its terms are folded; a step's frame keeps its before's ends
@@ -551,10 +551,10 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
                 if ends[0] is _FAILED or tp is StepAtom and frame[2][0] is _FAILED:
                     ends = _NO_ENDS
                 elif tp is StepAtom and frame[2] != ends:
-                    ends = note("step-endpoints", _here(pos, frames), "recorded step does not preserve endpoints", None)
+                    ends = note("step-endpoints", _here(frames), "recorded step does not preserve endpoints", None)
                 elif level(inner.payload if tp is Refl else inner.before) != inner.level:
                     what = "object level disagrees with its payload" if tp is Refl else "recorded step level disagrees with its terms"
-                    ends = note("level-mismatch", _here(pos, frames), what, None)
+                    ends = note("level-mismatch", _here(frames), what, None)
                 else:
                     clean.add(id(inner))
                     ends = (inner, inner) if tp is Refl else (Object(inner.level, inner.before), Object(inner.level, inner.after))
@@ -564,10 +564,10 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
                     try:
                         ends = former_endpoints(node, f, ends, ctx)
                     except UnresolvedLambda as exc:  # located only on error
-                        error = UnresolvedLambda(exc.what, _here(pos, frames[:-1]))
+                        error = UnresolvedLambda(exc.what, _here(frames[:-1]))
                 if isinstance(error, TypeError):  # the body's violations stay; if it has none, the former is one
                     message = len(violations) == count and f"not a path term: {node!r}"
-                    ends = note("bad-term", message and _here(pos, frames[:-1]), message, lambda: error)
+                    ends = note("bad-term", message and _here(frames[:-1]), message, lambda: error)
                 elif error is not None:
                     del violations[count:]
                     kind = "unresolved-lambda" if isinstance(error, UnresolvedLambda) else "endpoint-error"
@@ -577,9 +577,9 @@ def _fold(t: PathTerm, ctx: Context, pos: Position, validating: bool) -> tuple:
             return ends, violations, opened[0][2]
 
 
-def _here(pos: Position, frames: list) -> Position:
+def _here(frames: list) -> Position:
     """The position below ``frames``; the terms inside an object or a recorded step sit at its own."""
-    return pos + tuple([f[1] for f in frames if type(f[0]) is not Refl and type(f[0]) is not StepAtom])
+    return tuple([f[1] for f in frames if type(f[0]) is not Refl and type(f[0]) is not StepAtom])
 
 
 def _shown(obj: Object) -> str:
@@ -633,7 +633,7 @@ def validate(t: PathTerm, ctx: Context) -> WellFormednessReport:
     outside formers it also folds the terms inside recorded steps and object
     payloads, which ``endpoints`` takes on trust, and rejects what is wrong there.
     """
-    return WellFormednessReport(tuple(_fold(t, ctx, (), True)[1]))
+    return WellFormednessReport(tuple(_fold(t, ctx, True)[1]))
 
 
 def path_obj(t: PathTerm) -> Object:

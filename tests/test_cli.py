@@ -32,6 +32,8 @@ step s : a = c
 path p := tau(r, tau(sigma(r), s))
 path q := s
 path w := sigma(rho(a))
+path u := sigma(tau(sigma(s), r))
+path v := tau(sigma(r), s)
 path nf := r
 """
 
@@ -70,6 +72,16 @@ def test_parse_error_is_input_error(tmp_path, capsys):
     bad.write_text("path p := tau(", encoding="utf-8")
     assert main(["normalize", str(bad), "p"]) == 2
     assert capsys.readouterr().err.startswith("error: 1:")
+    stray = "type A\nelem a b : A\nstep r : a = b\npath p := tau(r, @r)\n"
+    located = "type A\nelem a b c : A\nstep r : a = b\nstep s : b = c\npath p := "
+    for text, expected in (
+        (stray, "error: 4:18: unexpected character '@'\n"),
+        (located + "τ(r σ(s))\n", "error: 5:15: expected ',', got 'sigma'\n"),
+        (located + "τ(r, @σ(s))\n", "error: 5:16: unexpected character '@'\n"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        assert main(["normalize", str(bad), "p"]) == 2
+        assert capsys.readouterr() == ("", expected)
 
 
 def test_equal_exit_codes(script_file, capsys):
@@ -91,6 +103,14 @@ def test_equal_emits_replayable_document(script_file, capsys):
     assert doc["start"] == "tau(r, tau(sigma(r), s))"
     assert doc["end"] == "s"
     assert replay_document(doc)
+    # Derived-rule witnesses expanded into the seven rules: trc for p and q, st for u and v.
+    expected = {("p", "q"): "tt tr tlr", ("u", "v"): "tlr tsr tt tlr tsr tt tt tr trr ss"}
+    for (p, q), rules in expected.items():
+        assert main(["equal", script_file, p, q, "--rules", "paper7", "--json"]) == 0
+        doc = doc_from_json(capsys.readouterr().out)
+        assert " ".join(step["rule"] for step in doc["steps"]) == rules
+        assert {step["rule"] for step in doc["steps"]} <= {schema.name for schema in PAPER7.schemas}
+        assert replay_document(doc)
 
 
 def test_normalize_document_round_trips(script_file, capsys):
@@ -141,6 +161,13 @@ def test_document_tampering_detected(script_file, capsys):
     main(["equal", script_file, "p", "q", "--json"])
     doc = doc_from_json(capsys.readouterr().out)
     doc["steps"][0]["position"] = [0, 0]
+    assert not replay_document(doc)
+    # A hand-edited witness: its last step, ss at [1], given another child off its position.
+    main(["equal", script_file, "u", "v", "--json"])
+    doc = doc_from_json(capsys.readouterr().out)
+    last = doc["steps"][-1]
+    assert (last["rule"], last["position"]) == ("ss", [1]) and replay_document(doc)
+    last["after"] = doc["end"] = "tau(sigma(sigma(sigma(r))), s)"
     assert not replay_document(doc)
 
 
@@ -332,14 +359,26 @@ def test_rule_set_choices_keep_their_help_and_error_text(command, capsys, monkey
     assert exc.value.code == 2 and capsys.readouterr() == ("", usage + error)
 
 
+def test_strategy_choices_keep_their_error_text(capsys, monkeypatch):
+    """The ``--strategy`` choices and default come from ``rules.STRATEGIES``; ``normalize --help`` is pinned above."""
+    argv, usage, _ = RULES_HELP["normalize"]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--strategy", "nope"])
+    error = "pathrw normalize: error: argument --strategy: invalid choice: 'nope' "
+    error += "(choose from 'leftmost-innermost', 'leftmost-outermost')\n"
+    assert exc.value.code == 2 and capsys.readouterr() == ("", usage + error)
+
+
 def test_confluence_reports_peaks_but_exits_zero(script_file, capsys):
     assert main(["confluence", script_file, "--rules", "paper7", "--max-size", "6"]) == 0
     out = capsys.readouterr().out
-    assert "peak" in out
+    assert "peak: " in out
+    assert out.endswith("\nconfluence: rules paper7, max size 6, 2 peaks\n")
     assert main(
         ["confluence", script_file, "--rules", "groupoid-complete", "--max-size", "6"]
     ) == 0
-    assert "0 peaks" in capsys.readouterr().out
+    assert capsys.readouterr().out == "confluence: rules groupoid-complete, max size 6, 0 peaks\n"
 
 
 @pytest.mark.parametrize("max_size", ["-3", "0"])
@@ -359,12 +398,10 @@ def test_explain_command(capsys):
 
 
 def test_oracle_command(script_file, capsys):
-    assert main(["oracle", script_file, "p"]) == 0
-    out = capsys.readouterr().out
-    assert "word:   s" in out
-    assert "source: a" in out
-    assert main(["oracle", script_file, "w"]) == 0
-    assert "(empty)" in capsys.readouterr().out
+    """The reduced word and endpoints, line for line."""
+    for name, word, source, target in (("p", "s", "a", "c"), ("u", "r^-1 s", "b", "c"), ("w", "(empty)", "a", "a")):
+        assert main(["oracle", script_file, name]) == 0
+        assert capsys.readouterr() == (f"word:   {word}\nsource: {source}\ntarget: {target}\n", "")
 
 
 def test_console_entry_point_runs():

@@ -396,7 +396,7 @@ def raised(f, *args):
 
 
 def fold(t, ctx):
-    ends, _, error = pathrw.terms._fold(t, ctx, (), False)
+    ends, _, error = pathrw.terms._fold(t, ctx, False)
     if error:
         raise error
     return ends

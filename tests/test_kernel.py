@@ -66,7 +66,6 @@ from pathrw.terms import (
     Sym,
     Trans,
     Xi,
-    _fold,
     endpoints,
     level,
     move,
@@ -405,20 +404,6 @@ def test_kernel_rejects_non_terms_alike(bad):
         for i in (0, 1, -1, 2):
             assert_same(with_child, ref_with_child, t, i, Atom("r"))
     assert outcome(endpoints, bad, TRIANGLE)[1] is TypeError
-
-
-def test_fold_keeps_the_caller_position_prefix():
-    """The fold places the first error it notes, the one ``endpoints`` raises, below the caller's position."""
-    bad = Trans(Atom("r"), Trans(Atom("r"), Atom("r")))
-
-    def fold(t, ctx, pos):
-        ends, _, error = _fold(t, ctx, pos, False)
-        if error:
-            raise error
-        return ends
-
-    assert_same(fold, ref_endpoints, bad, TRIANGLE, (1, 0))
-    assert outcome(fold, bad, TRIANGLE, (1, 0))[3] == (1, 0, 1)
 
 
 def test_endpoints_folds_long_chains_without_recursion():

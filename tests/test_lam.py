@@ -204,3 +204,17 @@ def test_beta_accepts_every_generated_redex():
 
 def test_free_vars():
     assert free_vars(Abs("x", App(Var("x"), Var("y")))) == frozenset({"y"})
+
+
+def test_a_tag_outside_the_axiom_tags_is_not_an_axiom_instance():
+    ctx, _ = _ctx(Var("x"), Var("x"), "alpha")
+    with pytest.raises(NotAnAxiomInstance, match="^unknown axiom tag 'gamma'$"):
+        validate_axiom_atom(AtomDecl("m", "n", "F", "gamma"), ctx)
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: free_vars(5), lambda: substitute(5, "x", Var("y"))], ids=["free_vars", "substitute"]
+)
+def test_a_non_term_is_a_type_error(call):
+    with pytest.raises(TypeError, match="^not a lambda term: 5$"):
+        call()

@@ -11,10 +11,12 @@ must bind exactly what the interpreter binds.
 
 from __future__ import annotations
 
+import collections
 import gc
 
 import pytest
 
+from pathrw import engine
 from pathrw.engine import (
     FORWARD,
     REVERSE,
@@ -24,6 +26,7 @@ from pathrw.engine import (
     derivation_to_path,
     invert_derivation,
     normalize,
+    replay_derivation,
 )
 from pathrw.errors import EndpointMismatch, UnknownAtom, UnknownElement
 from pathrw.oracle import enumerate_terms
@@ -34,6 +37,7 @@ from pathrw.rules import (
     PSym,
     PTrans,
     PVar,
+    STRATEGIES,
     step_name,
 )
 from pathrw.terms import (
@@ -60,7 +64,6 @@ TRIANGLE = Context(
     {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")},
 )
 TERMS = list(enumerate_terms(TRIANGLE, 8))
-STRATEGIES = ("leftmost-innermost", "leftmost-outermost")
 
 
 def match_pattern(pattern, t, binding=None):
@@ -256,6 +259,50 @@ def test_long_chain_normalizes_without_recursion(ctx_r, strategy):
     assert nf == Atom("r")
     assert len(d.steps) == 2000
     assert {step.rule for step in d.steps} == {"trr"}
+
+
+def test_walker_and_replay_work_grows_linearly_on_a_long_chain(ctx_r, monkeypatch):
+    """Counted, not timed, on ``tau(...tau(r, rho(b))..., rho(b))`` of n links.
+
+    At n = 1,000 and 2,000, innermost ``normalize`` calls ``contract`` 2n + 1
+    times and outermost n + 1 times, and replay calls ``_legal`` once per step,
+    n times. Doubling n may at most 2.1-fold each count, and a second run
+    counts the same.
+    """
+    counts = collections.Counter()
+    real_contract, real_legal = PAPER7.contract, engine._legal
+
+    def contract(*args):
+        counts["contract"] += 1
+        return real_contract(*args)
+
+    def legal(*args):
+        counts["legal"] += 1
+        return real_legal(*args)
+
+    def count(n):
+        t = Atom("r")
+        for _ in range(n):
+            t = Trans(t, Refl(Object(0, "b")))
+        got = {}
+        for strategy in STRATEGIES:
+            counts.clear()
+            _, d = normalize(t, PAPER7, ctx_r, strategy)
+            got[strategy, "contract"] = counts["contract"]
+            counts.clear()
+            assert replay_derivation(d, PAPER7, ctx_r)
+            got[strategy, "_legal"] = counts["legal"]
+        return got
+
+    monkeypatch.setattr(engine, "_legal", legal)
+    object.__setattr__(PAPER7, "contract", contract)  # a frozen dataclass, which monkeypatch cannot set
+    try:
+        small, large = count(1000), count(2000)
+        assert count(1000) == small and count(2000) == large
+    finally:
+        object.__setattr__(PAPER7, "contract", real_contract)
+    for key, n in small.items():
+        assert n >= 1000 and large[key] <= 2.1 * n, (key, n, large[key])
 
 
 def _subterms(t):
