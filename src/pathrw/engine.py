@@ -223,6 +223,11 @@ def invert_derivation(d: Derivation) -> Derivation:
     return Derivation._from_edits(d.end, edits, d.start, d.level)
 
 
+def _compose_lifted(pieces: list[PathTerm], lv: int, start: PathTerm) -> PathTerm:
+    """Lifted steps as one level-(lv+1) path from ``start``: left-nested, or its trivial path if none."""
+    return functools.reduce(Trans, pieces) if pieces else Refl(Object(lv, start))
+
+
 def derivation_to_path(d: Derivation) -> PathTerm:
     """Lift a level-n derivation into a level-(n+1) path term.
 
@@ -230,13 +235,8 @@ def derivation_to_path(d: Derivation) -> PathTerm:
     step becomes a step atom, a reverse step the inverse of the flipped
     step's atom; several steps fold into a left-nested composition.
     """
-    if not d.steps:
-        return Refl(Object(d.level, d.start))
-    pieces = [
-        StepAtom(step) if step.direction == FORWARD else Sym(StepAtom(step.flipped()))
-        for step in d.steps
-    ]
-    return functools.reduce(Trans, pieces)
+    pieces = [StepAtom(s) if s.direction == FORWARD else Sym(StepAtom(s.flipped())) for s in d.steps]
+    return _compose_lifted(pieces, d.level, d.start)
 
 
 def replay_derivation(d: Derivation, rs: RuleSet, ctx: Context) -> bool:

@@ -15,12 +15,11 @@ with the suite's helpers once their inputs check out.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
 from .errors import EndpointMismatch, LevelMismatch, PathRwError
-from .engine import Derivation, RewriteStep, _legal
+from .engine import Derivation, RewriteStep, _compose_lifted, _legal
 from .rules import FORWARD, PAPER7, redexes, step_name
 from .terms import (
     Atom,
@@ -184,8 +183,8 @@ def _lift_from(
 
     Walks forward by up to three random contractions, then backwards into a
     redundancy wrapping of the reduct, so lifted paths mix forward and reverse
-    steps while staying small at every tower level. Each step is composed as it
-    is drawn, as ``derivation_to_path`` lifts steps. Returns (lifted path, its target).
+    steps while staying small at every tower level. Each step is lifted as it is drawn,
+    and ``engine._compose_lifted`` joins them, as for ``derivation_to_path``. Returns (path, target).
     """
     lv = level(u)
     pieces = []
@@ -201,7 +200,7 @@ def _lift_from(
     v, layers = _wrap(cur, src, tgt, rng)
     for rule, inner, outer in layers:  # innermost first: each unwraps at the root, taken backwards
         pieces.append(Sym(StepAtom(RewriteStep(step_name(rule, lv), (), FORWARD, outer, inner, lv))))
-    path = functools.reduce(Trans, pieces) if pieces else Refl(Object(lv, u))
+    path = _compose_lifted(pieces, lv, u)
     return _wrap(path, Object(lv, u), Object(lv, v), rng)[0], v
 
 

@@ -21,7 +21,7 @@ stack that carries each subterm's endpoints upward.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from .errors import (
@@ -166,9 +166,8 @@ class _Parser:
         end = len(toks) - 1
         for i in range(1, max(end, 2)):
             self._name(toks, i, "type name")
-        names = [self._fresh(toks, i) for i in range(1, end)]
-        ctx = self.context
-        self.context = Context(ctx.base_types + tuple(names), ctx.elements, ctx.lambda_elements, ctx.atoms)
+        for i in range(1, end):  # one at a time, so a name repeated on the line is located
+            self.context = replace(self.context, base_types=self.context.base_types + (self._fresh(toks, i),))
 
     def _decl_elem(self, toks: list[str]) -> None:
         i = 1
@@ -188,6 +187,8 @@ class _Parser:
         name = self._name(toks, 1, "element name")
         if name not in self.context.elements:
             raise UndeclaredName(f"'{name}' must be declared with elem before lam", *self._at(1))
+        if name in self.context.lambda_elements:
+            raise DslSyntaxError(f"element '{name}' already has a lambda value", *self._at(1))
         self._expect(toks, 2, ":=", ":=")
         value, i = self._lambda_expr(toks, 3)
         self._end(toks, i)

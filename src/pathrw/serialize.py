@@ -14,7 +14,7 @@ from typing import Any, Callable
 
 from .engine import Derivation, RewriteStep, replay_derivation
 from .errors import PathRwError
-from .lam import format_lambda, validate_axiom_atom
+from .lam import format_lambda
 from .rules import FORWARD, REVERSE, rule_set
 from .script import parse_lambda_expr, parse_path_expr
 from .terms import AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, StepAtom, Sym, Trans, Xi, format_term, level
@@ -81,9 +81,7 @@ def context_from_doc(doc: dict[str, Any]) -> Context:
             for name, entry in _require(doc, "atoms", "context", dict).items()
         },
     )
-    ctx.check()
-    for decl in ctx.atoms.values():
-        validate_axiom_atom(decl, ctx)  # as a script's step line does; raises NotAnAxiomInstance
+    ctx.check()  # the rule scripts are judged by; a tagged atom that does not fit raises NotAnAxiomInstance
     return ctx
 
 

@@ -43,7 +43,7 @@ from .errors import (
     PathRwError,
     fmt_position,
 )
-from .lam import Abs, App, LambdaTerm, Text, Var, format_lambda
+from .lam import Abs, App, LambdaTerm, Text, Var, format_lambda, validate_axiom_atom
 
 if TYPE_CHECKING:
     from .engine import RewriteStep
@@ -121,10 +121,11 @@ class Context:
     atoms: dict[str, AtomDecl] = field(default_factory=dict)
 
     def check(self) -> None:
-        """Raise ContextError unless all declaration invariants hold."""
+        """Raise ContextError unless all declaration invariants hold; once they do,
+        NotAnAxiomInstance for a tagged atom whose lambda ends do not fit its tag."""
         problems = []
         types = set(self.base_types)
-        names = list(types) + list(self.elements) + list(self.atoms)
+        names = [*self.base_types, *self.elements, *self.atoms]
         if len(names) != len(set(names)):
             problems.append("type, element, and atom names must be pairwise distinct")
         for elem, type_name in self.elements.items():
@@ -145,6 +146,8 @@ class Context:
                     )
         if problems:
             raise ContextError("; ".join(problems))
+        for decl in self.atoms.values():
+            validate_axiom_atom(decl, self)
 
 
 @value

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
+import re
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -14,6 +16,13 @@ from pathrw.terms import Atom, AtomDecl, Context, Mu, Nu, Object, Refl, Sym, Tra
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang: str) -> list[str]:
+    """The README's fenced code blocks whose opening fence names ``lang``."""
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
 
 
 @pytest.fixture

@@ -10,19 +10,22 @@ import pytest
 
 from pathrw.cli import main
 from pathrw.engine import Derivation, invert_derivation, normalize
-from pathrw.errors import NotAnAxiomInstance, PathRwError, TypeMismatch
+from pathrw.errors import ContextError, NotAnAxiomInstance, PathRwError, TypeMismatch
 from pathrw.groupoid import run_laws
 from pathrw.rules import PAPER7
 from pathrw.script import parse_path_expr, parse_script
 from pathrw.serialize import (
     context_from_doc,
+    context_to_doc,
     derivation_from_doc,
     derivation_to_doc,
     doc_from_json,
     doc_to_json,
     replay_document,
 )
-from pathrw.terms import Object, Refl, StepAtom, Sym, Trans, endpoints, level
+from pathrw.terms import Atom, Object, Refl, StepAtom, Sym, Trans, endpoints, level
+
+from conftest import readme_blocks
 
 EXAMPLE = """\
 type A
@@ -82,6 +85,21 @@ def test_parse_error_is_input_error(tmp_path, capsys):
         bad.write_text(text, encoding="utf-8")
         assert main(["normalize", str(bad), "p"]) == 2
         assert capsys.readouterr() == ("", expected)
+
+
+def test_repeated_declarations_are_located_input_errors(tmp_path, capsys):
+    """A type name twice on one line, and a second lambda value after a step was checked against the first."""
+    bad = tmp_path / "bad.pth"
+    bad.write_text("type A A\nelem a : A\n", encoding="utf-8")
+    assert main(["laws", str(bad), "--samples", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: 1:8: name 'A' is already declared\n")
+    bad.write_text(
+        "type F\nelem m n : F\nlam m := (\\x. x) y\nlam n := y\nstep b : m = n beta\n"
+        "lam n := z\npath p := tau(b, sigma(b))\n",
+        encoding="utf-8",
+    )
+    assert main(["normalize", str(bad), "p", "--json"]) == 2
+    assert capsys.readouterr() == ("", "error: 6:5: element 'n' already has a lambda value\n")
 
 
 def test_equal_exit_codes(script_file, capsys):
@@ -243,6 +261,33 @@ def test_document_tagged_atoms_are_checked_as_in_scripts():
             context_from_doc(bad["context"])
         with pytest.raises(NotAnAxiomInstance, match=f"^{re.escape(message)}$"):
             replay_document(bad)
+
+
+def test_document_with_a_repeated_type_name_is_refused():
+    doc = derivation_to_doc(Derivation(Atom("r"), (), 1), parse_script(EXAMPLE).context, "paper7")
+    assert replay_document(doc)
+    doc["context"]["types"] = ["A", "A"]
+    message = "type, element, and atom names must be pairwise distinct"
+    with pytest.raises(ContextError, match=f"^{message}$"):
+        context_from_doc(doc["context"])
+    with pytest.raises(ContextError, match=f"^{message}$"):
+        replay_document(doc)
+
+
+def test_context_documents_round_trip_every_parsed_script():
+    """Each script form tier-1 parses: the README's, this file's, and lambda values under each tag."""
+    scripts = [
+        *readme_blocks("pth"),
+        EXAMPLE,
+        LAMBDA_SCRIPT,
+        TRIANGLE_SCRIPT,
+        "type F\nelem f g : F\nlam f := (\\x. x) y\nlam g := y\nstep b : f = g beta\n",
+        "type F\nelem f g : F\nlam f := \\x. h x\nlam g := h\nstep e : f = g eta\n",
+        "type A B\nelem a : A\nelem b : B\nelem c : A\nstep r : a = c\n",
+    ]
+    for text in scripts:
+        ctx = parse_script(text).context
+        assert context_from_doc(context_to_doc(ctx)) == ctx, text
 
 
 def test_laws_command(script_file, capsys):

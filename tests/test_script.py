@@ -175,11 +175,11 @@ class ReferenceParser:
         return name
 
     def _decl_type(self, ts: ReferenceTokenStream) -> None:
-        names = [self._fresh(t) for t in ts.names_until_end("type name")]
-        ctx = self.context
-        self.context = Context(
-            ctx.base_types + tuple(names), ctx.elements, ctx.lambda_elements, ctx.atoms
-        )
+        for token in ts.names_until_end("type name"):
+            ctx = self.context
+            self.context = Context(
+                ctx.base_types + (self._fresh(token),), ctx.elements, ctx.lambda_elements, ctx.atoms
+            )
 
     def _decl_elem(self, ts: ReferenceTokenStream) -> None:
         name_tokens = []
@@ -202,6 +202,10 @@ class ReferenceParser:
                 f"'{name_token.text}' must be declared with elem before lam",
                 name_token.line,
                 name_token.col,
+            )
+        if name_token.text in self.context.lambda_elements:
+            raise DslSyntaxError(
+                f"element '{name_token.text}' already has a lambda value", name_token.line, name_token.col
             )
         ts.expect(":=", ":=")
         value = self._lambda_expr(ts)
@@ -742,6 +746,23 @@ def test_end_of_line_errors_keep_their_columns():
     for line, message in cases:
         with pytest.raises(DslSyntaxError, match=f"^{re.escape(message)}$"):
             parse_script("type A\nelem a b : A\nstep r : a = b\n" + line)
+
+
+def test_repeated_declarations_fail_at_their_own_column():
+    """A type name repeated on its line, and a second lambda value, as both parsers locate them."""
+    beta = "type F\nelem m n : F\nlam m := (\\x. x) y\nlam n := y\nstep b : m = n beta\n"
+    cases = [
+        ("type A A\nelem a : A\n", "1:8: name 'A' is already declared"),
+        ("type A B A\n", "1:10: name 'A' is already declared"),
+        ("type A\ntype B A\n", "2:8: name 'A' is already declared"),
+        ("type A\nelem a a : A\n", "2:8: name 'a' is already declared"),
+        (beta + "lam n := z\npath p := tau(b, sigma(b))\n", "6:5: element 'n' already has a lambda value"),
+        ("type F\nelem m : F\nlam m := x\nlam  m := x\n", "4:6: element 'm' already has a lambda value"),
+    ]
+    for text, message in cases:
+        with pytest.raises(DslSyntaxError, match=f"^{re.escape(message)}$"):
+            parse_script(text)
+        assert_scripts_agree(text)
 
 
 # -- the parser against the reference parser ------------------------------

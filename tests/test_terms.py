@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given
 
 from pathrw.engine import contract_once
-from pathrw.errors import BadObject, BadStep, ContextError, EndpointMismatch, NoRedex, PathRwError, UnknownAtom, fmt_position
-from pathrw.lam import Abs, Var
+from pathrw.errors import (
+    BadObject, BadStep, ContextError, EndpointMismatch, NoRedex, NotAnAxiomInstance, PathRwError, UnknownAtom, fmt_position,
+)
+from pathrw.lam import Abs, App, Var
 from pathrw.oracle import enumerate_terms
 from pathrw.rules import PAPER7
 from pathrw.terms import (
@@ -323,6 +325,22 @@ def test_context_check_rejects_name_collision():
     ctx = Context(("A",), {"A": "A"}, {}, {})
     with pytest.raises(ContextError):
         ctx.check()
+
+
+def test_context_check_counts_type_names():
+    with pytest.raises(ContextError, match="^type, element, and atom names must be pairwise distinct$"):
+        Context(("A", "A")).check()
+
+
+def test_context_check_rejects_a_tagged_atom_that_does_not_fit_its_tag():
+    """The text a document's replay gave for this context before ``check`` judged tagged atoms."""
+    lambdas = {"m": App(Abs("x", Var("x")), Var("y")), "n": Var("z")}
+    ctx = Context(("F",), {"m": "F", "n": "F"}, lambdas, {"b": AtomDecl("m", "n", "F", "beta")})
+    with pytest.raises(NotAnAxiomInstance, match="^beta: right endpoint is not the substitution instance of the left$"):
+        ctx.check()
+    Context(ctx.base_types, ctx.elements, {**lambdas, "n": Var("y")}, ctx.atoms).check()
+    with pytest.raises(ContextError):  # the name and type rules are judged first
+        Context(("F", "F"), ctx.elements, lambdas, ctx.atoms).check()
 
 
 def test_format_term_examples(ctx_rs):
