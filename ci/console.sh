@@ -42,6 +42,9 @@ nest="$tmp/nest.pth"
 printf -v open 'sigma(tau(%.0s' {1..10000}
 printf -v close ', v))%.0s' {1..10000}
 printf '%s\n' 'type A' 'elem a : A' 'step u : a = a' 'step v : a = a' "path p := ${open}u${close}" > "$nest"
+# Its word is v^-5000 u v^5000: 10,001 letters.
+printf -v inverses 'v^-1 %.0s' {1..5000}
+printf -v forwards ' v%.0s' {1..5000}
 
 exits 0 pathrw explain tt
 echo "ok: explain tt exits 0"
@@ -53,3 +56,4 @@ exits 0 timeout 20 pathrw laws "$script" --level 2000 --samples 1
 pin "laws at level 2000, last line" "$(tail -n 1 "$tmp/out")" "laws: level 2000, seed 0, 5 checks, 0 failures"
 exits 0 timeout 20 pathrw oracle "$nest" p
 pin "oracle on a 10^4-deep nest, endpoints" "$(tail -n 2 "$tmp/out")" $'source: a\ntarget: a'
+pin "oracle on a 10^4-deep nest, word" "$(head -n 1 "$tmp/out")" "word:   ${inverses}u${forwards}"

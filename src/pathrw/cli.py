@@ -19,7 +19,7 @@ from .oracle import check_confluence, word
 from .rules import FORWARD, RULE_SETS, STRATEGIES, explain_rule, rule_set
 from .script import Script, parse_script
 from .serialize import derivation_to_doc, doc_to_json
-from .terms import format_object, format_term, level
+from .terms import Atom, Mu, PathTerm, Xi, format_object, format_term, level
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -188,13 +188,12 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _letter_text(gen) -> str:
-    if isinstance(gen, tuple) and len(gen) >= 2 and gen[0] == "atom":
-        return gen[1]
-    if isinstance(gen, tuple) and len(gen) == 3:
-        tag, name, body = gen
-        return f"{tag}[{name}, {format_term(body)}]"
-    return repr(gen)
+def _letter_text(gen: PathTerm) -> str:
+    """An atom's name, or ``xi[var, body]``, ``mu[func, body]`` or ``nu[arg, body]``."""
+    if type(gen) is Atom:
+        return gen.name
+    tag, name = ("xi", gen.var) if type(gen) is Xi else ("mu", gen.func) if type(gen) is Mu else ("nu", gen.arg)
+    return f"{tag}[{name}, {format_term(gen.body)}]"
 
 
 if __name__ == "__main__":

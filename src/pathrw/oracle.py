@@ -2,9 +2,9 @@
 
 A path term maps to a reduced word in the free groupoid generated by the
 context's step atoms; the seven rules are groupoid laws, so two terms are
-connected by contractions exactly when their words agree. Congruence formers
-and recorded steps enter as opaque generators keyed by their canonicalized
-content, which keeps the word map invariant under contractions beneath them.
+connected by contractions exactly when their words agree. Each generator is
+keyed by its own term: an atom, a recorded step, or a former over its body's
+canonical term, so the word map is invariant under contractions beneath it.
 ``word`` is one linear walk that pushes inversion down to the leaves; it
 accepts exactly the terms ``endpoints`` accepts and raises what it raises.
 
@@ -38,6 +38,7 @@ from .terms import (
     endpoints,
     former_endpoints,
     value,
+    with_child,
 )
 
 
@@ -45,7 +46,7 @@ from .terms import (
 class Letter:
     """One oriented generator occurrence; src/tgt are after orientation."""
 
-    gen: object
+    gen: PathTerm  # the generator's own term: an Atom, StepAtom, or Xi, Mu, Nu over a canonical body
     orient: int  # +1 or -1
     src: Object
     tgt: Object
@@ -71,19 +72,19 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
     """The reduced word of a path term; raises what ``endpoints`` raises.
 
     Refl is empty, Sym inverts, Trans concatenates with cancellation; atoms,
-    formers, and recorded steps are single letters. The walk is ``endpoints``'
-    leaf walk: it descends a Trans's left child inline and pushes the right
-    one (the other way round under negative polarity), and a Sym flips the
-    polarity; so the leaves come in path order, each chained to the last. An
-    atom's two letters are its declaration's (``AtomDecl.letters``), shared by
-    every word over it, and cancel against the top of the output by identity;
-    a recorded step's letter is built, and cancels by key and ``==``. A former
-    opens a segment of the output and walks its body at positive polarity,
-    then reads the segment back as its key and puts its own letter in the
-    segment's place. The open segment's start, first source and last target
-    are locals, stacked while a former is open. A leaf that does not chain, or
-    an atom, object or former that ``endpoints`` rejects, makes ``word`` call
-    ``endpoints``, which raises.
+    formers, and recorded steps are single letters, keyed by their own terms.
+    The walk is ``endpoints``' leaf walk: it descends a Trans's left child
+    inline and pushes the right one (the other way round under negative
+    polarity), and a Sym flips the polarity; so the leaves come in path order,
+    each chained to the last. An atom's two letters are its declaration's
+    (``AtomDecl.letters``), shared by every word over it, and cancel against
+    the top of the output by identity; a recorded step's letter is built, and
+    cancels by key and ``==``. A former opens a segment of the output, walks
+    its body at positive polarity, and puts its own letter in the segment's
+    place, keyed by itself over the segment read back. The open segment's
+    start, first source and last target are locals, stacked while a former is
+    open. A leaf that does not chain, or an atom, object or former that
+    ``endpoints`` rejects, makes ``word`` call ``endpoints``, which raises.
     """
     root, atoms, out, todo, opened = t, ctx.atoms, [], [], []
     pol, start, first, last = 1, 0, None, None  # the open segment: its start in out, first source, last target
@@ -103,8 +104,7 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
             pair = decl.letters.get(t.name)
             if pair is None:
                 src, tgt = decl.ends
-                key = "atom", t.name
-                pair = decl.letters.setdefault(t.name, (Letter(key, 1, src, tgt), Letter(key, -1, tgt, src)))
+                pair = decl.letters.setdefault(t.name, (Letter(t, 1, src, tgt), Letter(t, -1, tgt, src)))
             letter = pair[pol == -1]  # pair is (forward, inverse)
             src, tgt = letter.src, letter.tgt
         else:
@@ -120,7 +120,7 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
             elif tp is StepAtom:
                 step = t.step
                 try:
-                    src, tgt, key = Object(step.level, step.before), Object(step.level, step.after), ("step", step)
+                    src, tgt, key = Object(step.level, step.before), Object(step.level, step.after), t
                 except AttributeError:  # no step
                     break
             elif tp is Xi or tp is Mu or tp is Nu:
@@ -130,9 +130,8 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
                     t, pol, start, first, last = t.body, 1, len(out), None, None
                     continue
                 pol //= 2
-                body = read_back(ReducedWord(first, tuple(out[start:])))
+                key = with_child(t, 0, read_back(ReducedWord(first, tuple(out[start:]))))
                 del out[start:]
-                key = ("xi", t.var, body) if tp is Xi else ("mu", t.func, body) if tp is Mu else ("nu", t.arg, body)
                 try:
                     src, tgt = former_endpoints(t, applied_lambda(t, ctx), (first, last), ctx)
                 except UnresolvedLambda:
@@ -165,36 +164,20 @@ def word(t: PathTerm, ctx: Context) -> ReducedWord:
 
 
 def read_back(w: ReducedWord) -> PathTerm:
-    """The canonical term of a word: a right-nested chain of letter terms."""
+    """The canonical term of a word: its generators chained to the right, an inverse one under Sym."""
     if type(w) is not ReducedWord:
         raise TypeError(f"not a reduced word: {w!r}")
     if not w.letters:
         return Refl(w.base)
-    pieces = [_letter_term(letter) for letter in w.letters]
+    pieces = []
+    for letter in w.letters:
+        if type(letter.gen) not in (Atom, StepAtom, Xi, Mu, Nu):
+            raise PathRwError(f"unreadable generator key: {letter.gen!r}")
+        pieces.append(letter.gen if letter.orient == 1 else Sym(letter.gen))
     result = pieces[-1]
     for piece in reversed(pieces[:-1]):
         result = Trans(piece, result)
     return result
-
-
-def _letter_term(letter: Letter) -> PathTerm:
-    gen = letter.gen
-    shape = None
-    if isinstance(gen, tuple) and len(gen) in (2, 3) and (gen[0] == "step" or isinstance(gen[1], str)):
-        shape = gen[0], len(gen)
-    if shape == ("atom", 2):
-        base: PathTerm = Atom(gen[1])
-    elif shape == ("xi", 3):
-        base = Xi(gen[1], gen[2])
-    elif shape == ("mu", 3):
-        base = Mu(gen[1], gen[2])
-    elif shape == ("nu", 3):
-        base = Nu(gen[2], gen[1])
-    elif shape == ("step", 2):
-        base = StepAtom(gen[1])
-    else:
-        raise PathRwError(f"unreadable generator key: {letter.gen!r}")
-    return base if letter.orient == 1 else Sym(base)
 
 
 def oracle_equal(s: PathTerm, t: PathTerm, ctx: Context) -> bool:

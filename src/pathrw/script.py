@@ -96,7 +96,6 @@ def parse_script(text: str) -> Script:
             continue
         parser.line, parser.line_no = line, line_no
         parser.declaration(_token_texts(line, line_no))
-    parser.context.check()
     return Script(parser.context, parser.paths)
 
 

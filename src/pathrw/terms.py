@@ -91,9 +91,9 @@ class AtomDecl:
 
     Derived, outside ``==``, ``hash`` and ``repr``: ``ends`` holds the endpoints
     as objects; ``letters`` maps a name the atom is declared under to its
-    forward and inverse ``oracle.Letter``, stored once by ``oracle.word``
-    (``setdefault``), which cancels letters by identity. A copy or a pickle
-    derives both afresh, so it starts with its own empty ``letters``.
+    forward and inverse ``oracle.Letter`` over an ``Atom`` of that name, stored
+    once by ``oracle.word`` (``setdefault``), which cancels them by identity.
+    A copy or a pickle derives both afresh: it starts with empty ``letters``.
     """
 
     source: str

@@ -275,18 +275,23 @@ def test_document_with_a_repeated_type_name_is_refused():
 
 
 def test_context_documents_round_trip_every_parsed_script():
-    """Each script form tier-1 parses: the README's, this file's, and lambda values under each tag."""
+    """Each script form tier-1 parses: the README's, this file's, and lambda values under each tag.
+
+    A script is judged line by line as it is parsed; the context's own rule finds nothing more.
+    """
     scripts = [
         *readme_blocks("pth"),
         EXAMPLE,
         LAMBDA_SCRIPT,
         TRIANGLE_SCRIPT,
+        FORMERS_SCRIPT,
         "type F\nelem f g : F\nlam f := (\\x. x) y\nlam g := y\nstep b : f = g beta\n",
         "type F\nelem f g : F\nlam f := \\x. h x\nlam g := h\nstep e : f = g eta\n",
         "type A B\nelem a : A\nelem b : B\nelem c : A\nstep r : a = c\n",
     ]
     for text in scripts:
         ctx = parse_script(text).context
+        ctx.check()
         assert context_from_doc(context_to_doc(ctx)) == ctx, text
 
 
@@ -447,6 +452,28 @@ def test_oracle_command(script_file, capsys):
     for name, word, source, target in (("p", "s", "a", "c"), ("u", "r^-1 s", "b", "c"), ("w", "(empty)", "a", "a")):
         assert main(["oracle", script_file, name]) == 0
         assert capsys.readouterr() == (f"word:   {word}\nsource: {source}\ntarget: {target}\n", "")
+
+
+FORMERS_SCRIPT = (
+    "type F\nelem m n k : F\nlam m := \\x. x\nlam n := \\y. y\nlam k := w\nstep al : m = n alpha\nstep be : n = k\n"
+    "path x := tau(xi(v, al), sigma(xi(v, sigma(be))))\n"
+    "path y := sigma(mu(m, tau(al, be)))\n"
+    "path z := tau(nu(sigma(al), n), nu(al, n))\n"
+)
+
+
+def test_oracle_command_prints_former_letters(tmp_path, capsys):
+    """Each former letter is its tag, its operand and its body's canonical term, with its ends."""
+    f = tmp_path / "formers.pth"
+    f.write_text(FORMERS_SCRIPT, encoding="utf-8")
+    expected = {
+        "x": "word:   xi[v, al] xi[v, sigma(be)]^-1\nsource: \\v. \\x. x\ntarget: \\v. w\n",
+        "y": "word:   mu[m, tau(al, be)]^-1\nsource: (\\x. x) w\ntarget: (\\x. x) (\\x. x)\n",
+        "z": "word:   nu[n, sigma(al)] nu[n, al]\nsource: (\\y. y) (\\y. y)\ntarget: (\\y. y) (\\y. y)\n",
+    }
+    for name, out in expected.items():
+        assert main(["oracle", str(f), name]) == 0
+        assert capsys.readouterr() == (out, "")
 
 
 def test_console_entry_point_runs():

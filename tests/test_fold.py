@@ -14,6 +14,7 @@ on every call.
 
 from __future__ import annotations
 
+import collections
 import random
 import re
 import sys
@@ -506,7 +507,7 @@ def test_walks_run_on_chains_of_a_hundred_thousand_nodes(nesting):
     assert format_term(t) == expected
     assert mu_measure(t) == (nodes, weight)
     w = word(t, TRIANGLE)
-    letters = ((("atom", "r"), 1), (("atom", "s"), 1), (("atom", "u"), -1))
+    letters = ((Atom("r"), 1), (Atom("s"), 1), (Atom("u"), -1))
     assert [(letter.gen, letter.orient) for letter in w.letters] == [letters[k % 3] for k in range(n)]
     assert (w.source, w.target) == (a, c)
 
@@ -554,7 +555,7 @@ def test_walks_run_on_a_ten_thousand_deep_former_nest():
     closes = "".join((")", ")", ", n)")[k % 3] for k in reversed(range(NEST_DEPTH)))
     assert format_term(t) == opens + "al" + closes
     w = word(t, LAM)
-    assert len(w.letters) == 1 and w.letters[0].gen[:2] == ("xi", "v")
+    assert len(w.letters) == 1 and type(w.letters[0].gen) is Xi and w.letters[0].gen.var == "v"
     assert format_lambda(w.source.payload) == format_lambda(src.payload)
     assert format_lambda(w.target.payload) == format_lambda(tgt.payload)
     assert format_term(read_back(w)) == format_term(t)
@@ -591,6 +592,40 @@ def test_word_takes_former_endpoints_from_body_words(monkeypatch):
     assert len(calls) == 1 and calls[0] is bad
 
 
+def test_word_key_building_grows_linearly_on_a_former_nest(monkeypatch):
+    """Counted, not timed, on ``nest(n)`` at n = 1,000 and 2,000.
+
+    After a warm-up call has stored the letters of ``al``, one ``word`` call
+    reads each former's body back once and builds each former's letter once:
+    n ``read_back`` calls and n ``Letter`` constructions. A second call counts
+    the same, and doubling n may at most 2.1-fold each count.
+    """
+    counts = collections.Counter()
+    real_read_back, real_letter = pathrw.oracle.read_back, pathrw.oracle.Letter
+
+    def counted_read_back(w):
+        counts["read_back"] += 1
+        return real_read_back(w)
+
+    def counted_letter(*args):
+        counts["Letter"] += 1
+        return real_letter(*args)
+
+    def count(n):
+        counts.clear()
+        assert len(word(nest(n), LAM).letters) == 1
+        return dict(counts)
+
+    word(Atom("al"), LAM)
+    monkeypatch.setattr(pathrw.oracle, "read_back", counted_read_back)
+    monkeypatch.setattr(pathrw.oracle, "Letter", counted_letter)
+    small, large = count(1000), count(2000)
+    assert count(1000) == small and count(2000) == large
+    assert small == {"read_back": 1000, "Letter": 1000} and large == {"read_back": 2000, "Letter": 2000}
+    for key, n in small.items():
+        assert large[key] <= 2.1 * n, (key, n, large[key])
+
+
 def test_a_bad_link_at_the_bottom_of_a_long_chain_is_located():
     """The path-order walk meets the break and hands the chain to the fold, which names the link's full position."""
     bad = Trans(Atom("r"), Refl(Object(0, "a")))
@@ -621,7 +656,7 @@ def test_atom_ends_are_read_afresh_on_every_call():
     check_walks([t], changing)
     as_given, as_flipped = ((a, c), a, c, True), ((c, c), c, c, True)
     assert seen == [as_given, as_flipped, as_given, as_given, as_flipped]
-    assert [(x.gen, x.src, x.tgt) for x in word(t, flipped).letters] == [(("atom", "r"), c, b), (("atom", "s"), b, c)]
+    assert [(x.gen, x.src, x.tgt) for x in word(t, flipped).letters] == [(Atom("r"), c, b), (Atom("s"), b, c)]
     del changing.atoms["r"]
     with pytest.raises(UnknownAtom, match=re.escape("unknown atom 'r' at position 0.0")):
         endpoints(t, changing)

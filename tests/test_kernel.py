@@ -248,19 +248,19 @@ def ref_word(t, ctx):
         case Refl(obj):
             return ReducedWord(obj, ())
         case Atom(name):
-            return single(("atom", name))
+            return single(Atom(name))
         case Sym(body):
             return ref_reverse(ref_word(body, ctx))
         case Trans(left, right):
             return ref_concat(ref_word(left, ctx), ref_word(right, ctx))
         case Xi(var, body):
-            return single(("xi", var, read_back(ref_word(body, ctx))))
+            return single(Xi(var, read_back(ref_word(body, ctx))))
         case Mu(func, body):
-            return single(("mu", func, read_back(ref_word(body, ctx))))
+            return single(Mu(func, read_back(ref_word(body, ctx))))
         case Nu(body, arg):
-            return single(("nu", arg, read_back(ref_word(body, ctx))))
+            return single(Nu(read_back(ref_word(body, ctx)), arg))
         case StepAtom(step):
-            return single(("step", step))
+            return single(StepAtom(step))
     raise TypeError(f"not a path term: {t!r}")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 import sys
 
 import pytest
@@ -39,6 +40,7 @@ from pathrw.terms import (
     Nu,
     Object,
     Refl,
+    StepAtom,
     Sym,
     Trans,
     Xi,
@@ -74,7 +76,7 @@ def test_word_refl_is_empty_at_its_object(ctx_r):
 def test_word_cancellation_inside_chain(ctx_rs):
     t = Trans(Trans(Atom("r"), Atom("s")), Sym(Atom("s")))
     w = word(t, ctx_rs)
-    assert [(l.gen, l.orient) for l in w.letters] == [(("atom", "r"), 1)]
+    assert [(l.gen, l.orient) for l in w.letters] == [(Atom("r"), 1)]
 
 
 def test_word_orientation_swaps_endpoints(ctx_r):
@@ -111,7 +113,7 @@ def growing_nest(k):
 def growing_nest_letters(k):
     """The closed form: ``w_2m = v^-m u v^m`` and ``w_2m+1 = v^-(m+1) u^-1 v^m``."""
     m, odd = divmod(k, 2)
-    u, v = ("atom", "u"), ("atom", "v")
+    u, v = Atom("u"), Atom("v")
     return [(v, -1)] * (m + odd) + [(u, -1 if odd else 1)] + [(v, 1)] * m
 
 
@@ -207,7 +209,7 @@ def _round_trips(t, ctx):
     w = word(t, ctx)
     back = read_back(w)
     assert word(back, ctx) == w, t
-    return {(letter.gen[0], letter.orient) for letter in w.letters}
+    return {(type(letter.gen), letter.orient) for letter in w.letters}
 
 
 def test_former_words_read_back_to_the_same_word():
@@ -224,7 +226,7 @@ def test_former_words_read_back_to_the_same_word():
     for f in formers:
         for t in (f, Sym(f), Sym(Sym(f)), Trans(f, Sym(f)), Trans(Sym(f), f)):
             kinds |= _round_trips(t, _LAM_CTX)
-    assert kinds == {(kind, orient) for kind in ("xi", "mu", "nu") for orient in (1, -1)}
+    assert kinds == {(kind, orient) for kind in (Xi, Mu, Nu) for orient in (1, -1)}
 
 
 def test_step_words_read_back_to_the_same_word(ctx_rs):
@@ -236,14 +238,33 @@ def test_step_words_read_back_to_the_same_word(ctx_rs):
             p = derivation_to_path(d)
             for u in (p, Sym(p), Trans(p, Sym(p)), Trans(Sym(p), Refl(Object(1, t)))):
                 kinds |= _round_trips(u, ctx_rs)
-    assert kinds == {("step", 1), ("step", -1)}
+    assert kinds == {(StepAtom, 1), (StepAtom, -1)}
 
 
-@pytest.mark.parametrize("gen", [("bogus", "r"), ("atom", 5), ("xi", "v"), ("nu", 1, Atom("r")), ("step",), (), "atom"])
+@pytest.mark.parametrize(
+    "gen",
+    [("bogus", "r"), ("atom", 5), ("xi", "v"), ("nu", 1, Atom("r")), ("step",), (), "atom",
+     Sym(Atom("r")), Trans(Atom("r"), Atom("r")), Refl(Object(0, "a"))],
+)
 def test_read_back_rejects_unreadable_keys(gen):
     base = Object(0, "a")
     with pytest.raises(PathRwError, match="^unreadable generator key: "):
         read_back(ReducedWord(base, (Letter(gen, 1, base, base),)))
+
+
+def test_a_one_letter_word_reads_back_to_its_generator(ctx_rs):
+    step = StepAtom(canonical_derivation(Trans(Atom("r"), Sym(Atom("r"))), PAPER7, ctx_rs).steps[0])
+    for t, ctx in ((Atom("r"), ctx_rs), (step, ctx_rs), (Xi("v", Atom("al")), _LAM_CTX),
+                   (Mu("m", Trans(Atom("al"), Sym(Atom("al")))), _LAM_CTX), (Nu(Atom("al"), "n"), _LAM_CTX)):
+        w = word(t, ctx)
+        assert len(w.letters) == 1 and w.letters[0].orient == 1 and read_back(w) is w.letters[0].gen
+
+
+def test_read_back_names_the_first_unreadable_key():
+    base = Object(0, "a")
+    letters = (Letter(Atom("r"), 1, base, base), Letter(("first",), -1, base, base), Letter(("second",), 1, base, base))
+    with pytest.raises(PathRwError, match=re.escape("unreadable generator key: ('first',)") + "$"):
+        read_back(ReducedWord(base, letters))
 
 
 # --- enumeration -------------------------------------------------------------

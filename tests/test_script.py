@@ -777,7 +777,10 @@ def result_of(parse, *args):
 
 
 def assert_scripts_agree(text):
-    assert result_of(parse_script, text) == result_of(reference_parse_script, text), text
+    got = result_of(parse_script, text)
+    assert got == result_of(reference_parse_script, text), text
+    if type(got) is Script:  # the declarations were judged line by line; the context's own rule agrees
+        got.context.check()
 
 
 def assert_exprs_agree(text, ctx, paths=None):
@@ -967,6 +970,28 @@ def test_named_paths_take_their_endpoints_from_the_parse(monkeypatch):
     assert calls == []
     parse_path_expr("tau(p, tau(sigma(p), p))", TRIANGLE, TRIANGLE_PATHS)
     assert calls == [TRIANGLE_PATHS["p"]]  # a path passed in: one walk per parse
+
+
+def test_each_tagged_step_is_checked_once_per_parse(monkeypatch):
+    """``validate_axiom_atom`` runs on each tagged ``step`` line, once, and never on a declared one."""
+    calls = []
+
+    def counted(decl, ctx):
+        calls.append(decl)
+        return validate_axiom_atom(decl, ctx)
+
+    monkeypatch.setattr(pathrw.script, "validate_axiom_atom", counted)
+    monkeypatch.setattr(pathrw.terms, "validate_axiom_atom", counted)
+    text = "type F\nelem m n : F\nlam m := \\x. x\nlam n := \\y. y\nstep al : m = n alpha\nstep d : m = n\n"
+    script = parse_script(text)
+    assert calls == [script.context.atoms["al"]]
+    calls.clear()
+    for seed in range(3):
+        parse_script("\n".join(generated_script_lines(seed)))
+    assert [decl.tag for decl in calls] == ["alpha"] * 3
+    calls.clear()
+    parse_script(TRIANGLE_DECLS)
+    assert calls == []
 
 
 def test_each_leaf_is_built_once_per_parse():

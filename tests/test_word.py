@@ -54,7 +54,7 @@ def ref_word(t, ctx):
                 decl = ctx.atoms.get(t.name)
                 if decl is None:
                     break
-                hit = memo[t.name] = *decl.ends, ("atom", t.name)
+                hit = memo[t.name] = *decl.ends, Atom(t.name)
             src, tgt, key = hit
         elif tp is Refl:
             src = tgt = t.obj
@@ -66,7 +66,7 @@ def ref_word(t, ctx):
         elif tp is StepAtom:
             step = t.step
             try:
-                src, tgt, key = Object(step.level, step.before), Object(step.level, step.after), ("step", step)
+                src, tgt, key = Object(step.level, step.before), Object(step.level, step.after), StepAtom(step)
             except AttributeError:  # no step
                 break
         elif tp is Xi or tp is Mu or tp is Nu:
@@ -78,7 +78,7 @@ def ref_word(t, ctx):
             start, base, end = segments.pop()
             body = read_back(ReducedWord(base, tuple(out[start:])))
             del out[start:]
-            key = ("xi", t.var, body) if tp is Xi else ("mu", t.func, body) if tp is Mu else ("nu", t.arg, body)
+            key = Xi(t.var, body) if tp is Xi else Mu(t.func, body) if tp is Mu else Nu(body, t.arg)
             try:
                 src, tgt = former_endpoints(t, applied_lambda(t, ctx), (base, end), ctx)
             except UnresolvedLambda:
@@ -158,8 +158,8 @@ def test_atom_letters_are_one_object_per_name_and_orientation(ctx_rs):
     (forward_r, inverse_r), (forward_s, inverse_s) = ctx_rs.atoms["r"].letters["r"], ctx_rs.atoms["s"].letters["s"]
     assert first.letters[0] is forward_r and first.letters[1] is forward_s
     assert inverted.letters[0] is inverse_s and inverted.letters[1] is inverse_r
-    assert forward_r == Letter(("atom", "r"), 1, el("a"), el("b"))
-    assert inverse_r == Letter(("atom", "r"), -1, el("b"), el("a"))
+    assert forward_r == Letter(Atom("r"), 1, el("a"), el("b"))
+    assert inverse_r == Letter(Atom("r"), -1, el("b"), el("a"))
     # one declaration under two names: each name has its own letters, which do not cancel each other
     loop = AtomDecl("a", "a", "A")
     loops = Context(("A",), {"a": "A"}, {}, {"u": loop, "v": loop})
@@ -177,7 +177,7 @@ def test_atom_letters_are_read_afresh_on_every_call():
     for ctx in (TRIANGLE, flipped, TRIANGLE, changing):
         w = word(t, ctx)
         assert w == ref_word(t, ctx) and w.letters[0] is ctx.atoms["r"].letters["r"][0]
-    expected = [(("atom", "r"), el("c"), el("b")), (("atom", "s"), el("b"), el("c"))]
+    expected = [(Atom("r"), el("c"), el("b")), (Atom("s"), el("b"), el("c"))]
     assert [(x.gen, x.src, x.tgt) for x in word(t, flipped).letters] == expected
     given_letters = TRIANGLE.atoms["r"].letters["r"]
     changing.atoms["r"] = AtomDecl("c", "b", "A")  # as the script parser writes into a context
@@ -200,7 +200,7 @@ def test_atom_decl_holds_its_letters_outside_its_fields():
     ctx = Context(("A",), {"a": "A", "b": "A"}, {}, {"r": decl})
     w = word(Sym(Atom("r")), ctx)
     a, b = decl.ends
-    assert decl.letters == {"r": (Letter(("atom", "r"), 1, a, b), Letter(("atom", "r"), -1, b, a))}
+    assert decl.letters == {"r": (Letter(Atom("r"), 1, a, b), Letter(Atom("r"), -1, b, a))}
     assert w.letters[0] is decl.letters["r"][1]
     assert repr(decl) == "AtomDecl(source='a', target='b', type_name='A', tag='declared')"
     assert decl == AtomDecl("a", "b", "A") and hash(decl) == hash(AtomDecl("a", "b", "A"))
@@ -218,7 +218,7 @@ def test_atom_decl_holds_its_letters_outside_its_fields():
     for fresh in (dataclasses.replace(decl), dataclasses.replace(decl, source="b", target="a")):
         assert fresh.letters == {} and fresh.letters is not decl.letters
         swapped = Context(ctx.base_types, ctx.elements, {}, {"r": fresh})
-        assert word(Atom("r"), swapped).letters == (Letter(("atom", "r"), 1, *fresh.ends),)
+        assert word(Atom("r"), swapped).letters == (Letter(Atom("r"), 1, *fresh.ends),)
     assert [f.name for f in dataclasses.fields(decl) if f.init] == ["source", "target", "type_name", "tag"]
 
 
