@@ -19,13 +19,14 @@ from .oracle import check_confluence, word
 from .rules import FORWARD, RULE_SETS, STRATEGIES, explain_rule, rule_set
 from .script import Script, parse_script
 from .serialize import derivation_to_doc, doc_to_json
-from .terms import Atom, Mu, PathTerm, Xi, format_object, format_term, level
+from .terms import Atom, Mu, PathTerm, Xi, format_object, format_term, gc_paused, level
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
+@gc_paused
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:

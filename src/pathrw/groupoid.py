@@ -31,6 +31,7 @@ from .terms import (
     Sym,
     Trans,
     endpoints,
+    gc_paused,
     level,
     replace_at,
 )
@@ -129,6 +130,7 @@ def _inverses(s: PathTerm, src: Object, tgt: Object, lv: int, ctx: Context) -> t
     return left, _law("right-inverse", "tsr", Trans(Sym(s), s), Refl(tgt), (s,), lv, ctx)
 
 
+@gc_paused
 def run_laws(ctx: Context, lv: int, samples: int, seed: int) -> LawSuiteReport:
     """Run the five law checks on ``samples`` random composable tuples."""
     if lv < 1:

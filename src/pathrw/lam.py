@@ -86,22 +86,20 @@ def substitute(m: LambdaTerm, x: str, n: LambdaTerm) -> LambdaTerm:
 
 def alpha_eq(m: LambdaTerm, n: LambdaTerm) -> bool:
     """True iff ``m`` and ``n`` differ only in the names of bound variables."""
-
-    def go(a: LambdaTerm, b: LambdaTerm, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
+    todo = [(m, n, {}, {}, 0)]  # env: bound name -> binder depth; a stack, as a self-calling closure is a cycle
+    while todo:
+        a, b, env_a, env_b, depth = todo.pop()
         match a, b:
             case Var(x), Var(y):
-                ia, ib = env_a.get(x), env_b.get(y)
-                if ia is None and ib is None:
-                    return x == y
-                return ia == ib
+                if env_a.get(x) != env_b.get(y) or x not in env_a and x != y:
+                    return False
             case Abs(va, ba), Abs(vb, bb):
-                return go(ba, bb, {**env_a, va: depth}, {**env_b, vb: depth}, depth + 1)
+                todo.append((ba, bb, {**env_a, va: depth}, {**env_b, vb: depth}, depth + 1))
             case App(fa, aa), App(fb, ab):
-                return go(fa, fb, env_a, env_b, depth) and go(aa, ab, env_a, env_b, depth)
+                todo += (aa, ab, env_a, env_b, depth), (fa, fb, env_a, env_b, depth)
             case _:
                 return False
-
-    return go(m, n, {}, {}, 0)
+    return True
 
 
 class Text(str):

@@ -37,6 +37,7 @@ from .terms import (
     applied_lambda,
     endpoints,
     former_endpoints,
+    gc_paused,
     value,
     with_child,
 )
@@ -230,6 +231,7 @@ class Peak:
 _SEAMS = {Trans: PTrans(PVar("l"), PVar("r")), Sym: PSym(PVar("b"))}
 
 
+@gc_paused
 def check_confluence(rs: RuleSet, ctx: Context, max_size: int) -> list[Peak]:
     """Local confluence at desk scale: the peaks among the enumerated terms.
 

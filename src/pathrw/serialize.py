@@ -17,7 +17,7 @@ from .errors import PathRwError
 from .lam import format_lambda
 from .rules import FORWARD, REVERSE, rule_set
 from .script import parse_lambda_expr, parse_path_expr
-from .terms import AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, StepAtom, Sym, Trans, Xi, format_term, level
+from .terms import AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, StepAtom, Sym, Trans, Xi, format_term, gc_paused, level
 
 FORMAT_NAME = "pathrw-derivation"
 FORMAT_VERSION = 1
@@ -171,6 +171,7 @@ def _read_doc(doc: dict[str, Any]) -> tuple[Derivation, Context, str, Callable[[
     return Derivation(start, steps, lv), ctx, _require(doc, "rules", "document", str), parse
 
 
+@gc_paused
 def replay_document(doc: dict[str, Any]) -> bool:
     """Rebuild everything from the document alone and replay the derivation."""
     derivation, ctx, rules_name, parse = _read_doc(doc)

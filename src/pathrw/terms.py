@@ -27,9 +27,11 @@ full-step copy of a 2,000-deep ``sigma`` nest replay in 2.4 s, against
 
 from __future__ import annotations
 
+import functools
+import gc
 import inspect
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Iterator, TypeAlias, Union
+from typing import TYPE_CHECKING, Callable, Iterator, TypeAlias, Union
 
 from .errors import (
     BadObject,
@@ -83,6 +85,24 @@ def value(cls: type) -> type:
     init.__annotations__ = cls.__init__.__annotations__
     cls.__init__ = init
     return cls
+
+
+def gc_paused(fn: Callable) -> Callable:
+    """Run each call of ``fn``, a whole job, with the cyclic garbage collector paused unless it already is.
+    The pause is process-wide: other threads' cycles wait until the job returns. Generators are refused."""
+    if inspect.isgeneratorfunction(fn):
+        raise TypeError(f"@gc_paused cannot wrap the generator function {fn.__qualname__}")
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 @dataclass(frozen=True, slots=True)

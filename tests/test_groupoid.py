@@ -12,8 +12,10 @@ import pytest
 from pathrw import engine, groupoid, rules
 from pathrw.engine import (
     Derivation,
+    NotEqual,
     concat_derivations,
     contract_once,
+    decide_rw_equal,
     derivation_to_path,
     invert_derivation,
     normalize,
@@ -36,7 +38,8 @@ from pathrw.groupoid import (
     run_laws,
 )
 from pathrw.lam import Abs, Var
-from pathrw.rules import PAPER7, RReflAtSource, RReflAtTarget, match_redexes
+from pathrw.oracle import oracle_equal
+from pathrw.rules import GROUPOID_COMPLETE, PAPER7, RReflAtSource, RReflAtTarget, match_redexes
 from pathrw.terms import Atom, AtomDecl, Context, Object, Refl, StepAtom, Sym, Trans, endpoints, level
 
 
@@ -542,3 +545,57 @@ def test_run_laws_needs_an_element_to_sample(ctx_rs):
         with pytest.raises(PathRwError, match="no elements to sample paths from"):
             run_laws(bare, lv, 1, 0)
         assert run_laws(bare, lv, 0, 0).reports == ()
+
+
+# --- what the tower identifies (ROADMAP item 19) ------------------------------
+
+
+def _lifted(start, moves, ctx):
+    """Contract ``moves`` (rule, position) in turn from ``start``; the end and the lifted derivation."""
+    steps, cur = [], start
+    for rule, pos in moves:
+        cur, step = contract_once(cur, rule, pos, PAPER7, ctx)
+        steps.append(step)
+    d = Derivation(start, tuple(steps), 1)
+    assert replay_derivation(d, PAPER7, ctx)
+    return cur, derivation_to_path(d)
+
+
+@pytest.mark.parametrize(
+    "start, first, second",
+    [
+        (
+            Trans(Sym(Sym(Atom("r"))), Sym(Sym(Atom("s")))),
+            [("ss", (0,)), ("ss", (1,))],
+            [("ss", (1,)), ("ss", (0,))],
+        ),
+        (
+            Trans(Trans(Trans(Atom("p"), Atom("q")), Atom("t")), Atom("w")),
+            [("tt", ()), ("tt", ())],
+            [("tt", (0,)), ("tt", ()), ("tt", (1,))],
+        ),
+    ],
+    ids=["interchange", "pentagon"],
+)
+def test_two_derivations_to_one_end_lift_to_unequal_paths(start, first, second):
+    """Interchange and the pentagon fail one level up: rw-equality at each level is the free groupoid
+    on that level's generators, here the recorded steps, so two lifts are equal only if their reduced words are."""
+    ctx = Context(
+        ("A",),
+        {name: "A" for name in "abcde"},
+        {},
+        {
+            "r": AtomDecl("a", "b", "A"),
+            "s": AtomDecl("b", "c", "A"),
+            "p": AtomDecl("a", "b", "A"),
+            "q": AtomDecl("b", "c", "A"),
+            "t": AtomDecl("c", "d", "A"),
+            "w": AtomDecl("d", "e", "A"),
+        },
+    )
+    end, lift1 = _lifted(start, first, ctx)
+    end2, lift2 = _lifted(start, second, ctx)
+    assert end == end2 and lift1 != lift2
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        assert decide_rw_equal(lift1, lift2, rs, ctx) == NotEqual("reduced words differ")
+    assert oracle_equal(lift1, lift2, ctx) is False
