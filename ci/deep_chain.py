@@ -8,7 +8,7 @@ line when it holds; the first that fails raises and exits non-zero.
 import random
 
 from pathrw import GROUPOID_COMPLETE, PAPER7, Atom, AtomDecl, Context, Derivation, Mu, Object, Refl, Sym, Trans, Xi
-from pathrw import canonical_derivation, endpoints, normalize, replay_derivation, validate
+from pathrw import canonical_derivation, endpoints, mu_measure, normalize, replay_derivation, validate
 from pathrw.errors import EndpointMismatch
 from pathrw.groupoid import _composable_triple
 from pathrw.lam import Abs, Var
@@ -44,6 +44,8 @@ for strategy in ("leftmost-innermost", "leftmost-outermost"):
     # d._edits counts the steps unbuilt: building the innermost ones rebuilds a spine up to 4,000 deep per step, about 16 s on a 2-core x86-64 machine
     assert nf == Atom("r") and len(fired) == len(d._edits) == 4000, strategy
 print("deep chain: 4000 links walked by contractions both ways, one contraction per normalize step")
+assert size(t) == 8001 and mu_measure(t) == (8001, 16000000), (size(t), mu_measure(t))
+print("deep chain: 4000 links counted by size and mu_measure in one walk")
 s = Atom("r")
 for _ in range(2000):
     s = Sym(s)
@@ -66,7 +68,12 @@ nest = 5
 for _ in range(4000):
     nest = Xi("v", nest)
 assert [(v.kind, v.position, v.message) for v in validate(nest, lam).violations] == [("bad-term", (0,) * 4000, "not a path term: 5")]
-print("deep formers: a non-term under 4000 xi located by validate, one violation")
+try:
+    mu_measure(nest)
+    raise AssertionError("mu_measure counted a non-term")
+except TypeError as exc:
+    assert str(exc) == "not a path term: 5", exc
+print("deep formers: a non-term under 4000 xi located by validate, one violation; mu_measure raises TypeError")
 triangle = Context(("A",), {"a": "A", "b": "A", "c": "A"}, {}, {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")})
 tower = _composable_triple(triangle, 12, random.Random(0))[0]
 assert validate(tower, triangle).ok

@@ -11,7 +11,7 @@ from types import ModuleType as _ModuleType
 
 from .engine import (
     Derivation, Equal, NotEqual, RewriteStep, canonical_derivation, concat_derivations, contract_once,
-    decide_rw_equal, derivation_to_path, invert_derivation, mu_measure, normalize, replay_derivation,
+    decide_rw_equal, derivation_to_path, invert_derivation, normalize, replay_derivation,
 )
 from .errors import PathRwError
 from .groupoid import LawReport, LawSuiteReport, check_assoc, check_inverses, check_units, compose, run_laws
@@ -24,7 +24,7 @@ from .script import Script, parse_lambda_expr, parse_path_expr, parse_script
 from .serialize import derivation_from_doc, derivation_to_doc, replay_document
 from .terms import (
     Atom, AtomDecl, Context, Mu, Nu, Object, PathTerm, Refl, StepAtom, Sym, Trans, WellFormednessReport, Xi,
-    endpoints, format_term, level, path_obj, size, validate,
+    endpoints, format_term, level, mu_measure, path_obj, size, validate,
 )
 
 __version__ = "0.1.0"

@@ -185,25 +185,6 @@ def normalize(
     return d.end, d
 
 
-def mu_measure(t: PathTerm) -> tuple[int, int]:
-    """Termination measure: (size, total size of left factors of compositions).
-
-    A node counts once per composition whose left factor holds it: one pre-order walk counts both.
-    """
-    count = weight = 0
-    stack = [(t, 0)]
-    while stack:
-        node, lefts = stack.pop()
-        count += 1
-        weight += lefts
-        tp = type(node)
-        if tp is Trans:
-            stack += ((node.right, lefts), (node.left, lefts + 1))
-        elif tp is Sym or tp is Xi or tp is Mu or tp is Nu:
-            stack.append((node.body, lefts))
-    return count, weight
-
-
 def concat_derivations(d1: Derivation, d2: Derivation) -> Derivation:
     """Chain two derivations; d2 must start where d1 ends, at the same level."""
     if d1.level != d2.level:

@@ -14,8 +14,9 @@ The term classes are final: nothing subclasses them. So every traversal
 dispatches on exact type (``type(t) is Trans``), which costs a fraction of a
 class-pattern ``match`` case. No traversal recurses, each walks an explicit
 stack: ``endpoints`` takes leaves in path order and hands formers and errors
-to the post-order fold behind ``validate``, and ``size`` and ``format_term``
-walk pre-order; so terms of any depth work at the default recursion limit.
+to the post-order fold behind ``validate``, and ``mu_measure`` (whose first
+component is ``size``) and ``format_term`` walk pre-order; so terms of any
+depth work at the default recursion limit.
 Positions are walked by the zipper of ``move``: ``subterm_at``, ``replace_at``
 and the engine's replay of edits call it. One walk is apart: replay of a
 hand-built step (``engine._edit``) walks its two sides in lockstep and
@@ -31,7 +32,7 @@ import functools
 import gc
 import inspect
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Iterator, TypeAlias, Union
+from typing import TYPE_CHECKING, Callable, TypeAlias, Union
 
 from .errors import (
     BadObject,
@@ -298,24 +299,31 @@ def _position_of(root: PathTerm, node: PathTerm) -> Position:
             todo.append((t.obj.payload, pos) if tp is Refl else (t.body, pos + (0,)))
 
 
-def subterms(t: PathTerm) -> Iterator[PathTerm]:
-    """Every node of the tree in pre-order, left to right; a non-term raises TypeError when reached."""
-    stack = [t]
+def mu_measure(t: PathTerm) -> tuple[int, int]:
+    """Termination measure: (node count, total size of left factors of compositions).
+
+    One pre-order walk counts both: a node counts once per composition whose left factor holds it. A
+    Refl or StepAtom is one leaf, read no further; a non-term raises TypeError when reached.
+    """
+    count = weight = 0
+    stack = [(t, 0)]
     while stack:
-        t = stack.pop()
-        tp = type(t)
+        node, lefts = stack.pop()
+        tp = type(node)
         if tp is Trans:
-            stack += (t.right, t.left)
+            stack += ((node.right, lefts), (node.left, lefts + 1))
         elif tp is Sym or tp is Xi or tp is Mu or tp is Nu:
-            stack.append(t.body)
+            stack.append((node.body, lefts))
         elif tp is not Atom and tp is not Refl and tp is not StepAtom:
-            raise TypeError(f"not a path term: {t!r}")
-        yield t
+            raise TypeError(f"not a path term: {node!r}")
+        count += 1
+        weight += lefts
+    return count, weight
 
 
 def size(t: PathTerm) -> int:
-    """Node count of the expression tree."""
-    return sum(1 for _ in subterms(t))
+    """Node count of the expression tree: ``mu_measure``'s first component."""
+    return mu_measure(t)[0]
 
 
 def subterm_at(t: PathTerm, pos: Position) -> PathTerm:

@@ -12,7 +12,7 @@ from hypothesis import settings, strategies as st
 from pathrw.engine import Derivation, contract_once, derivation_to_path, invert_derivation
 from pathrw.lam import Abs, App, Var
 from pathrw.rules import PAPER7, match_redexes
-from pathrw.terms import Atom, AtomDecl, Context, Mu, Nu, Object, Refl, Sym, Trans, Xi, endpoints, subterms
+from pathrw.terms import Atom, AtomDecl, Context, Mu, Nu, Object, Refl, Sym, Trans, Xi, endpoints, size
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -222,10 +222,10 @@ def _large_term(ctx: Context, target: int, max_size: int, rng):
     budget = target
     while True:
         t, y = path(x, budget, 0)
-        n = sum(1 for _ in subterms(t))
+        n = size(t)
         while n < target:
             more, y = path(y, target - n + 1, 1)
-            t, n = Trans(t, more), n + 1 + sum(1 for _ in subterms(more))
+            t, n = Trans(t, more), n + 1 + size(more)
         if n <= max_size:
             return t
         budget = max(1, budget * 3 // 4)

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from pathrw import mu_measure
 from pathrw.engine import (
     Derivation,
     Equal,
@@ -21,7 +22,6 @@ from pathrw.engine import (
     contract_once,
     decide_rw_equal,
     invert_derivation,
-    mu_measure,
     normalize,
     replay_derivation,
 )

@@ -9,10 +9,11 @@ import re
 import pytest
 
 from pathrw.cli import main
-from pathrw.engine import Derivation, invert_derivation, normalize
+from pathrw.engine import Derivation, NotEqual, decide_rw_equal, invert_derivation, normalize
 from pathrw.errors import ContextError, NotAnAxiomInstance, PathRwError, TypeMismatch
 from pathrw.groupoid import run_laws
-from pathrw.rules import PAPER7
+from pathrw.oracle import oracle_equal
+from pathrw.rules import GROUPOID_COMPLETE, PAPER7
 from pathrw.script import parse_path_expr, parse_script
 from pathrw.serialize import (
     context_from_doc,
@@ -474,6 +475,37 @@ def test_oracle_command_prints_former_letters(tmp_path, capsys):
     for name, out in expected.items():
         assert main(["oracle", str(f), name]) == 0
         assert capsys.readouterr() == (out, "")
+
+
+# Each former against the same former pushed through a composition or an inverse (ROADMAP item 19).
+NOT_FUNCTORIAL = (
+    ("mu(m, tau(al, be))", "tau(mu(m, al), mu(m, be))"),
+    ("mu(m, sigma(al))", "sigma(mu(m, al))"),
+    ("xi(v, tau(al, be))", "tau(xi(v, al), xi(v, be))"),
+)
+
+
+@pytest.mark.parametrize("lhs, rhs", NOT_FUNCTORIAL, ids=["mu-tau", "mu-sigma", "xi-tau"])
+def test_formers_are_not_functorial(lhs, rhs, tmp_path, capsys):
+    """A former over a composition is its own generator: no rule set, nor the oracle, splits it."""
+    f = tmp_path / "functor.pth"
+    f.write_text(FORMERS_SCRIPT + f"path p := {lhs}\npath q := {rhs}\n", encoding="utf-8")
+    script = parse_script(f.read_text(encoding="utf-8"))
+    p, q = script.paths["p"], script.paths["q"]
+    for rs in (PAPER7, GROUPOID_COMPLETE):
+        assert decide_rw_equal(p, q, rs, script.context) == NotEqual("reduced words differ")
+    assert oracle_equal(p, q, script.context) is False
+    for rules in ("paper7", "groupoid-complete"):
+        assert main(["equal", str(f), "p", "q", "--rules", rules]) == 1
+        assert capsys.readouterr() == ("not equal: reduced words differ\n", "")
+
+
+def test_a_former_over_a_unit_is_a_letter(tmp_path, capsys):
+    """``xi(v, rho(m))`` reduces to no shorter word: its one letter is the former over ``rho(m)``."""
+    f = tmp_path / "unit.pth"
+    f.write_text(FORMERS_SCRIPT + "path u := xi(v, rho(m))\n", encoding="utf-8")
+    assert main(["oracle", str(f), "u"]) == 0
+    assert capsys.readouterr() == ("word:   xi[v, rho(m)]\nsource: \\v. \\x. x\ntarget: \\v. \\x. x\n", "")
 
 
 def test_console_entry_point_runs():

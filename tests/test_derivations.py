@@ -67,11 +67,10 @@ from pathrw.terms import (
     endpoints,
     level,
     replace_at,
-    subterms,
 )
 
 from conftest import former_term_strategy, large_term_strategy, lifted_term_strategy
-from test_kernel import ref_build_template, ref_path_children
+from test_kernel import ref_build_template, ref_path_children, subterms
 from test_walker import STRATEGIES, TRIANGLE, _trace, match_pattern, reference_trace
 
 RULE_SETS = (PAPER7, GROUPOID_COMPLETE)

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pathrw import engine
+from pathrw import engine, mu_measure
 from pathrw.engine import (
     Derivation,
     Equal,
@@ -22,7 +22,6 @@ from pathrw.engine import (
     decide_rw_equal,
     derivation_to_path,
     invert_derivation,
-    mu_measure,
     normalize,
     replay_derivation,
 )

@@ -24,8 +24,8 @@ from hypothesis import given, settings
 
 import pathrw.oracle
 import pathrw.terms
-from pathrw import groupoid
-from pathrw.engine import RewriteStep, contract_once, mu_measure
+from pathrw import groupoid, mu_measure
+from pathrw.engine import RewriteStep, contract_once
 from pathrw.errors import (
     EndpointMismatch, PathRwError, UnknownAtom, UnknownElement, UnresolvedLambda, fmt_position,
 )
@@ -112,7 +112,7 @@ def ref_mu_measure(t):
             return 1 + left_size + right_size, left_weight + right_weight + left_size
         children = ref_path_children(node)
         if not children:
-            return 1, 0
+            return ref_size(node), 0
         body_size, body_weight = go(children[0])
         return 1 + body_size, body_weight
 
@@ -624,6 +624,71 @@ def test_word_key_building_grows_linearly_on_a_former_nest(monkeypatch):
     assert small == {"read_back": 1000, "Letter": 1000} and large == {"read_back": 2000, "Letter": 2000}
     for key, n in small.items():
         assert large[key] <= 2.1 * n, (key, n, large[key])
+
+
+class CountedAtoms(dict):
+    """A context's atom declarations that count each lookup by ``[]`` or ``get``."""
+
+    lookups = 0
+
+    def __getitem__(self, name):
+        self.lookups += 1
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.lookups += 1
+        return super().get(name, default)
+
+
+def sym_trans_nest(n):
+    """``N(n)``, where ``N(0) = u`` and ``N(k) = sigma(tau(N(k - 1), v))``: n + 1 atoms, 2n + 1 levels deep."""
+    t = Atom("u")
+    for _ in range(n):
+        t = Sym(Trans(t, Atom("v")))
+    return t
+
+
+def test_endpoints_and_word_grow_linearly_on_a_sym_trans_nest(monkeypatch):
+    """Counted, not timed, on ``sym_trans_nest(n)`` at n = 1,000 and 2,000.
+
+    ``endpoints`` looks each atom's declaration up once, n + 1 lookups, and never
+    hands the term to the fold. After a warm-up call has stored the letters of
+    ``u`` and ``v``, ``word`` does the same and builds no ``Letter``. A second
+    call counts the same, and doubling n may at most 2.1-fold each count.
+    """
+    counts = collections.Counter()
+    real_fold, real_letter = pathrw.terms._fold, pathrw.oracle.Letter
+
+    def counted_fold(*args):
+        counts["_fold"] += 1
+        return real_fold(*args)
+
+    def counted_letter(*args):
+        counts["Letter"] += 1
+        return real_letter(*args)
+
+    def count(walk, n):
+        atoms = CountedAtoms(u=AtomDecl("a", "a", "A"), v=AtomDecl("a", "a", "A"))
+        ctx = Context(("A",), {"a": "A"}, {}, atoms)
+        t = sym_trans_nest(n)
+        if walk is word:
+            word(t, ctx)
+        result = []
+        for _ in range(2):
+            counts.clear()
+            atoms.lookups = 0
+            walk(t, ctx)
+            result.append({"lookups": atoms.lookups, **counts})
+        assert result[0] == result[1], (walk.__name__, result)
+        return result[0]
+
+    monkeypatch.setattr(pathrw.terms, "_fold", counted_fold)
+    monkeypatch.setattr(pathrw.oracle, "Letter", counted_letter)
+    for walk in (endpoints, word):
+        small, large = count(walk, 1000), count(walk, 2000)
+        assert small == {"lookups": 1001} and large == {"lookups": 2001}, (walk.__name__, small, large)
+        for key, n in small.items():
+            assert large[key] <= 2.1 * n, (key, n, large[key])
 
 
 def test_a_bad_link_at_the_bottom_of_a_long_chain_is_located():

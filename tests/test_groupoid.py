@@ -12,6 +12,7 @@ import pytest
 from pathrw import engine, groupoid, rules
 from pathrw.engine import (
     Derivation,
+    Equal,
     NotEqual,
     concat_derivations,
     contract_once,
@@ -38,7 +39,7 @@ from pathrw.groupoid import (
     run_laws,
 )
 from pathrw.lam import Abs, Var
-from pathrw.oracle import oracle_equal
+from pathrw.oracle import enumerate_terms, oracle_equal
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, RReflAtSource, RReflAtTarget, match_redexes
 from pathrw.terms import Atom, AtomDecl, Context, Object, Refl, StepAtom, Sym, Trans, endpoints, level
 
@@ -574,12 +575,18 @@ def _lifted(start, moves, ctx):
             [("tt", ()), ("tt", ())],
             [("tt", (0,)), ("tt", ()), ("tt", (1,))],
         ),
+        (
+            Trans(Trans(Refl(Object(0, "a")), Atom("r")), Refl(Object(0, "b"))),
+            [("tlr", (0,)), ("trr", ())],
+            [("trr", ()), ("tlr", ())],
+        ),
     ],
-    ids=["interchange", "pentagon"],
+    ids=["interchange", "pentagon", "levy"],
 )
 def test_two_derivations_to_one_end_lift_to_unequal_paths(start, first, second):
-    """Interchange and the pentagon fail one level up: rw-equality at each level is the free groupoid
-    on that level's generators, here the recorded steps, so two lifts are equal only if their reduced words are."""
+    """Interchange, the pentagon and a Lévy permutation of ``tlr`` and ``trr`` fail one level up:
+    rw-equality at each level is the free groupoid on that level's generators, here the recorded
+    steps, so two lifts are equal only if their reduced words are."""
     ctx = Context(
         ("A",),
         {name: "A" for name in "abcde"},
@@ -599,3 +606,21 @@ def test_two_derivations_to_one_end_lift_to_unequal_paths(start, first, second):
     for rs in (PAPER7, GROUPOID_COMPLETE):
         assert decide_rw_equal(lift1, lift2, rs, ctx) == NotEqual("reduced words differ")
     assert oracle_equal(lift1, lift2, ctx) is False
+
+
+@pytest.mark.parametrize("rs", [PAPER7, GROUPOID_COMPLETE], ids=lambda rs: rs.name)
+def test_lifting_is_functorial_on_sampled_traces(rs):
+    """Lifting sends a composite to the composition, an inverse to the inverse and the empty derivation to the unit."""
+    rng = random.Random(19)
+    terms = rng.sample(list(enumerate_terms(TRIANGLE, 7)), 300)
+    for t in terms:
+        _, d = normalize(t, rs, TRIANGLE)
+        k = rng.randint(0, len(d.steps))
+        d1 = Derivation(d.start, d.steps[:k], 1)
+        d2 = Derivation(d1.end, d.steps[k:], 1)
+        lift1, lift2 = derivation_to_path(d1), derivation_to_path(d2)
+        verdict = decide_rw_equal(derivation_to_path(concat_derivations(d1, d2)), Trans(lift1, lift2), rs, TRIANGLE)
+        assert type(verdict) is Equal and replay_derivation(verdict.witness, rs, TRIANGLE), t
+        verdict = decide_rw_equal(derivation_to_path(invert_derivation(d)), Sym(derivation_to_path(d)), rs, TRIANGLE)
+        assert type(verdict) is Equal, t
+        assert derivation_to_path(Derivation(t, (), 1)) == Refl(Object(1, t))

@@ -11,12 +11,11 @@ import pickle
 
 import pytest
 
-from pathrw import rules
+from pathrw import mu_measure, rules
 from pathrw.engine import (
     Derivation,
     _expand,
     contract_once,
-    mu_measure,
     normalize,
     replay_derivation,
 )

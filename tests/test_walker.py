@@ -59,7 +59,7 @@ from pathrw.terms import (
     subterm_at,
 )
 
-from test_kernel import ref_build_template, ref_path_children
+from test_kernel import ref_build_template, ref_path_children, subterms
 
 TRIANGLE = Context(
     ("A",),
@@ -393,14 +393,6 @@ def test_canonical_derivation_and_replay_work_grows_linearly_on_a_trc_chain(monk
         assert n >= 1000 and large[key] <= 2.1 * n, (key, n, large[key])
 
 
-def _subterms(t):
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(ref_path_children(node))
-
-
 def _substitute(t, atoms, objects):
     """``t`` rebuilt node by node, its atoms and reflexivity objects mapped."""
     match t:
@@ -429,8 +421,8 @@ def _agree(terms, lv=1):
 
 
 def test_matchers_agree_with_interpreter_on_sweep_subterms():
-    subterms = {node for t in TERMS for node in _subterms(t)}
-    hits = _agree(subterms)
+    nodes = {node for t in TERMS for node in subterms(t)}
+    hits = _agree(nodes)
     assert all(hits.values()), hits
 
 
@@ -439,7 +431,7 @@ ROTATED = (
     {"r": Atom("s"), "s": Atom("u"), "u": Atom("r")},
     {"a": Object(0, "b"), "b": Object(0, "c"), "c": Object(0, "a")},
 )
-SMALL = [t for t in TERMS if len(list(_subterms(t))) <= 5]
+SMALL = [t for t in TERMS if len(list(subterms(t))) <= 5]
 
 
 def _level_2_leaves():
@@ -463,7 +455,7 @@ def test_matchers_agree_with_interpreter_on_level_2_terms():
             p = derivation_to_path(d)
             lifted += [Trans(p, Sym(p)), Sym(Sym(p)), Sym(Trans(p, p)), Trans(p, Trans(Sym(p), p))]
             lifted += [Trans(Sym(p), Trans(p, p))]
-    terms = [node for t in lifted for node in _subterms(t)]
+    terms = [node for t in lifted for node in subterms(t)]
     assert {level(t) for t in terms} == {2}
     hits = _agree(terms, lv=2)
     assert all(hits.values()), hits
@@ -495,10 +487,10 @@ def test_nonlinear_matchers_compare_with_equality():
 
 def test_generated_contract_agrees_with_match_and_build():
     """A rule set's ``contract``, and each schema's ``contract`` and ``build``, build what ``match`` and the reference build."""
-    subterms = {node for t in TERMS for node in _subterms(t)}
+    nodes = {node for t in TERMS for node in subterms(t)}
     contracted = 0
     for rs in (PAPER7, GROUPOID_COMPLETE):
-        for node in subterms:
+        for node in nodes:
             expected = None
             for schema in rs.schemas:
                 binding = schema.match(node)
@@ -509,7 +501,7 @@ def test_generated_contract_agrees_with_match_and_build():
                     expected = schema, built
             assert rs.contract(node, TRIANGLE) == expected, node
             contracted += expected is not None
-    assert contracted > len(subterms)
+    assert contracted > len(nodes)
 
 
 def test_bindings_are_fresh_per_call():
