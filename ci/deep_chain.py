@@ -8,8 +8,8 @@ line when it holds; the first that fails raises and exits non-zero.
 import random
 
 from pathrw import GROUPOID_COMPLETE, PAPER7, Atom, AtomDecl, Context, Derivation, Mu, Object, Refl, Sym, Trans, Xi
-from pathrw import canonical_derivation, endpoints, mu_measure, normalize, replay_derivation, validate
-from pathrw.errors import EndpointMismatch
+from pathrw import canonical_derivation, contract_once, endpoints, mu_measure, normalize, replay_derivation, validate
+from pathrw.errors import EndpointMismatch, NoRedex, PositionedError
 from pathrw.groupoid import _composable_triple
 from pathrw.lam import Abs, Var
 from pathrw.rules import contractions
@@ -46,6 +46,19 @@ for strategy in ("leftmost-innermost", "leftmost-outermost"):
 print("deep chain: 4000 links walked by contractions both ways, one contraction per normalize step")
 assert size(t) == 8001 and mu_measure(t) == (8001, 16000000), (size(t), mu_measure(t))
 print("deep chain: 4000 links counted by size and mu_measure in one walk")
+below = (0,) * 4001
+try:
+    subterm_at(t, below)
+    raise AssertionError("subterm_at found a subterm below the leftmost leaf")
+except PositionedError as exc:
+    assert exc.position == below and str(exc) == "no subterm at position " + ".".join("0" * 4001), str(exc)[:40]
+print("deep chain: no subterm 4001 deep, the error at that position")
+try:
+    contract_once(t, "ss", (0,) * 3999, PAPER7, ctx)
+    raise AssertionError("ss contracted a composition")
+except NoRedex as exc:
+    assert exc.position == (0,) * 3999, len(exc.position)
+print("deep chain: no ss redex 3999 deep, the error at that position")
 s = Atom("r")
 for _ in range(2000):
     s = Sym(s)

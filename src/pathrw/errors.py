@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error about a term names the subterm it found by position: it is a
+``PositionedError``, which carries ``.what`` and ``.position`` and reads
+``<what> at position <p>``. Only this module writes that text.
+"""
 
 from __future__ import annotations
 
@@ -11,63 +16,8 @@ class ContextError(PathRwError):
     """A context violates its declaration invariants."""
 
 
-class UnknownAtom(PathRwError):
-    """A path term names a step atom that the context does not declare."""
-
-    def __init__(self, name: str, position: tuple[int, ...] = ()):
-        self.name = name
-        self.position = position
-        super().__init__(f"unknown atom '{name}' at position {fmt_position(position)}")
-
-
-class UnknownElement(PathRwError):
-    """A reflexivity node wraps an element that the context does not declare."""
-
-    def __init__(self, name: str, position: tuple[int, ...] = ()):
-        self.name = name
-        self.position = position
-        super().__init__(f"unknown element '{name}' at position {fmt_position(position)}")
-
-
-class BadObject(PathRwError):
-    """A reflexivity node wraps an object below level 0."""
-
-    def __init__(self, level: int, position: tuple[int, ...] = ()):
-        self.position = position
-        super().__init__(f"object level {level} is below 0 at position {fmt_position(position)}")
-
-
-class NotAnObject(PathRwError):
-    """A reflexivity node holds something that is no ``Object``."""
-
-    def __init__(self, obj: object, position: tuple[int, ...] = ()):
-        self.position = position
-        super().__init__(f"not an object: {obj!r} at position {fmt_position(position)}")
-
-
-class BadStep(PathRwError):
-    """A recorded-step atom holds something with no level, ``before`` or ``after``: no rewrite step."""
-
-    def __init__(self, step: object, position: tuple[int, ...] = ()):
-        self.position = position
-        super().__init__(f"not a rewrite step: {step!r} at position {fmt_position(position)}")
-
-
-class EndpointMismatch(PathRwError):
-    """Two paths were chained whose endpoints do not meet."""
-
-    def __init__(self, position: tuple[int, ...], left_target, right_source):
-        self.position = position
-        self.left_target = left_target
-        self.right_source = right_source
-        super().__init__(
-            f"endpoint mismatch at position {fmt_position(position)}: "
-            f"{left_target} != {right_source}"
-        )
-
-
-class UnresolvedLambda(PathRwError):
-    """A congruence former needs a lambda value the context does not supply."""
+class PositionedError(PathRwError):
+    """An error at a term position: ``.what`` was found at ``.position``; the text is ``<what> at position <p>``."""
 
     def __init__(self, what: str, position: tuple[int, ...] = ()):
         self.what = what
@@ -75,11 +25,46 @@ class UnresolvedLambda(PathRwError):
         super().__init__(f"{what} at position {fmt_position(position)}")
 
 
+class UnknownAtom(PositionedError):
+    """A path term names a step atom that the context does not declare."""
+
+
+class UnknownElement(PositionedError):
+    """A reflexivity node wraps an element that the context does not declare."""
+
+
+class BadObject(PositionedError):
+    """A reflexivity node wraps an object below level 0."""
+
+    def __init__(self, level: int, position: tuple[int, ...] = ()):
+        super().__init__(f"object level {level} is below 0", position)
+
+
+class NotAnObject(PositionedError):
+    """A reflexivity node holds something that is no ``Object``."""
+
+
+class BadStep(PositionedError):
+    """A recorded-step atom holds something with no level, ``before`` or ``after``: no rewrite step."""
+
+
+class EndpointMismatch(PositionedError):
+    """Two paths were chained whose endpoints do not meet; the text goes on ``: <left> != <right>``."""
+
+    def __init__(self, position: tuple[int, ...], left_target, right_source):
+        super().__init__("endpoint mismatch", position)
+        self.args = (f"{self}: {left_target} != {right_source}",)
+
+
+class UnresolvedLambda(PositionedError):
+    """A congruence former needs a lambda value the context does not supply."""
+
+
 class UnknownRule(PathRwError):
     """A rule name that no rule set defines."""
 
 
-class NoRedex(PathRwError):
+class NoRedex(PositionedError):
     """A rule was applied at a position where its pattern does not match."""
 
 

@@ -27,9 +27,9 @@ from itertools import islice
 from .errors import (
     DslSyntaxError,
     NotAnAxiomInstance,
-    PathRwError,
     TypeMismatch,
     UndeclaredName,
+    UnresolvedLambda,
 )
 from .lam import Abs, App, LambdaTerm, Var, validate_axiom_atom
 from .terms import (
@@ -321,8 +321,8 @@ class _Parser:
         term = Xi(frame[2], body) if former == _XI else Mu(frame[2], body) if former == _MU else Nu(body, arg)
         try:
             return term, former_endpoints(term, applied_lambda(term, ctx), ends, ctx), i
-        except PathRwError as exc:
-            raise TypeMismatch(str(exc), *self._at(frame[1])) from None
+        except UnresolvedLambda as exc:  # the line and column locate it, not its position inside the former
+            raise TypeMismatch(exc.what, *self._at(frame[1])) from None
 
     def _leaf(self, toks: list[str], i: int) -> tuple[PathTerm, tuple[Object, Object]]:
         """A step or path name's term and endpoints, on first sight in this parse."""
@@ -383,17 +383,17 @@ class _Parser:
         return Var(self._name(toks, i, "lambda term")), i + 1
 
 
-def parse_path_expr(text: str, ctx: Context, paths: dict[str, PathTerm] | None = None, line: int = 1) -> PathTerm:
-    """Parse a single path expression against an existing context."""
-    parser, toks = _Parser(ctx, paths or {}, text, line), _token_texts(text, line)
+def parse_path_expr(text: str, ctx: Context, paths: dict[str, PathTerm] | None = None) -> PathTerm:
+    """Parse a single path expression against an existing context, as line 1."""
+    parser, toks = _Parser(ctx, paths or {}, text, 1), _token_texts(text, 1)
     term, _, i = parser._path_expr(toks, 0)
     parser._end(toks, i)
     return term
 
 
-def parse_lambda_expr(text: str, line: int = 1) -> LambdaTerm:
-    """Parse a single lambda expression."""
-    parser, toks = _Parser(Context(), {}, text, line), _token_texts(text, line)
+def parse_lambda_expr(text: str) -> LambdaTerm:
+    """Parse a single lambda expression, as line 1."""
+    parser, toks = _Parser(Context(), {}, text, 1), _token_texts(text, 1)
     term, i = parser._lambda_expr(toks, 0)
     parser._end(toks, i)
     return term

@@ -40,6 +40,7 @@ from .errors import (
     ContextError,
     EndpointMismatch,
     NotAnObject,
+    PositionedError,
     UnknownAtom,
     UnknownElement,
     UnresolvedLambda,
@@ -281,8 +282,8 @@ def _leftmost(t: PathTerm) -> Position:
 def _bad_leaf(t: object, position: Position) -> Exception:
     """What a walk raises at a leaf it cannot take: a StepAtom around no step, a Refl around no object, a non-term."""
     if type(t) is StepAtom:
-        return BadStep(t.step, position)
-    return NotAnObject(t.obj, position) if type(t) is Refl else TypeError(f"not a path term: {t!r}")
+        return BadStep(f"not a rewrite step: {t.step!r}", position)
+    return NotAnObject(f"not an object: {t.obj!r}", position) if type(t) is Refl else TypeError(f"not a path term: {t!r}")
 
 
 def _position_of(root: PathTerm, node: PathTerm) -> Position:
@@ -366,7 +367,7 @@ def move(stack: list, focus: PathTerm, here: Position, pos: Position, k: int) ->
     prefix that ``here`` and ``pos`` share, rebuilding every ancestor it
     leaves; callers climb only from a focus they replaced, so no unchanged
     node is rebuilt. Then it descends along ``pos[k:]``, pushing the nodes it
-    passes, and raises ``PathRwError`` where ``pos`` names no subterm.
+    passes, and raises ``PositionedError`` where ``pos`` names no subterm.
     """
     depth = len(stack)  # of the focus
     while depth > k:
@@ -385,7 +386,7 @@ def move(stack: list, focus: PathTerm, here: Position, pos: Position, k: int) ->
         elif i == 0 and type(i) is int and (tp is Sym or tp is Xi or tp is Mu or tp is Nu):
             focus = focus.body
         else:
-            raise PathRwError(f"no subterm at position {fmt_position(pos)}")
+            raise PositionedError("no subterm", pos)
     return focus
 
 
@@ -508,8 +509,8 @@ def _fold(t: PathTerm, ctx: Context, validating: bool) -> tuple:
             try:
                 ends = ctx.atoms[t.name].ends
             except KeyError:
-                here = _here(frames)
-                ends = note("unknown-atom", here, f"unknown atom '{t.name}'", lambda: UnknownAtom(t.name, here))
+                here, what = _here(frames), f"unknown atom '{t.name}'"
+                ends = note("unknown-atom", here, what, lambda: UnknownAtom(what, here))
             except TypeError as exc:  # a name that cannot be hashed: a wrong type, which endpoints raises
                 ends = note("bad-term", _here(frames), f"not a path term: {t!r}", lambda: exc)
         elif tp is Refl and type(t.obj) is Object:
@@ -517,9 +518,8 @@ def _fold(t: PathTerm, ctx: Context, validating: bool) -> tuple:
             ends = obj, obj
             if obj.level == 0:
                 if isinstance(obj.payload, str) and obj.payload not in ctx.elements:
-                    here = _here(frames)
-                    message = f"unknown element '{obj.payload}'"
-                    ends = note("unknown-element", here, message, lambda: UnknownElement(obj.payload, here))
+                    here, what = _here(frames), f"unknown element '{obj.payload}'"
+                    ends = note("unknown-element", here, what, lambda: UnknownElement(what, here))
             else:
                 trusted = not validating or len(opened) > 1
                 if trusted:  # as endpoints takes it, which rejects only a level below 0, or no number

@@ -25,6 +25,40 @@ def readme_blocks(lang: str) -> list[str]:
     return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
 
 
+def el(name: str) -> Object:
+    """The level-0 object of element ``name``."""
+    return Object(0, name)
+
+
+# Contexts and scripts shared by the test modules. No test changes one: a test
+# that needs a changed context builds its own.
+TRIANGLE = Context(
+    ("A",),
+    {"a": "A", "b": "A", "c": "A"},
+    {},
+    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")},
+)
+CTX_RS = Context(
+    ("A",),
+    {"a": "A", "b": "A", "c": "A"},
+    {},
+    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A")},
+)
+# Lambda values for both elements, so every path drawn can sit under a former.
+LAM_PATHS = Context(
+    ("F",), {"m": "F", "n": "F"}, {"m": Abs("x", Var("x")), "n": Abs("y", Var("y"))}, {"al": AtomDecl("m", "n", "F")}
+)
+TRIANGLE_SCRIPT = "type A\nelem a b c : A\nstep r : a = b\nstep s : b = c\nstep u : a = c\n"
+LAMBDA_SCRIPT = "type F\nelem m n : F\nlam m := \\x. x\nlam n := \\y. y\nstep al : m = n alpha\n"
+# Scripts whose line 4 puts a xi over what has no lambda value, each with its
+# error: the line and column of the xi, and no position inside it.
+FORMER_ERRORS = {
+    "type A\nelem a b : A\nstep r : a = b\npath q := sigma(xi(v, r))\n": "4:17: element 'a' has no lambda value",
+    "type A\nelem a b : A\nstep r : a = b\npath w := tau(rho(a), xi(v, rho(r)))\n":
+        "4:23: congruence former over a non-element object",
+}
+
+
 @pytest.fixture
 def ctx_r() -> Context:
     """One atom r: a = b."""

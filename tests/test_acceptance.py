@@ -36,19 +36,13 @@ from pathrw.terms import (
     Atom,
     AtomDecl,
     Context,
-    Object,
     Refl,
     Sym,
     Trans,
     format_term,
 )
 
-CTX_RS = Context(
-    ("A",),
-    {"a": "A", "b": "A", "c": "A"},
-    {},
-    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A")},
-)
+from conftest import CTX_RS, el
 
 CTX_FAN = Context(
     ("A",),
@@ -73,10 +67,6 @@ def criterion(num: int, name: str):
         return run
 
     return wrap
-
-
-def el(name):
-    return Object(0, name)
 
 
 @criterion(1, "rule-table-fidelity")

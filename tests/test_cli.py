@@ -26,7 +26,7 @@ from pathrw.serialize import (
 )
 from pathrw.terms import Atom, Object, Refl, StepAtom, Sym, Trans, endpoints, level
 
-from conftest import readme_blocks
+from conftest import FORMER_ERRORS, LAMBDA_SCRIPT, TRIANGLE_SCRIPT, readme_blocks
 
 EXAMPLE = """\
 type A
@@ -86,6 +86,15 @@ def test_parse_error_is_input_error(tmp_path, capsys):
         bad.write_text(text, encoding="utf-8")
         assert main(["normalize", str(bad), "p"]) == 2
         assert capsys.readouterr() == ("", expected)
+
+
+def test_a_former_error_names_no_position_inside_the_former(tmp_path, capsys):
+    """A xi over what has no lambda value is located by its line and column alone."""
+    bad = tmp_path / "bad.pth"
+    for text, message in FORMER_ERRORS.items():
+        bad.write_text(text, encoding="utf-8")
+        assert main(["normalize", str(bad), "q"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_repeated_declarations_are_located_input_errors(tmp_path, capsys):
@@ -633,9 +642,6 @@ def test_mutated_documents_raise_only_path_errors(tmp_path, capsys):
 
 
 # -- deep terms, document levels and law levels ------------------------------
-
-LAMBDA_SCRIPT = "type F\nelem m n : F\nlam m := \\x. x\nlam n := \\y. y\nstep al : m = n alpha\n"
-TRIANGLE_SCRIPT = "type A\nelem a b c : A\nstep r : a = b\nstep s : b = c\nstep u : a = c\n"
 
 
 def test_two_thousand_nested_xis_run_through_the_cli(tmp_path, capsys):

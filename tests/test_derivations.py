@@ -50,13 +50,10 @@ from pathrw.engine import (
     normalize,
     replay_derivation,
 )
-from pathrw.lam import Abs, Var
 from pathrw.oracle import oracle_equal, read_back, word
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, step_name
 from pathrw.terms import (
     Atom,
-    AtomDecl,
-    Context,
     Mu,
     Nu,
     Object,
@@ -69,16 +66,12 @@ from pathrw.terms import (
     replace_at,
 )
 
-from conftest import former_term_strategy, large_term_strategy, lifted_term_strategy
+from conftest import LAM_PATHS, TRIANGLE, former_term_strategy, large_term_strategy, lifted_term_strategy
 from test_kernel import ref_build_template, ref_path_children, subterms
-from test_walker import STRATEGIES, TRIANGLE, _trace, match_pattern, reference_trace
+from test_walker import STRATEGIES, _trace, match_pattern, reference_trace
 
 RULE_SETS = (PAPER7, GROUPOID_COMPLETE)
 LARGE = large_term_strategy(TRIANGLE)
-# Lambda-valued elements, as the ``ctx_lam`` fixture has.
-LAM = Context(
-    ("F",), {"m": "F", "n": "F"}, {"m": Abs("x", Var("x")), "n": Abs("y", Var("y"))}, {"al": AtomDecl("m", "n", "F")}
-)
 
 
 def _traces_match_reference(t, ctx):
@@ -98,10 +91,10 @@ def test_traces_of_large_terms_match_reference(t):
 
 
 @settings(max_examples=40)
-@given(former_term_strategy(LAM))
+@given(former_term_strategy(LAM_PATHS))
 def test_traces_under_formers_match_reference(t):
     assert any(type(node) in (Xi, Mu, Nu) for node in subterms(t))
-    _traces_match_reference(t, LAM)
+    _traces_match_reference(t, LAM_PATHS)
 
 
 @settings(max_examples=60)

@@ -51,11 +51,7 @@ from pathrw.terms import (
     validate,
 )
 
-from conftest import term_strategy
-
-
-def el(name):
-    return Object(0, name)
+from conftest import CTX_RS, el, term_strategy
 
 
 # --- contract_once ----------------------------------------------------------
@@ -304,13 +300,6 @@ def test_canonical_derivation_replays_under_both_sets(ctx_rs):
 
 # --- derivation algebra ------------------------------------------------------
 
-_CTX_RS = Context(
-    ("A",),
-    {"a": "A", "b": "A", "c": "A"},
-    {},
-    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A")},
-)
-
 
 def _random_derivation(t, rng: random.Random) -> Derivation:
     steps = []
@@ -320,7 +309,7 @@ def _random_derivation(t, rng: random.Random) -> Derivation:
         if not redexes:
             break
         rule, pos = rng.choice(redexes)
-        cur, step = contract_once(cur, rule, pos, PAPER7, _CTX_RS)
+        cur, step = contract_once(cur, rule, pos, PAPER7, CTX_RS)
         steps.append(step)
     return Derivation(t, tuple(steps), level(t))
 
@@ -354,19 +343,19 @@ def test_invert_empty_and_single(ctx_r):
     assert replay_derivation(inv, PAPER7, ctx_r)
 
 
-@given(term_strategy(_CTX_RS), st.integers(0, 2**32 - 1))
+@given(term_strategy(CTX_RS), st.integers(0, 2**32 - 1))
 def test_derivation_equivalence_witnesses(t, seed):
     rng = random.Random(seed)
     d = _random_derivation(t, rng)
-    assert replay_derivation(d, PAPER7, _CTX_RS)
+    assert replay_derivation(d, PAPER7, CTX_RS)
     inv = invert_derivation(d)
-    assert replay_derivation(inv, PAPER7, _CTX_RS)
+    assert replay_derivation(inv, PAPER7, CTX_RS)
     assert invert_derivation(inv) == d
     round_trip = concat_derivations(d, inv)
-    assert replay_derivation(round_trip, PAPER7, _CTX_RS)
+    assert replay_derivation(round_trip, PAPER7, CTX_RS)
     d2 = _random_derivation(d.end, rng)
     chained = concat_derivations(d, d2)
-    assert replay_derivation(chained, PAPER7, _CTX_RS)
+    assert replay_derivation(chained, PAPER7, CTX_RS)
 
 
 def test_replay_rejects_corrupted_position(ctx_r):

@@ -37,9 +37,9 @@ from pathrw.terms import (
     endpoints, format_term, level, size, validate,
 )
 
-from conftest import former_term_strategy, lambda_terms_up_to, large_term_strategy, lifted_term_strategy, raw_trees
+from conftest import LAM_PATHS, TRIANGLE, former_term_strategy, lambda_terms_up_to, large_term_strategy, lifted_term_strategy, raw_trees
 from test_kernel import (
-    LAM, LAM_PATHS, NON_TERMS, SWEEP, TRIANGLE, _lam_terms, _lifted_terms, checked_ref_word, ref_endpoints, ref_level,
+    LAM, NON_TERMS, SWEEP, _lam_terms, _lifted_terms, checked_ref_word, ref_endpoints, ref_level,
     ref_path_children, subterms,
 )
 

@@ -43,9 +43,7 @@ from pathrw.oracle import enumerate_terms, oracle_equal
 from pathrw.rules import GROUPOID_COMPLETE, PAPER7, RReflAtSource, RReflAtTarget, match_redexes
 from pathrw.terms import Atom, AtomDecl, Context, Object, Refl, StepAtom, Sym, Trans, endpoints, level
 
-
-def el(name):
-    return Object(0, name)
+from conftest import TRIANGLE, el
 
 
 def test_compose_is_sequential(ctx_rs):
@@ -168,12 +166,6 @@ def test_lifted_objects_have_matching_endpoints(ctx_r):
     assert src == Object(1, d.start) and tgt == Object(1, d.end)
 
 
-TRIANGLE = Context(
-    ("A",),
-    {"a": "A", "b": "A", "c": "A"},
-    {},
-    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")},
-)
 # The triangle next to lambda-valued elements joined by a tagged atom.
 TRIANGLE_LAM = Context(
     ("A", "F"),

@@ -30,11 +30,11 @@ from pathrw.engine import Derivation, RewriteStep, contract_once, decide_rw_equa
 from pathrw.errors import (
     EndpointMismatch,
     PathRwError,
+    PositionedError,
     UnknownAtom,
     UnknownElement,
     UnknownRule,
     UnresolvedLambda,
-    fmt_position,
 )
 from pathrw.groupoid import _lift_from, _random_term_at_level
 from pathrw.lam import Abs, App, Var
@@ -74,14 +74,8 @@ from pathrw.terms import (
     with_child,
 )
 
-from conftest import former_term_strategy, large_term_strategy, lifted_term_strategy, raw_trees
+from conftest import LAM_PATHS, TRIANGLE, former_term_strategy, large_term_strategy, lifted_term_strategy, raw_trees
 
-TRIANGLE = Context(
-    ("A",),
-    {"a": "A", "b": "A", "c": "A"},
-    {},
-    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")},
-)
 LAM = Context(
     ("F",),
     {"m": "F", "n": "F", "k": "F", "z": "F"},
@@ -138,7 +132,7 @@ def ref_subterm_at(t, pos):
     for i in pos:
         children = ref_path_children(t)
         if type(i) is not int or not 0 <= i < len(children):
-            raise PathRwError(f"no subterm at position {fmt_position(pos)}")
+            raise PositionedError("no subterm", pos)
         t = children[i]
     return t
 
@@ -153,7 +147,7 @@ def ref_replace_at(t, pos, new):
         elif i == 0 and type(i) is int and (tp is Sym or tp is Xi or tp is Mu or tp is Nu):
             t = t.body
         else:
-            raise PathRwError(f"no subterm at position {fmt_position(pos)}")
+            raise PositionedError("no subterm", pos)
     for node, i in zip(reversed(spine), reversed(pos)):
         if type(node) is Trans:
             new = Trans(node.left, new) if i else Trans(new, node.right)
@@ -185,11 +179,11 @@ def ref_endpoints(t, ctx, _pos=()):
         case Atom(name):
             decl = ctx.atoms.get(name)
             if decl is None:
-                raise UnknownAtom(name, _pos)
+                raise UnknownAtom(f"unknown atom '{name}'", _pos)
             return Object(0, decl.source), Object(0, decl.target)
         case Refl(obj):
             if obj.level == 0 and isinstance(obj.payload, str) and obj.payload not in ctx.elements:
-                raise UnknownElement(obj.payload, _pos)
+                raise UnknownElement(f"unknown element '{obj.payload}'", _pos)
             return obj, obj
         case Sym(body):
             src, tgt = ref_endpoints(body, ctx, _pos + (0,))
@@ -624,12 +618,6 @@ def test_shape_index_agrees_on_congruence_formers():
 
 def test_shape_index_agrees_on_lifted_terms():
     check_candidates(_lifted_terms(), TRIANGLE)
-
-
-# Lambda values for both elements, so every path drawn can sit under a former.
-LAM_PATHS = Context(
-    ("F",), {"m": "F", "n": "F"}, {"m": Abs("x", Var("x")), "n": Abs("y", Var("y"))}, {"al": AtomDecl("m", "n", "F")}
-)
 
 
 def check_redexes(t, ctx):

@@ -50,12 +50,8 @@ from pathrw.terms import (
 )
 from pathrw.lam import Abs, Var
 
-from conftest import term_strategy
+from conftest import el, term_strategy
 from test_kernel import ref_word
-
-
-def el(name):
-    return Object(0, name)
 
 
 # --- word --------------------------------------------------------------------

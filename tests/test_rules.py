@@ -53,11 +53,8 @@ from pathrw.terms import (
     subterm_at,
 )
 
+from conftest import el
 from test_kernel import ref_build_template, ref_path_children
-
-
-def el(name):
-    return Object(0, name)
 
 
 def postorder_positions(t):

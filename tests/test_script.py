@@ -29,6 +29,7 @@ from pathrw.errors import (
     PathRwError,
     TypeMismatch,
     UndeclaredName,
+    UnresolvedLambda,
 )
 from pathrw.lam import Abs, App, LambdaTerm, Var, validate_axiom_atom
 from pathrw.oracle import enumerate_terms
@@ -51,10 +52,7 @@ from pathrw.terms import (
     path_obj,
 )
 
-
-def el(name):
-    return Object(0, name)
-
+from conftest import FORMER_ERRORS, LAMBDA_SCRIPT, TRIANGLE, TRIANGLE_SCRIPT, el
 
 REFERENCE_TOKEN_RE = re.compile(
     r"""
@@ -344,8 +342,8 @@ class ReferenceParser:
     def _typed_endpoints(self, term: PathTerm, head: RefToken) -> tuple[Object, Object]:
         try:
             return endpoints(term, self.context)
-        except PathRwError as exc:
-            raise TypeMismatch(str(exc), head.line, head.col) from None
+        except UnresolvedLambda as exc:
+            raise TypeMismatch(exc.what, head.line, head.col) from None
 
     def _lambda_expr(self, ts: ReferenceTokenStream) -> LambdaTerm:
         if ts.peek_is("\\"):
@@ -428,40 +426,32 @@ def reference_expected(what: str, token: RefToken) -> DslSyntaxError:
     return DslSyntaxError(f"expected {what}, got {token.text!r}", token.line, token.col)
 
 
-def reference_parse_path_expr(text: str, ctx: Context, paths: dict[str, PathTerm] | None = None, line: int = 1) -> PathTerm:
-    """Parse a single path expression against an existing context."""
+def reference_parse_path_expr(text: str, ctx: Context, paths: dict[str, PathTerm] | None = None) -> PathTerm:
+    """Parse a single path expression against an existing context, as line 1."""
     parser = ReferenceParser()
     parser.context = ctx
     parser.paths = dict(paths or {})
-    ts = ReferenceTokenStream(reference_line(text, line))
+    ts = ReferenceTokenStream(reference_line(text, 1))
     term, _ = parser._path_expr(ts)
     ts.end()
     return term
 
 
-def reference_parse_lambda_expr(text: str, line: int = 1) -> LambdaTerm:
-    """Parse a single lambda expression."""
+def reference_parse_lambda_expr(text: str) -> LambdaTerm:
+    """Parse a single lambda expression, as line 1."""
     parser = ReferenceParser()
-    ts = ReferenceTokenStream(reference_line(text, line))
+    ts = ReferenceTokenStream(reference_line(text, 1))
     term = parser._lambda_expr(ts)
     ts.end()
     return term
 
 
-TRIANGLE = Context(
-    ("A",),
-    {"a": "A", "b": "A", "c": "A"},
-    {},
-    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")},
-)
-TRIANGLE_DECLS = "type A\nelem a b c : A\nstep r : a = b\nstep s : b = c\nstep u : a = c\n"
 # Each step of TRIANGLE and its inverse, with their endpoints.
 LINKS = [
     link
     for name, decl in TRIANGLE.atoms.items()
     for link in ((Atom(name), (decl.source, decl.target)), (Sym(Atom(name)), (decl.target, decl.source)))
 ]
-LAMBDA_DECLS = "type F\nelem m n : F\nlam m := \\x. x\nlam n := \\y. y\nstep al : m = n alpha\n"
 
 
 BASIC = """\
@@ -655,7 +645,7 @@ def test_tau_of_different_levels_cannot_chain():
 def generated_script_lines(seed):
     """A script shaped like the benchmark's: chains of steps dressed in redundancy."""
     rng = random.Random(seed)
-    lines = (TRIANGLE_DECLS + LAMBDA_DECLS).splitlines()
+    lines = (TRIANGLE_SCRIPT + LAMBDA_SCRIPT).splitlines()
     for j in range(12):
         x = rng.choice("abc")
         pieces = []
@@ -816,7 +806,7 @@ def styles(text, rng):
 SWEEP = [format_term(t) for t in enumerate_terms(TRIANGLE, 8)]
 # Named paths for expressions parsed on their own: a leaf may also name one.
 TRIANGLE_PATHS = {"p": Sym(Atom("r")), "q": Trans(Atom("r"), Atom("s"))}
-LAMBDA_CTX = parse_script(LAMBDA_DECLS).context
+LAMBDA_CTX = parse_script(LAMBDA_SCRIPT).context
 # The hand-written cases of this file: lambda values, formers, rho of a path,
 # tau across levels.
 HAND_SCRIPTS = [
@@ -824,12 +814,13 @@ HAND_SCRIPTS = [
     "type A\nelem a b : A\nstep r : a = b\npath p := sigma(rho(r))",
     "type A\nelem a b : A\nstep r : a = b\npath p := sigma(r)\npath q := tau(r, p)",
     "type A\nelem a b : A\nstep r : a = b\npath p := sigma(r)\npath q := tau(rho(p), r)",
-    LAMBDA_DECLS + "path p := xi(v, al)\npath q := mu(m, al)\npath w := nu(al, n)",
-    LAMBDA_DECLS + "path p := tau(xi(v, al), sigma(xi(v, al)))",
-    LAMBDA_DECLS + "elem k : F\npath q := mu(k, al)\npath w := nu(al, k)\npath z := xi(v, rho(al))",
+    LAMBDA_SCRIPT + "path p := xi(v, al)\npath q := mu(m, al)\npath w := nu(al, n)",
+    LAMBDA_SCRIPT + "path p := tau(xi(v, al), sigma(xi(v, al)))",
+    LAMBDA_SCRIPT + "elem k : F\npath q := mu(k, al)\npath w := nu(al, k)\npath z := xi(v, rho(al))",
     "type F\nelem f g : F\nlam f := (\\x. x) y\nlam g := y\nstep b : f = g beta",
     "type F\nelem f g : F\nlam f := \\x. x x\nlam g := x\nstep e : f = g eta",
     "type A B\nelem a : A\nelem b : B\nstep r : a = b",
+    *FORMER_ERRORS,
 ]
 LAMBDA_TEXTS = ["\\x. x", "f x (g x)", "\\x. \\y. x y", "(\\x. x) y", "λx.λy.x", "\\x.\\y. (x y)"]
 
@@ -935,7 +926,7 @@ def test_ten_thousand_link_tau_chains_parse(nesting):
 
 def test_two_thousand_nested_xis_parse_in_a_script():
     n = 2_000
-    script = parse_script(LAMBDA_DECLS + "path p := " + "xi(v, " * n + "al" + ")" * n + "\n")
+    script = parse_script(LAMBDA_SCRIPT + "path p := " + "xi(v, " * n + "al" + ")" * n + "\n")
     t = script.paths["p"]
     for _ in range(n):
         assert type(t) is Xi and t.var == "v"
@@ -959,7 +950,7 @@ def test_nested_formers_take_their_endpoints_from_their_bodies(monkeypatch):
     """No former walks its body again: a script's parse calls ``endpoints`` at no depth."""
     calls = count_endpoints_calls(monkeypatch)
     for n in (1, 10, 100):
-        script = parse_script(LAMBDA_DECLS + "path p := " + "xi(v, mu(m, nu(" * n + "al" + ", n)))" * n)
+        script = parse_script(LAMBDA_SCRIPT + "path p := " + "xi(v, mu(m, nu(" * n + "al" + ", n)))" * n)
         assert len(calls) == 0
         assert level(script.paths["p"]) == 1
 
@@ -990,7 +981,7 @@ def test_each_tagged_step_is_checked_once_per_parse(monkeypatch):
         parse_script("\n".join(generated_script_lines(seed)))
     assert [decl.tag for decl in calls] == ["alpha"] * 3
     calls.clear()
-    parse_script(TRIANGLE_DECLS)
+    parse_script(TRIANGLE_SCRIPT)
     assert calls == []
 
 

@@ -10,13 +10,14 @@ import re
 import pytest
 from hypothesis import given
 
-from pathrw.engine import contract_once
+from pathrw.engine import canonical_derivation, contract_once, decide_rw_equal, normalize
 from pathrw.errors import (
-    BadObject, BadStep, ContextError, EndpointMismatch, NoRedex, NotAnAxiomInstance, PathRwError, UnknownAtom, fmt_position,
+    BadObject, BadStep, ContextError, EndpointMismatch, NoRedex, NotAnAxiomInstance, NotAnObject, PathRwError,
+    PositionedError, UnknownAtom, UnknownElement, fmt_position,
 )
 from pathrw.lam import Abs, App, Var
-from pathrw.oracle import enumerate_terms
-from pathrw.rules import PAPER7
+from pathrw.oracle import enumerate_terms, word
+from pathrw.rules import PAPER7, match_redexes
 from pathrw.terms import (
     Atom,
     AtomDecl,
@@ -39,12 +40,9 @@ from pathrw.terms import (
     validate,
 )
 
-from conftest import raw_trees, term_strategy
+from conftest import CTX_RS, TRIANGLE, el, raw_trees, term_strategy
+from test_fold import ILL_FORMED_LEAVES
 from test_kernel import ref_path_children
-
-
-def el(name: str) -> Object:
-    return Object(0, name)
 
 
 def test_endpoints_sym_swaps(ctx_r):
@@ -150,28 +148,21 @@ def test_positions_keep_one_contract(ctx_r):
         for call in calls:
             with pytest.raises(PathRwError) as caught:
                 call()
-            assert type(caught.value) is PathRwError and str(caught.value) == f"no subterm at position {shown}"
+            assert type(caught.value) is PositionedError and str(caught.value) == f"no subterm at position {shown}"
+            assert caught.value.position == pos
 
 
-_CTX_RS = Context(
-    ("A",),
-    {"a": "A", "b": "A", "c": "A"},
-    {},
-    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A")},
-)
-
-
-@given(term_strategy(_CTX_RS))
+@given(term_strategy(CTX_RS))
 def test_endpoints_sym_swaps_everywhere(t):
-    src, tgt = endpoints(t, _CTX_RS)
-    assert endpoints(Sym(t), _CTX_RS) == (tgt, src)
+    src, tgt = endpoints(t, CTX_RS)
+    assert endpoints(Sym(t), CTX_RS) == (tgt, src)
 
 
-@given(term_strategy(_CTX_RS))
+@given(term_strategy(CTX_RS))
 def test_trans_endpoints_outer(t):
-    src, tgt = endpoints(t, _CTX_RS)
+    src, tgt = endpoints(t, CTX_RS)
     chained = Trans(t, Refl(tgt))
-    assert endpoints(chained, _CTX_RS) == (src, tgt)
+    assert endpoints(chained, CTX_RS) == (src, tgt)
 
 
 def test_validate_iff_endpoints_on_all_raw_trees(ctx_rs):
@@ -363,6 +354,38 @@ def test_format_term_locates_a_step_atom_around_no_step(ctx_rs):
         with pytest.raises(BadStep, match=re.escape(f"at position {fmt_position(pos)}")) as got:
             format_term(t)
         assert got.value.position == pos == validate(t, ctx_rs).violations[0].position
+
+
+def test_every_error_of_a_whole_term_walk_names_a_subterm():
+    """Each walk returns, raises ``TypeError``, or raises a ``PositionedError`` at a subterm it names in its text.
+
+    ``contract_once`` is left out: over an ill-formed bound subterm a ``tr`` or
+    ``tsr`` contraction raises that subterm's error at its own positions.
+    """
+    walks = [
+        lambda t: endpoints(t, TRIANGLE),
+        lambda t: word(t, TRIANGLE),
+        level,
+        format_term,
+        lambda t: normalize(t, PAPER7, TRIANGLE),
+        lambda t: canonical_derivation(t, PAPER7, TRIANGLE),
+        lambda t: decide_rw_equal(t, t, PAPER7, TRIANGLE),
+        lambda t: match_redexes(PAPER7, t),
+    ]
+    trees = list(raw_trees(ILL_FORMED_LEAVES, 5))
+    kinds = set()
+    for t in trees:
+        for walk in walks:
+            try:
+                walk(t)
+            except TypeError:
+                pass
+            except PositionedError as exc:
+                kinds.add(type(exc))
+                assert f"at position {fmt_position(exc.position)}" in str(exc), (t, exc)
+                subterm_at(t, exc.position)
+    assert len(trees) == 3927
+    assert kinds == {UnknownAtom, UnknownElement, BadObject, NotAnObject, BadStep, EndpointMismatch}
 
 
 def test_atom_decl_holds_its_ends_outside_its_fields():

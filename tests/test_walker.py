@@ -59,14 +59,9 @@ from pathrw.terms import (
     subterm_at,
 )
 
+from conftest import TRIANGLE
 from test_kernel import ref_build_template, ref_path_children, subterms
 
-TRIANGLE = Context(
-    ("A",),
-    {"a": "A", "b": "A", "c": "A"},
-    {},
-    {"r": AtomDecl("a", "b", "A"), "s": AtomDecl("b", "c", "A"), "u": AtomDecl("a", "c", "A")},
-)
 TERMS = list(enumerate_terms(TRIANGLE, 8))
 
 

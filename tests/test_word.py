@@ -27,9 +27,9 @@ from pathrw.terms import (
     former_endpoints,
 )
 
-from conftest import former_term_strategy, large_term_strategy, lifted_term_strategy, raw_trees
+from conftest import LAM_PATHS, TRIANGLE, el, former_term_strategy, large_term_strategy, lifted_term_strategy, raw_trees
 from test_fold import ILL_FORMED_LEAVES, raised
-from test_kernel import LAM_PATHS, TRIANGLE, subterms
+from test_kernel import subterms
 
 
 def ref_word(t, ctx):
@@ -112,10 +112,6 @@ def check_words(terms, ctx):
         assert got == raised(ref_word, t, ctx), t
         rejected += got[0] == "raise"
     return rejected
-
-
-def el(name):
-    return Object(0, name)
 
 
 # --- the differential gate ------------------------------------------------------
