@@ -7,9 +7,18 @@ Every error about a term names the subterm it found by position: it is a
 
 from __future__ import annotations
 
+import copyreg
+
 
 class PathRwError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    A copy or a pickle keeps the text and the attributes and calls no
+    ``__init__``, whose arguments are a subclass's own: the parts of its text.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ContextError(PathRwError):

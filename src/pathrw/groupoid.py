@@ -5,12 +5,15 @@ that carries it to the right-hand side: a single named rule application,
 its step named for the terms' own level. The suite runner samples random
 composable tuples (random contraction chains lifted one level up, for
 levels past the first), runs all five checks, and replays every witness.
+A witness is kept in the engine's edit form (see ``engine.Derivation``):
+the one edit checked is the one kept, and its step is built when first read.
 
-The sampler climbs the tower in a loop and threads endpoints, which
-contracting and wrapping keep, instead of reading them; a random step
-contracts the redex the one redex walk found, and a lifted path is built from
-its step atoms as they are drawn. The public checks build the law instances
-with the suite's helpers once their inputs check out.
+The sampler climbs the tower in a loop and threads the level and the
+endpoints, which contracting and wrapping keep, instead of reading them; a
+random step contracts the redex the one redex walk found, and a lifted path
+is built from its step atoms as they are drawn. A level-1 path draws its
+atoms by the element names their declarations hold. The public checks build
+the law instances with the suite's helpers once their inputs check out.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ from .terms import (
     gc_paused,
     level,
     replace_at,
+    value,
 )
 
 LAWS = ("assoc", "left-unit", "right-unit", "left-inverse", "right-inverse")
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class LawReport:
     """One law instance: the sampled inputs, the witness, and its replay result."""
 
@@ -110,10 +114,13 @@ def _require_level(terms: tuple[PathTerm, ...], lv: int) -> None:
 
 
 def _law(law: str, rule: str, lhs: PathTerm, rhs: PathTerm, inputs: tuple, lv: int, ctx: Context) -> LawReport:
-    """A law on well-formed, composable inputs: ``lhs`` to ``rhs`` by ``rule`` at the root; the step is replayed."""
-    step = RewriteStep(step_name(rule, lv), (), FORWARD, lhs, rhs, lv)
-    legal = _legal((step.rule, (), FORWARD, lhs, rhs), lv, PAPER7, ctx)
-    return LawReport(law, lv, inputs, Derivation(lhs, (step,), lv), legal)
+    """A law on well-formed, composable inputs: ``lhs`` to ``rhs`` by ``rule`` at the root.
+
+    The one edit is checked by ``engine._legal`` and kept as the witness's
+    edit, as the engine keeps its own; its step is built when first read.
+    """
+    edit = (step_name(rule, lv), (), FORWARD, lhs, rhs)
+    return LawReport(law, lv, inputs, Derivation._from_edits(lhs, (edit,), rhs, lv), _legal(edit, lv, PAPER7, ctx))
 
 
 def _assoc(s: PathTerm, r: PathTerm, t: PathTerm, lv: int, ctx: Context) -> LawReport:
@@ -162,9 +169,9 @@ def _composable_triple(
         t, _ = _random_path_from(r_tgt, ctx, rng, depth=rng.randint(0, 2))
         return s, r, t, s_src, s_tgt
     u, src, tgt = _random_term_at_level(ctx, lv - 1, rng)
-    s, v = _lift_from(u, src, tgt, ctx, rng)
-    r, w = _lift_from(v, src, tgt, ctx, rng)
-    t, _ = _lift_from(w, src, tgt, ctx, rng)
+    s, v = _lift_from(u, lv - 1, src, tgt, ctx, rng)
+    r, w = _lift_from(v, lv - 1, src, tgt, ctx, rng)
+    t, _ = _lift_from(w, lv - 1, src, tgt, ctx, rng)
     return s, r, t, Object(lv - 1, u), Object(lv - 1, v)
 
 
@@ -173,22 +180,21 @@ def _random_term_at_level(ctx: Context, lv: int, rng: random.Random) -> tuple[Pa
     t, src, tgt = _random_path(ctx, rng, depth=rng.randint(0, 2))
     t = _wrap(t, src, tgt, rng)[0]
     for k in range(1, lv):
-        lifted, v = _lift_from(t, src, tgt, ctx, rng)
+        lifted, v = _lift_from(t, k, src, tgt, ctx, rng)
         t, src, tgt = lifted, Object(k, t), Object(k, v)
     return t, src, tgt
 
 
 def _lift_from(
-    u: PathTerm, src: Object, tgt: Object, ctx: Context, rng: random.Random
+    u: PathTerm, lv: int, src: Object, tgt: Object, ctx: Context, rng: random.Random
 ) -> tuple[PathTerm, PathTerm]:
-    """A one-level-up path starting at ``u``, which runs from ``src`` to ``tgt``.
+    """A one-level-up path starting at ``u``, a level-``lv`` term which runs from ``src`` to ``tgt``.
 
     Walks forward by up to three random contractions, then backwards into a
     redundancy wrapping of the reduct, so lifted paths mix forward and reverse
     steps while staying small at every tower level. Each step is lifted as it is drawn,
     and ``engine._compose_lifted`` joins them, as for ``derivation_to_path``. Returns (path, target).
     """
-    lv = level(u)
     pieces = []
     cur = u
     for _ in range(rng.randint(0, 3)):
@@ -242,8 +248,10 @@ def _random_path_from(
     end: Object, ctx: Context, rng: random.Random, depth: int, forward: bool = True
 ) -> tuple[PathTerm, Object]:
     """A random level-1 term starting at ``end``, or ending there if not ``forward``; and its other end."""
-    ahead = [(n, d) for n, d in ctx.atoms.items() if d.ends[not forward] == end]  # source at ``end`` if forward
-    behind = [(n, d) for n, d in ctx.atoms.items() if d.ends[forward] == end]
+    here = end.payload  # a level-0 end: an element name, compared with the declarations' own
+    leaving = [(n, d) for n, d in ctx.atoms.items() if d.source == here]
+    arriving = [(n, d) for n, d in ctx.atoms.items() if d.target == here]
+    ahead, behind = (leaving, arriving) if forward else (arriving, leaving)
     choices = ["refl"]
     if ahead:
         choices.append("atom")

@@ -5,10 +5,10 @@ atoms, reflexivity, symmetry, transitivity, and the lambda congruence formers.
 A level-(n+1) term is a path between level-n terms; its atoms are recorded
 rewrite steps. Everything is immutable. A rewrite mostly builds small
 values, so the classes built on the hot path (the terms here, the oracle's
-letters and words, the engine's steps and verdicts) are declared with
-``value``: a frozen, slotted dataclass whose ``__init__`` stores each field
-through its slot descriptor. The rest (declarations, contexts, patterns,
-reports) are plain frozen dataclasses.
+letters and words, the engine's steps and verdicts, the law reports) are
+declared with ``value``: a frozen, slotted dataclass whose ``__init__`` stores
+each field through its slot descriptor. The rest (declarations, contexts,
+patterns, scripts, peaks, the law suite's summary) are plain frozen dataclasses.
 
 The term classes are final: nothing subclasses them. So every traversal
 dispatches on exact type (``type(t) is Trans``), which costs a fraction of a

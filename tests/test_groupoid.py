@@ -474,8 +474,15 @@ def test_lifting_builds_no_derivation_and_flips_no_step(monkeypatch):
     """
     flips, built = [], []
     flipped, post_init = engine.RewriteStep.flipped, engine.Derivation.__post_init__
+    from_edits = engine.Derivation._from_edits
+
+    def counted_from_edits(cls, *args):
+        built.append(from_edits(*args))
+        return built[-1]
+
     monkeypatch.setattr(engine.RewriteStep, "flipped", lambda self: flips.append(self) or flipped(self))
     monkeypatch.setattr(engine.Derivation, "__post_init__", lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(engine.Derivation, "_from_edits", classmethod(counted_from_edits))
     for lv in range(2, 7):
         flips.clear()
         built.clear()
@@ -483,6 +490,29 @@ def test_lifting_builds_no_derivation_and_flips_no_step(monkeypatch):
         assert not report.failures
         assert (len(flips), len(built)) == (0, 5 * 20), lv
         assert all(b is r.witness for b, r in zip(built, report.reports))
+
+
+def test_law_witnesses_build_their_steps_when_read(monkeypatch):
+    """Counted work of the checks: a witness builds no step until ``.steps`` is read, then its one step once."""
+    built = []
+    init = engine.RewriteStep.__init__
+    monkeypatch.setattr(engine.RewriteStep, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    samples = 20
+    for lv in range(2, 7):
+        counts = []
+        for _ in range(2):
+            built.clear()
+            report = run_laws(TRIANGLE, lv, samples, lv)
+            starts = {id(r.witness.start) for r in report.reports}
+            assert not [b for b in built if id(b.before) in starts], lv  # the sampler's steps only
+            built.clear()
+            steps = [r.witness.steps for r in report.reports]
+            assert all(r.witness.steps is s for r, s in zip(report.reports, steps))  # read twice, built once
+            assert len(built) == len(steps) and all(b is s for b, (s,) in zip(built, steps)), lv
+            assert all(b.before is r.witness.start for b, r in zip(built, report.reports))
+            assert not report.failures
+            counts.append(len(built))
+        assert counts == [5 * samples] * 2, lv
 
 
 def test_check_assoc_walks_each_input_once(ctx_rs, monkeypatch):

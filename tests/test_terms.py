@@ -12,8 +12,9 @@ from hypothesis import given
 
 from pathrw.engine import canonical_derivation, contract_once, decide_rw_equal, normalize
 from pathrw.errors import (
-    BadObject, BadStep, ContextError, EndpointMismatch, NoRedex, NotAnAxiomInstance, NotAnObject, PathRwError,
-    PositionedError, UnknownAtom, UnknownElement, fmt_position,
+    BadObject, BadStep, ChainMismatch, ContextError, DslSyntaxError, EndpointMismatch, LevelMismatch, NoRedex,
+    NotAnAxiomInstance, NotAnObject, PathRwError, PositionedError, ScriptError, TypeMismatch, UndeclaredName,
+    UnknownAtom, UnknownElement, UnknownRule, UnresolvedLambda, fmt_position,
 )
 from pathrw.lam import Abs, App, Var
 from pathrw.oracle import enumerate_terms, word
@@ -118,6 +119,49 @@ def test_subterm_at_rejects_negative_indices():
             subterm_at(t, pos)
         with pytest.raises(PathRwError, match="no subterm at position"):
             replace_at(t, pos, Atom("r"))
+
+
+def _error_classes(cls: type) -> set[type]:
+    return {cls}.union(*(_error_classes(sub) for sub in cls.__subclasses__()))
+
+
+def test_every_error_survives_pickle_and_copy():
+    """Each error class, pickled, copied and deep-copied: the same class, text, ``.args`` and location."""
+    errors = [
+        PathRwError("levels start at 1"),
+        ContextError("element 'a' has undeclared type 'B'"),
+        PositionedError("no subterm", (0, 1)),
+        UnknownAtom("unknown atom 'r'", (0,)),
+        UnknownElement("unknown element 'z'", (1, 0)),
+        BadObject(-1, (0,)),
+        NotAnObject("reflexivity holds 'a', not an object", ()),
+        BadStep("recorded step holds 'r', not a rewrite step", (1,)),
+        EndpointMismatch((1,), el("b"), el("a")),
+        UnresolvedLambda("element 'a' has no lambda value", (0, 0)),
+        UnknownRule("no rule 'zz'"),
+        NoRedex("rule 'ss' does not match", (0,)),
+        LevelMismatch("levels differ: 1 != 2"),
+        ChainMismatch("levels differ: 1 != 2"),
+        NotAnAxiomInstance("atom 'b' is no beta instance"),
+        ScriptError("bad", 1, 2),
+        DslSyntaxError("expected ')'", 3, 14),
+        UndeclaredName("undeclared element 'q'", 2, 1),
+        TypeMismatch("element 'a' has no lambda value", 4, 17),
+    ]
+    classes = [type(e) for e in errors]
+    assert len(set(classes)) == len(classes) and set(classes) == _error_classes(PathRwError)  # one of each
+    kinds = []
+    for e in errors:
+        located = ()
+        if isinstance(e, PositionedError):
+            located = ("what", "position")
+        elif isinstance(e, ScriptError):
+            located = ("line", "col")
+        for rebuilt in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert type(rebuilt) is type(e) and str(rebuilt) == str(e) and rebuilt.args == e.args, e
+            assert [getattr(rebuilt, n) for n in located] == [getattr(e, n) for n in located], e
+        kinds.append(located)
+    assert kinds.count(("what", "position")) == 9 and kinds.count(("line", "col")) == 4
 
 
 def test_positions_keep_one_contract(ctx_r):

@@ -13,10 +13,13 @@ import pytest
 
 import pathrw
 from pathrw.engine import Equal, NotEqual, RewriteStep
+from pathrw.groupoid import LawReport
 from pathrw.oracle import Letter, ReducedWord
 from pathrw.terms import Atom, Mu, Nu, Object, Refl, StepAtom, Sym, Trans, Xi, value
 
-VALUE_CLASSES = (Object, Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom, Letter, ReducedWord, RewriteStep, Equal, NotEqual)
+VALUE_CLASSES = (
+    Object, Atom, Refl, Sym, Trans, Xi, Mu, Nu, StepAtom, Letter, ReducedWord, RewriteStep, Equal, NotEqual, LawReport
+)
 
 
 def plain_copy(cls):
